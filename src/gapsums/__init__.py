@@ -17,7 +17,6 @@ from .apery import (
     as_arith_progression,
 )
 from .arithprog import (
-    column_term,
     frobenius_ap,
     genus_ap,
     power_sum_ap,
@@ -47,9 +46,11 @@ from .sylvester import (
     power_sum,
     summarize,
     weighted_moment,
+    weighted_moments,
     weighted_sum,
     weighted_sum_general,
     weighted_sum_unity_a,
+    weighted_sums,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +74,6 @@ __all__ = [
     "as_element",
     "bernoulli",
     "binomial",
-    "column_term",
     "cyclotomic",
     "eulerian",
     "frobenius",
@@ -90,8 +90,10 @@ __all__ = [
     "weighted_moment",
     "weighted_moment_ap",
     "weighted_moment_unity_d",
+    "weighted_moments",
     "weighted_sum",
     "weighted_sum_ap",
     "weighted_sum_general",
     "weighted_sum_unity_a",
+    "weighted_sums",
 ]

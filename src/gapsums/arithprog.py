@@ -1,14 +1,15 @@
 """Closed forms for generators in arithmetic progression a, a+d, ..., a+(k-1)d.
 
-Nothing here materializes the residue table: the table's known row structure
-(q full rows of k-1 entries plus r leftovers, a-1 = q(k-1)+r) is exploited
-directly, which keeps every computation polynomial in q, k and the exponent
-instead of in the table size.
+The table's known row structure (q full rows of k-1 entries plus r leftovers,
+a-1 = q(k-1)+r) is exploited directly.  Frobenius number, genus, power sums
+and the unity regimes stay polynomial in q, k and the exponent; only the
+generic weighted regime lists the table, as its a entries in ascending order
+(``_table_exponents``), so its memory is O(a) whatever the size of the entries.
 
 The weighted sums split into three regimes, dispatched on the weight w:
 
-* w^a != 1 and w^d != 1: generic regime; the moment generating polynomial of
-  the table collapses to geometric blocks (``weighted_moment_ap``).
+* w^a != 1 and w^d != 1: generic regime; the table entries are generated
+  row by row and fed to the sparse moment kernel (``weighted_moment_ap``).
 * w^a != 1 and w^d  = 1: the weight is constant along each table row
   (``weighted_moment_unity_d``).
 * w^a  = 1 and w^d != 1: the unity-weight engine with row-wise column sums.
@@ -23,11 +24,12 @@ from typing import NamedTuple
 from .apery import ArithProgression
 from .exact import bernoulli, binomial
 from .numberfield import RingElement, as_element, is_power_unity
-from .sylvester import eulerian_tail, moment_from_polynomial, weighted_sum_from_moments
+from .sylvester import eulerian_weight, weighted_moments, weighted_sum_from_moments
+# bench/tracing.py wraps arithprog.moment_from_polynomial, so the name stays importable
+from .sylvester import moment_from_polynomial  # noqa: F401
 
 __all__ = [
     "WeightedSumAP",
-    "column_term",
     "frobenius_ap",
     "genus_ap",
     "power_sum_ap",
@@ -98,47 +100,34 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
     return int(total)
 
 
-def _table_polynomial(ap: ArithProgression) -> list[int]:
-    """sum_i x^{m_i} assembled from geometric blocks, never from the table.
+def _table_exponents(ap: ArithProgression) -> list[int]:
+    """The a table entries in ascending order, generated from the row blocks
 
-    The rational generating expression for the row structure has denominators
-    (x^d - 1) and (x^{a_k} - 1) that divide their numerators exactly, so the
-    quotient is expanded directly as geometric sums:
+        0,  a + d + s a_k + t d  (0 <= s < q, 0 <= t < k-1),
+            q a_k + a + d + t d  (0 <= t < r),
 
-        1 + x^{a+d} (1 + x^d + ... + x^{(k-2)d}) (1 + x^{a_k} + ... + x^{(q-1)a_k})
-          + x^{q a_k + a + d} (1 + x^d + ... + x^{(r-1)d}).
-
-    Polynomializing first avoids spurious singularities when the evaluation
-    point happens to satisfy x^{a_k} = 1.
+    where row s ends at (s+1) a_k, below the start of row s+1.
     """
     a, d, k, q, r = ap.a, ap.d, ap.k, ap.q, ap.r
     ak = ap.largest
-    top = (q + 1) * a + (q * (k - 1) + r) * d if r else q * ak
-    out = [0] * (top + 1)
-    out[0] = 1
+    out = [0]
     for s in range(q):
         base = a + d + s * ak
-        for t in range(k - 1):
-            out[base + t * d] += 1
+        out.extend(range(base, base + (k - 1) * d, d))
     base = q * ak + a + d
-    for t in range(r):
-        out[base + t * d] += 1
+    out.extend(range(base, base + r * d, d))
     return out
 
 
 def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} without building the residue table.
+    """sum_i m_i^nu lam^{m_i} from the generated table entries.
 
-    The geometric-block polynomial is differentiated symbolically and
-    recombined with Stirling weights; no division by ring elements occurs, so
-    the value is defined for every nonzero weight.
+    Uses both routes of the sparse moment kernel; no division by ring
+    elements occurs, so the value is defined for every nonzero weight.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    lam = as_element(lam)
-    if lam.is_zero:
-        raise ValueError("weight 0 is not allowed")
-    return moment_from_polynomial(_table_polynomial(ap), nu, lam)
+    return weighted_moments(_table_exponents(ap), nu, lam)[nu]
 
 
 def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
@@ -179,16 +168,6 @@ def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
     if nu == 0:
         total = total + 1
     return total
-
-
-def column_term(j: int, ell: int, d: int, lam) -> RingElement:
-    """lam^{j d} * j^ell, the column contribution in the unity-weight rows.
-
-    Computed as the plain product (with 0^0 = 1); the equivalent derivative
-    form sum_h S(ell, h) j(j-1)...(j-h+1) (lam^d)^j is kept as a test oracle.
-    """
-    lam = as_element(lam)
-    return lam ** (j * d) * j ** ell
 
 
 def weight_branch(ap: ArithProgression, lam) -> str:
@@ -245,7 +224,7 @@ def _unity_a_sum(ap: ArithProgression, mu: int, lam: RingElement) -> RingElement
         total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
     total = total * Fraction(1, mu + 1)
     inv_l = (lam - 1).inverse()
-    return total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_tail(mu, lam)
+    return total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
 
 
 class WeightedSumAP(NamedTuple):
@@ -272,5 +251,5 @@ def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSumAP:
     if branch == "unity-d":
         moment = lambda nu: weighted_moment_unity_d(ap, nu, lam)
     else:
-        moment = lambda nu: weighted_moment_ap(ap, nu, lam)
+        moment = weighted_moments(_table_exponents(ap), mu, lam).__getitem__
     return WeightedSumAP(weighted_sum_from_moments(ap.a, mu, lam, moment), branch)

@@ -5,8 +5,9 @@ Input is either --gens (explicit generators) or --ap (a=..,d=..,k=..); the
 method is chosen automatically (closed form when the input is an arithmetic
 progression, else the residue-table engine) unless forced with --method.
 
-Exit codes: 0 success, 2 invalid input, 3 cross-method disagreement under
-`verify`.
+Exit codes: 0 success; 2 invalid input, including a weight ring whose modulus
+turns out reducible where an inverse is needed; 3 a disagreement between
+evaluation paths (`verify`) or between the internal cross-checked routes.
 """
 from __future__ import annotations
 
@@ -25,7 +26,14 @@ from .apery import (
     apery_general,
     as_arith_progression,
 )
-from .numberfield import Embedding, LambdaSpec, RingElement, element_to_json, numeric_eval
+from .numberfield import (
+    Embedding,
+    LambdaSpec,
+    ReducibleModulusError,
+    RingElement,
+    element_to_json,
+    numeric_eval,
+)
 
 __all__ = ["console_main", "main"]
 
@@ -366,9 +374,12 @@ def main(argv: list[str] | None = None) -> int:
         args.weight = None
     try:
         return _run(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, ReducibleModulusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a cross-checked internal route disagreed
+        print(f"internal fault: {exc}", file=sys.stderr)
+        return 3
 
 
 def _is_unit_weight(text: str | None) -> bool:

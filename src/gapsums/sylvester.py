@@ -13,24 +13,29 @@ into a sum over the table:
 Weighted sums s_mu^(w) = sum w^n n^mu over the gaps split on whether w^a = 1:
 the general engine divides by (w^a - 1), the unity engine uses the residue
 pairing i = m_i mod a instead.  Both consume the weighted moments
-sum_i m_i^nu w^{m_i}, which are always computed along two independent routes
-and compared exactly.
+M(nu) = sum_i m_i^nu w^{m_i}: every M(0..top) a query needs comes from one
+call of :func:`weighted_moments`, which computes them along two independent
+routes over the sorted table entries and compares them exactly.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
-from .apery import AperyTable, Generators, apery_general, apery_polynomial, as_arith_progression
+from .apery import AperyTable, Generators, apery_general, as_arith_progression
+# bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
+from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
 from .numberfield import RingElement, as_element, is_power_unity
 
 __all__ = [
     "GapSummary",
     "WeightedSum",
-    "eulerian_tail",
+    "WeightedSums",
     "eulerian_weight",
     "frobenius",
     "genus",
@@ -38,9 +43,11 @@ __all__ = [
     "power_sum",
     "summarize",
     "weighted_moment",
+    "weighted_moments",
     "weighted_sum",
     "weighted_sum_general",
     "weighted_sum_unity_a",
+    "weighted_sums",
 ]
 
 
@@ -77,11 +84,13 @@ def power_sum(table: AperyTable, mu: int) -> int:
 
 
 def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> RingElement:
-    """Evaluate sum_e c_e e^nu lam^e from P(x) = sum_e c_e x^e.
+    """Evaluate sum_e c_e e^nu lam^e from the dense P(x) = sum_e c_e x^e.
 
     Uses the derivative route sum_{h<=nu} S(nu,h) lam^h P^(h)(lam), where
     S(nu,h) are Stirling numbers of the second kind; P is differentiated
-    symbolically and each derivative is evaluated sparsely.
+    symbolically and each derivative is evaluated sparsely.  The engines use
+    the sparse :func:`weighted_moments` instead; this dense form stays as an
+    independent reference.
     """
     lam = as_element(lam)
     total = lam.ring.zero
@@ -94,25 +103,102 @@ def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> 
     return total
 
 
-def weighted_moment(table: AperyTable, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} over the whole table (the m_0 = 0 entry
-    contributes 1 when nu = 0 and nothing otherwise).
+def _gap_powers(lam: RingElement, gaps: Iterable[int]) -> dict[int, RingElement]:
+    """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0).
 
-    Computed twice: directly term by term, and through the derivative route
-    on the table polynomial.  The two must agree exactly.
+    The deltas are taken in ascending order and each power is the previous
+    one times lam^(difference), so gaps that lie close together cost one
+    multiplication each.
     """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    powers = {0: lam.ring.one}
+    last = 0
+    for delta in sorted(set(gaps) - {0}):
+        step = delta - last
+        powers[delta] = powers[last] * (powers[step] if step in powers else lam ** step)
+        last = delta
+    return powers
+
+
+def _steps(exponents: Sequence[int]) -> list[int]:
+    """Differences of ascending exponents, the first one taken from 0."""
+    return [e - last for last, e in zip([0, *exponents], exponents)]
+
+
+def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list[RingElement]:
+    """M(0..top) in one ascending pass: lam^e is stepped by lam^(e - previous e),
+    and every M(nu) takes its e^nu lam^e term from the same power."""
+    gaps = _steps(exponents)
+    powers = _gap_powers(lam, gaps)
+    moments = [lam.ring.zero] * (top + 1)
+    power = lam.ring.one
+    for e, gap in zip(exponents, gaps):
+        if gap:
+            power = power * powers[gap]
+        weight = 1
+        for nu in range(top + 1):
+            moments[nu] = moments[nu] + weight * power  # 0**0 == 1 covers e = 0
+            weight *= e
+    return moments
+
+
+def _falling_factorial_moments(
+    exponents: Sequence[int], top: int, lam: RingElement
+) -> list[RingElement]:
+    """M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
+    M(nu) = sum_h S(nu, h) F(h) since e^nu = sum_h S(nu, h) (e)_h.
+
+    Each F(h) is a descending Horner pass over the exponents e >= h (the
+    falling factorial (e)_h vanishes below h), with powers of its own.
+    """
+    starts = [bisect_left(exponents, h) for h in range(top + 1)]
+    lowest = [exponents[i] for i in starts if i < len(exponents)]
+    gaps = [high - low for low, high in zip(exponents, exponents[1:])]
+    powers = _gap_powers(lam, gaps + lowest)
+    falling = []
+    for h, start in enumerate(starts):
+        acc, last = lam.ring.zero, None
+        for e in reversed(exponents[start:]):
+            if last is not None:
+                acc = acc * powers[last - e]
+            acc = acc + perm(e, h)
+            last = e
+        falling.append(acc * powers[last] if last else acc)
+    return [
+        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), lam.ring.zero)
+        for nu in range(top + 1)
+    ]
+
+
+def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElement]:
+    """[M(0), ..., M(top)] with M(nu) = sum_e e^nu lam^e over the strictly
+    ascending ``exponents`` (the table entries, m_0 = 0 included, which adds
+    1 to M(0) and nothing else).
+
+    Computed along two routes that share no power of lam, the ascending power
+    pass and the falling-factorial Horner passes; they must agree exactly.
+    """
+    if top < 0:
+        raise ValueError("top must be nonnegative")
     lam = as_element(lam)
     if lam.is_zero:
         raise ValueError("weight 0 is not allowed")
-    direct = lam.ring.zero
-    for mi in table.m:
-        direct = direct + mi ** nu * lam ** mi  # 0**0 == 1 covers the m_0 entry
-    derived = moment_from_polynomial(apery_polynomial(table), nu, lam)
-    if direct != derived:
+    if not exponents or exponents[0] < 0 or any(
+        x >= y for x, y in zip(exponents, exponents[1:])
+    ):
+        raise ValueError("exponents must be nonnegative and strictly ascending")
+    direct = _ascending_moments(exponents, top, lam)
+    if direct != _falling_factorial_moments(exponents, top, lam):
         raise ArithmeticError("weighted moment routes disagree: internal fault")
     return direct
+
+
+def weighted_moment(table: AperyTable, nu: int, lam) -> RingElement:
+    """sum_i m_i^nu lam^{m_i} over the whole table (the m_0 = 0 entry
+    contributes 1 when nu = 0 and nothing otherwise), checked along both
+    routes of :func:`weighted_moments`."""
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
+    return weighted_moments(sorted(table.m), nu, lam)[nu]
 
 
 def eulerian_weight(n: int, x: RingElement) -> RingElement:
@@ -122,17 +208,6 @@ def eulerian_weight(n: int, x: RingElement) -> RingElement:
         c = eulerian(n, n - j)
         if c:
             total = total + c * x ** j
-    return total
-
-
-def eulerian_tail(mu: int, lam: RingElement) -> RingElement:
-    """sum_{j=0}^{mu-1} <mu, j> lam^{j+1} (equal to eulerian_weight by the
-    row symmetry of the Eulerian numbers)."""
-    total = lam.ring.zero
-    for j in range(mu):
-        c = eulerian(mu, j)
-        if c:
-            total = total + c * lam ** (j + 1)
     return total
 
 
@@ -176,6 +251,69 @@ def _require_weight(mu: int, lam) -> RingElement:
     return lam
 
 
+def _general_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:
+    moments = weighted_moments(sorted(table.m), max(mus), lam)
+    return {
+        mu: weighted_sum_from_moments(table.modulus, mu, lam, moments.__getitem__) for mu in mus
+    }
+
+
+def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
+    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 1..top (D(0) stays 0,
+    no sum reads it), in one ascending pass over the (m_i, i) pairs with its
+    own powers of lam."""
+    pairs = sorted(zip(table.m[1:], range(1, table.modulus)))
+    gaps = _steps([m for m, _ in pairs])
+    powers = _gap_powers(lam, gaps)
+    out = [lam.ring.zero] * (top + 1)
+    power = lam.ring.one
+    for (m, i), gap in zip(pairs, gaps):
+        power = power * powers[gap]
+        m_pow = i_pow = 1
+        for e in range(1, top + 1):
+            m_pow *= m
+            i_pow *= i
+            out[e] = out[e] + (m_pow - i_pow) * power
+    return out
+
+
+def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:
+    """Weighted gap sums when lam^a = 1 (lam != 1), e.g. alternating sums.
+
+    Two equivalent statements are evaluated and compared exactly:
+
+    * difference form, using the residue pairing i = m_i mod a:
+        (1/(mu+1)) sum_n C(mu+1, n) B_n a^{n-1}
+            sum_{i>=1} (m_i^{mu+1-n} - i^{mu+1-n}) lam^{m_i}
+    * moment form: the same outer sum over M(mu+1-n) alone, plus the
+      geometric tail (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1}
+      (that is :func:`eulerian_weight`, by the row symmetry <mu, j> = <mu, mu-1-j>).
+    """
+    a = table.modulus
+    top = max(mus) + 1
+    moments = weighted_moments(sorted(table.m), top, lam)
+    differences = _residue_differences(table, top, lam)
+    inv_l = (lam - 1).inverse()
+    out = {}
+    for mu in mus:
+        diff_form = moment_form = lam.ring.zero
+        for n in range(mu + 1):
+            b = bernoulli(n)
+            if not b:
+                continue
+            scale = binomial(mu + 1, n) * b * Fraction(a) ** (n - 1)
+            diff_form = diff_form + scale * differences[mu + 1 - n]
+            moment_form = moment_form + scale * moments[mu + 1 - n]
+        diff_form = diff_form * Fraction(1, mu + 1)
+        moment_form = moment_form * Fraction(1, mu + 1) + (
+            (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
+        )
+        if diff_form != moment_form:
+            raise ArithmeticError("unity-weight forms disagree: internal fault")
+        out[mu] = diff_form
+    return out
+
+
 def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a != 1, from the residue table."""
     lam = _require_weight(mu, lam)
@@ -183,47 +321,17 @@ def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
         raise ValueError(
             "weight is a root of unity of the modulus order; use weighted_sum_unity_a"
         )
-    return weighted_sum_from_moments(
-        table.modulus, mu, lam, lambda nu: weighted_moment(table, nu, lam)
-    )
+    return _general_sums(table, (mu,), lam)[mu]
 
 
 def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
-    """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums.
-
-    Two equivalent statements are evaluated and compared exactly:
-
-    * difference form, using the residue pairing i = m_i mod a:
-        (1/(mu+1)) sum_n C(mu+1, n) B_n a^{n-1}
-            sum_{i>=1} (m_i^{mu+1-n} - i^{mu+1-n}) lam^{m_i}
-    * moment form: the same outer sum over m_i^{mu+1-n} lam^{m_i} alone, plus
-      the geometric tail (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1}.
-    """
+    """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums;
+    the difference and moment forms of the residue pairing are compared
+    exactly."""
     lam = _require_weight(mu, lam)
-    a = table.modulus
-    if not is_power_unity(lam, a):
+    if not is_power_unity(lam, table.modulus):
         raise ValueError("weight is not a root of unity of the modulus order")
-    diff_form = lam.ring.zero
-    moment_form = lam.ring.zero
-    for n in range(mu + 1):
-        b = bernoulli(n)
-        if not b:
-            continue
-        scale = binomial(mu + 1, n) * b * Fraction(a) ** (n - 1)
-        diff_inner = lam.ring.zero
-        e = mu + 1 - n
-        for i in range(1, a):
-            diff_inner = diff_inner + (table.m[i] ** e - i ** e) * lam ** table.m[i]
-        diff_form = diff_form + scale * diff_inner
-        moment_form = moment_form + scale * weighted_moment(table, e, lam)
-    diff_form = diff_form * Fraction(1, mu + 1)
-    inv_l = (lam - 1).inverse()
-    moment_form = moment_form * Fraction(1, mu + 1) + (
-        (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_tail(mu, lam)
-    )
-    if diff_form != moment_form:
-        raise ArithmeticError("unity-weight forms disagree: internal fault")
-    return diff_form
+    return _unity_a_sums(table, (mu,), lam)[mu]
 
 
 class WeightedSum(NamedTuple):
@@ -231,14 +339,29 @@ class WeightedSum(NamedTuple):
     branch: str  # "general" | "unity-a"
 
 
+class WeightedSums(NamedTuple):
+    values: dict[int, RingElement]  # mu -> weighted gap sum
+    branch: str  # "general" | "unity-a"
+
+
+def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
+    """Weighted gap sums for every mu in ``mus`` from one table, dispatching
+    on whether lam^a = 1; all of them read one shared moment vector."""
+    mus = sorted(set(mus))
+    if not mus:
+        raise ValueError("no exponents requested")
+    lam = _require_weight(mus[0], lam)
+    if is_power_unity(lam, table.modulus):
+        return WeightedSums(_unity_a_sums(table, mus, lam), "unity-a")
+    return WeightedSums(_general_sums(table, mus, lam), "general")
+
+
 def weighted_sum(gens: Generators, mu: int, lam) -> WeightedSum:
     """Weighted gap sum for arbitrary generators, dispatching on whether the
     weight is a root of unity of order dividing the smallest generator."""
     lam = _require_weight(mu, lam)
-    table = apery_general(gens)
-    if is_power_unity(lam, table.modulus):
-        return WeightedSum(weighted_sum_unity_a(table, mu, lam), "unity-a")
-    return WeightedSum(weighted_sum_general(table, mu, lam), "general")
+    values, branch = weighted_sums(apery_general(gens), (mu,), lam)
+    return WeightedSum(values[mu], branch)
 
 
 @dataclass(frozen=True)
@@ -283,7 +406,7 @@ def summarize(
 
     methods: dict[str, str] = {}
     power_sums: dict[int, int] = {}
-    weighted_sums: dict[int, RingElement] = {}
+    weighted: dict[int, RingElement] = {}
 
     if method == "closed-form":
         tag = "ap-closed-form"
@@ -294,7 +417,7 @@ def summarize(
         if weight is not None:
             for mu in sorted(set(weighted_mus)):
                 value, branch = arithprog.weighted_sum_ap(ap, mu, weight)
-                weighted_sums[mu] = value
+                weighted[mu] = value
                 methods[f"weighted_sum[{mu}]"] = f"{tag}/{branch}"
     elif method == "oracle":
         tag = "oracle"
@@ -306,7 +429,7 @@ def summarize(
             methods[f"power_sum[{mu}]"] = tag
         if weight is not None:
             for mu in sorted(set(weighted_mus)):
-                weighted_sums[mu] = oracle.weighted_sum(gs, mu, weight)
+                weighted[mu] = oracle.weighted_sum(gs, mu, weight)
                 methods[f"weighted_sum[{mu}]"] = tag
     else:
         tag = "general-apery"
@@ -315,10 +438,10 @@ def summarize(
         for mu in sorted(set(power_mus)):
             power_sums[mu] = power_sum(table, mu)
             methods[f"power_sum[{mu}]"] = tag
-        if weight is not None:
-            for mu in sorted(set(weighted_mus)):
-                value, branch = weighted_sum(gens, mu, weight)
-                weighted_sums[mu] = value
+        if weight is not None and weighted_mus:
+            values, branch = weighted_sums(table, weighted_mus, weight)
+            for mu, value in values.items():
+                weighted[mu] = value
                 methods[f"weighted_sum[{mu}]"] = f"{tag}/{branch}"
     methods["frobenius"] = tag
     methods["genus"] = tag
@@ -329,6 +452,6 @@ def summarize(
         genus=count,
         power_sums=power_sums,
         weight=as_element(weight) if weight is not None else None,
-        weighted_sums=weighted_sums,
+        weighted_sums=weighted,
         methods=methods,
     )

@@ -1,56 +1,7 @@
-"""Shared helpers: seeded random corpora of generator sets and progressions."""
+"""Test-suite settings: the hypothesis profile every property test runs under."""
 from __future__ import annotations
-
-import random
-from fractions import Fraction
-from math import gcd
 
 from hypothesis import settings
 
-from gapsums import ArithProgression, Generators, LambdaSpec
-
 settings.register_profile("gapsums", deadline=None, max_examples=60)
 settings.load_profile("gapsums")
-
-
-def random_generator_sets(
-    count: int, *, seed: int, max_a1: int = 40, max_k: int = 5, max_value: int = 160
-) -> list[Generators]:
-    rng = random.Random(seed)
-    out: list[Generators] = []
-    while len(out) < count:
-        a1 = rng.randint(2, max_a1)
-        k = rng.randint(2, max_k)
-        values = {a1} | {rng.randint(a1 + 1, max_value) for _ in range(k - 1)}
-        try:
-            out.append(Generators(values))
-        except ValueError:
-            continue
-    return out
-
-
-def random_progressions(
-    count: int, *, seed: int, max_a: int = 60, max_d: int = 9, max_k: int = 8
-) -> list[ArithProgression]:
-    rng = random.Random(seed)
-    out: list[ArithProgression] = []
-    while len(out) < count:
-        a = rng.randint(2, max_a)
-        d = rng.randint(1, max_d)
-        if gcd(a, d) != 1:
-            continue
-        k = rng.randint(2, min(a, max_k))
-        out.append(ArithProgression(a, d, k))
-    return out
-
-
-def reference_weights() -> list[LambdaSpec]:
-    """The weight panel exercised across the equivalence suites."""
-    return [
-        LambdaSpec.rational(2),
-        LambdaSpec.rational(Fraction(-1, 2)),
-        LambdaSpec.rational(-1),
-        LambdaSpec.root(3, 2),
-        LambdaSpec.zeta(5),
-        LambdaSpec.custom((1, 0, 1), (4, 3)),
-    ]

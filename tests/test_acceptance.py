@@ -13,7 +13,7 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from conftest import random_generator_sets, random_progressions
+from corpora import random_generator_sets, random_progressions
 from gapsums import (
     ArithProgression,
     Embedding,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import random_generator_sets, random_progressions
+from corpora import random_generator_sets, random_progressions
 from gapsums import (
     AperyTable,
     ArithProgression,

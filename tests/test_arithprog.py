@@ -1,24 +1,22 @@
 """Unit tests for the arithmetic-progression closed forms."""
 from __future__ import annotations
 
-import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_progressions, reference_weights
+from corpora import random_progressions, reference_weights
 from gapsums import (
     ArithProgression,
     LambdaSpec,
     apery_arith,
     as_element,
-    column_term,
     frobenius,
     frobenius_ap,
     genus_ap,
     power_sum,
     power_sum_ap,
-    stirling2,
     weight_branch,
     weighted_moment,
     weighted_moment_ap,
@@ -26,8 +24,8 @@ from gapsums import (
     weighted_sum,
     weighted_sum_ap,
 )
-from gapsums import oracle
-from gapsums.arithprog import _table_polynomial
+from gapsums import oracle, summarize
+from gapsums.arithprog import _table_exponents
 
 AP_13 = ArithProgression(13, 3, 5)
 AP_14 = ArithProgression(14, 3, 6)
@@ -81,10 +79,9 @@ def test_closed_forms_match_table_and_oracle_randomized():
 
 def test_table_polynomial_structure():
     for ap in (AP_13, AP_14, AP_12, ArithProgression(2, 1, 2)):
-        poly = _table_polynomial(ap)
-        assert sum(poly) == ap.a  # one term per residue
-        exponents = sorted(i for i, c in enumerate(poly) if c)
-        assert exponents == sorted(apery_arith(ap).m)
+        exponents = _table_exponents(ap)
+        assert all(x < y for x, y in zip(exponents, exponents[1:]))  # strictly ascending
+        assert exponents == sorted(apery_arith(ap).m)  # one entry per residue
 
 
 def test_moment_without_table_matches_direct_sum():
@@ -111,30 +108,6 @@ def test_moment_unity_d():
         assert weighted_moment_unity_d(AP_12, nu, z5) == weighted_moment(table, nu, z5)
     with pytest.raises(ValueError):
         weighted_moment_unity_d(AP_14, 1, z5)  # z5^3 != 1: wrong branch
-
-
-def test_column_term():
-    assert column_term(0, 0, 3, as_element(-1)) == 1  # 0^0 = 1 convention
-    assert column_term(2, 1, 3, as_element(-1)) == 2  # (-1)^6 * 2
-    theta = LambdaSpec.root(3, 2).element()
-    assert column_term(2, 3, 3, theta) == theta ** 6 * 8
-
-
-def test_column_term_against_derivative_identity():
-    # lam^{jd} j^l == sum_h S(l, h) j(j-1)...(j-h+1) (lam^d)^j
-    rng = random.Random(12)
-    weights = [as_element(-1), as_element(Fraction(2, 3)), LambdaSpec.zeta(5).element()]
-    for _ in range(40):
-        j, ell, d = rng.randint(0, 9), rng.randint(0, 4), rng.randint(1, 6)
-        lam = rng.choice(weights)
-        xd = lam ** d
-        acc = xd.ring.zero
-        for h in range(ell + 1):
-            falling = 1
-            for t in range(h):
-                falling *= j - t
-            acc = acc + stirling2(ell, h) * falling * xd ** j
-        assert column_term(j, ell, d, lam) == acc
 
 
 # --- weighted closed forms --------------------------------------------------
@@ -191,3 +164,27 @@ def test_weighted_closed_form_equivalence_smoke():
             assert value == oracle.weighted_sum(gs, 2, lam)
             if branch == "unity-a":
                 assert engine_branch == "unity-a"
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_general_weighted_memory_is_linear_in_a():
+    # a = 4001 and d = 7 are odd, so -1 takes the general branch; the largest
+    # table entry is about 1.6e7, which a dense polynomial would have to hold
+    ap = ArithProgression(4001, 7, 2)
+    lam = as_element(-1)
+    (value, branch), closed_peak = _traced_peak_mb(lambda: weighted_sum_ap(ap, 1, lam))
+    summary, table_peak = _traced_peak_mb(
+        lambda: summarize(ap.generators(), weight=lam, weighted_mus=(1,), method="apery")
+    )
+    assert branch == "general"
+    assert summary.methods["weighted_sum[1]"] == "general-apery/general"
+    assert summary.weighted_sums[1] == value
+    assert closed_peak < 8 and table_peak < 8, (closed_peak, table_peak)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from gapsums import LambdaSpec
-from gapsums import arithprog
+from gapsums import arithprog, sylvester
 from gapsums.cli import main
 from gapsums.numberfield import element_from_json
 
@@ -141,6 +141,34 @@ def test_validation_failures_exit_2(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+
+
+def test_reducible_weight_ring_exits_2(capsys):
+    # theta^2 = 1 factors as (theta - 1)(theta + 1): inverting lam^13 - 1 = theta - 1 fails
+    code, out, err = run_cli(
+        capsys, "weighted-sum", "--gens", "13,17", "--mu", "1",
+        "--lambda", "elem(minpoly=[-1,0,1];coeffs=[0,1])",
+    )
+    assert code == 2
+    assert not out
+    assert err.startswith("error: modulus is reducible")
+    assert "Traceback" not in err
+
+
+def test_internal_route_disagreement_exits_3(capsys, monkeypatch):
+    honest = sylvester._falling_factorial_moments
+
+    def corrupted(exponents, top, lam):
+        out = honest(exponents, top, lam)
+        out[0] = out[0] + 1
+        return out
+
+    monkeypatch.setattr(sylvester, "_falling_factorial_moments", corrupted)
+    code, out, err = run_cli(capsys, "weighted-sum", "--gens", "14,17,21", "--mu", "1", "--lambda", "7")
+    assert code == 3
+    assert not out
+    assert err.startswith("internal fault: weighted moment routes disagree")
+    assert "Traceback" not in err
 
 
 def test_closed_form_requires_progression(capsys):

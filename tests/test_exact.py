@@ -111,6 +111,14 @@ def test_eulerian_out_of_range():
     assert eulerian(0, 1) == 0
 
 
+def test_eulerian_row_symmetry():
+    # <n, m> = <n, n-1-m>: the reason one Eulerian weight serves both the
+    # general and the unity-weight tails
+    for n in range(1, 12):
+        for m in range(n):
+            assert eulerian(n, m) == eulerian(n, n - 1 - m)
+
+
 def test_eulerian_generating_numerator():
     # (1 - x)^{n+1} * sum_{k} k^n x^k has numerator sum_m <n, m> x^{m+1}:
     # checked as an exact polynomial identity on a truncation, far from the edge.

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_generator_sets
+from corpora import random_generator_sets
 from gapsums import Generators, apery_general, as_element, genus
 from gapsums import oracle
 

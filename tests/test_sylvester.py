@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_generator_sets, reference_weights
+from corpora import random_generator_sets, reference_weights
 from gapsums import (
     Generators,
     LambdaSpec,
@@ -21,8 +21,8 @@ from gapsums import (
     weighted_sum_general,
     weighted_sum_unity_a,
 )
-from gapsums import oracle
-from gapsums.sylvester import eulerian_tail, eulerian_weight
+from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
+from gapsums.sylvester import moment_from_polynomial, weighted_moments, weighted_sums
 
 GENS_13 = Generators([13, 16, 19, 22, 25])
 GENS_14 = Generators([14, 17, 20, 23, 26, 29])
@@ -122,10 +122,70 @@ def test_weighted_moment_alternating():
     assert weighted_moment(table, 2, as_element(-1)) == expected
 
 
-def test_eulerian_weight_symmetry():
-    for lam in [as_element(3), LambdaSpec.root(3, 2).element()]:
-        for mu in range(1, 7):
-            assert eulerian_weight(mu, lam) == eulerian_tail(mu, lam)
+def test_moment_kernel_matches_dense_derivative_route():
+    weights = [as_element(2), as_element(Fraction(-1, 2)), LambdaSpec.root(3, 2).element(),
+               LambdaSpec.zeta(5).element()]
+    for gens in (GENS_13, GENS_14, Generators([2, 3]), Generators([7, 10, 13, 19])):
+        table = apery_general(gens)
+        for lam in weights:
+            moments = weighted_moments(sorted(table.m), 4, lam)
+            for nu in range(5):
+                assert moments[nu] == moment_from_polynomial(apery_polynomial(table), nu, lam)
+                assert moments[nu] == weighted_moment(table, nu, lam)
+
+
+def test_moment_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        weighted_moments([0, 5, 3], 1, as_element(2))  # not ascending
+    with pytest.raises(ValueError):
+        weighted_moments([0, 3, 3], 1, as_element(2))  # repeated
+    with pytest.raises(ValueError):
+        weighted_moments([0, 3], -1, as_element(2))
+    with pytest.raises(ValueError):
+        weighted_moments([0, 3], 1, as_element(0))
+
+
+def test_moment_route_check_fires(monkeypatch):
+    # a wrong recombination weight corrupts the falling-factorial route only
+    table = apery_general(GENS_14)
+    monkeypatch.setattr(sylvester, "stirling2", lambda n, h: stirling2(n, h) + (n == 2 and h == 1))
+    with pytest.raises(ArithmeticError, match="moment routes disagree"):
+        weighted_moments(sorted(table.m), 2, as_element(3))
+    with pytest.raises(ArithmeticError):
+        weighted_sum(GENS_14, 2, as_element(3))
+
+
+def test_unity_difference_form_check_fires(monkeypatch):
+    table = apery_general(GENS_14)
+    honest = sylvester._residue_differences
+
+    def corrupted(table, top, lam):
+        out = honest(table, top, lam)
+        out[top] = out[top] + 1
+        return out
+
+    monkeypatch.setattr(sylvester, "_residue_differences", corrupted)
+    with pytest.raises(ArithmeticError, match="unity-weight forms disagree"):
+        weighted_sum_unity_a(table, 2, as_element(-1))
+
+
+def test_weighted_sums_share_one_table_and_moment_vector(monkeypatch):
+    calls = {"tables": 0, "moments": 0}
+    for name, key in (("apery_general", "tables"), ("weighted_moments", "moments")):
+        original = getattr(sylvester, name)
+
+        def counted(*args, _original=original, _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(sylvester, name, counted)
+    summary = summarize(Generators([14, 17, 21]), weight=as_element(7), weighted_mus=(1, 2, 3),
+                        method="apery")
+    assert calls == {"tables": 1, "moments": 1}
+    for mu in (1, 2, 3):
+        assert summary.weighted_sums[mu] == weighted_sum(Generators([14, 17, 21]), mu, 7).value
+    values, branch = weighted_sums(apery_general(GENS_14), (3, 1), as_element(-1))
+    assert branch == "unity-a" and values == {1: -116, 3: -375500}
 
 
 # --- weighted sums ----------------------------------------------------------
