@@ -5,6 +5,14 @@ This is where weight values live: plain rationals, real radicals such as the
 cube root of 2, roots of unity, and Gaussian-style elements like 4 + 3i.  All
 ring arithmetic is exact; a floating-point complex preview is available
 through :func:`numeric_eval` but never feeds back into exact computation.
+``mpmath`` is imported only when such a preview needs the roots of a modulus
+of degree >= 2.
+
+An element is an integer numerator vector over one common denominator, kept
+in lowest terms (Cohen, *A Course in Computational Algebraic Number Theory*,
+section 4.2).  Sums and products run on Python ints with a single gcd per
+result, skipped when the denominator is 1; reduction by an integral modulus
+stays in the integers, and degree-1 products are a single integer product.
 
 Inversion runs the extended Euclidean algorithm against the modulus.  Moduli
 are not factored up front: if an inversion uncovers a nontrivial factor of
@@ -18,9 +26,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
-
-import mpmath
 
 from . import polys
 
@@ -64,9 +71,14 @@ class NumberRing:
     ``minpoly`` is the full ascending coefficient vector of f including the
     leading 1, so ``NumberRing([-2, 0, 0, 1])`` is Q[theta]/(theta^3 - 2).
     A degree-1 ring is canonically the rationals.
+
+    The reduction rule theta^n = (t_0 + t_1 theta + ... + t_{n-1} theta^{n-1}) / T
+    is kept as integers ``t`` over one positive denominator ``T`` (the lcm of
+    the modulus denominators), so ``T == 1`` for every integral modulus and
+    reduction never leaves the integers.
     """
 
-    __slots__ = ("minpoly",)
+    __slots__ = ("minpoly", "_tail", "_tail_den")
 
     def __init__(self, minpoly: Iterable[Rational]):
         coeffs = tuple(Fraction(c) for c in minpoly)
@@ -75,6 +87,8 @@ class NumberRing:
         if coeffs[-1] != 1:
             raise ValueError("ring modulus must be monic")
         self.minpoly = coeffs
+        tail, self._tail_den = _common_denominator([-c for c in coeffs[:-1]])
+        self._tail = tuple((t, c) for t, c in enumerate(tail) if c)
 
     @property
     def degree(self) -> int:
@@ -82,11 +96,11 @@ class NumberRing:
 
     @property
     def zero(self) -> RingElement:
-        return RingElement(self, (Fraction(0),) * self.degree)
+        return _element(self, (0,) * self.degree, 1)
 
     @property
     def one(self) -> RingElement:
-        return self.element([1])
+        return _element(self, (1,) + (0,) * (self.degree - 1), 1)
 
     @property
     def generator(self) -> RingElement:
@@ -97,26 +111,37 @@ class NumberRing:
 
     def element(self, coeffs: Iterable[Rational]) -> RingElement:
         """Build an element from power-basis coordinates, reducing if needed."""
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        vec.extend([Fraction(0)] * (self.degree - len(vec)))
-        return RingElement(self, tuple(vec))
+        num, den = _common_denominator(coeffs)
+        if len(num) > self.degree:
+            den *= self._reduce(num)
+        num.extend([0] * (self.degree - len(num)))
+        return _canonical(self, num, den)
 
     def from_rational(self, value: Rational) -> RingElement:
-        return self.element([value])
+        if isinstance(value, int):
+            return _element(self, (value,) + (0,) * (self.degree - 1), 1)
+        value = Fraction(value)
+        return _element(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
-    def _reduce(self, vec: list[Fraction]) -> list[Fraction]:
+    def _reduce(self, vec: list[int]) -> int:
+        """Reduce the integer vector ``vec`` modulo f in place, down to
+        ``degree`` entries; returns the factor by which the common
+        denominator grows (a power of T, so 1 for integral moduli)."""
         n = self.degree
-        lower = self.minpoly[:-1]
+        tail_den = self._tail_den
+        scale = 1
         for deg in range(len(vec) - 1, n - 1, -1):
             c = vec[deg]
             if c:
-                vec[deg] = Fraction(0)
-                for t in range(n):
-                    vec[deg - n + t] -= c * lower[t]
+                if tail_den != 1:
+                    for i in range(deg):
+                        vec[i] *= tail_den
+                    scale *= tail_den
+                base = deg - n
+                for t, m in self._tail:
+                    vec[base + t] += c * m
         del vec[n:]
-        return vec
+        return scale
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberRing) and self.minpoly == other.minpoly
@@ -131,24 +156,66 @@ class NumberRing:
         return f"Q[θ]/({_format_poly(self.minpoly)})"
 
 
+def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """Integers ``num`` and ``den > 0`` with ``values == num / den``, in lowest
+    terms (``den`` is the lcm of the denominators)."""
+    fracs = [c if isinstance(c, int) else Fraction(c) for c in values]
+    den = lcm(*(c.denominator for c in fracs))
+    if den == 1:
+        return [int(c) for c in fracs], 1
+    return [c.numerator * (den // c.denominator) for c in fracs], den
+
+
+def _element(ring: NumberRing, num: tuple[int, ...], den: int) -> RingElement:
+    """Wrap an already canonical numerator tuple and denominator."""
+    x = object.__new__(RingElement)
+    x.ring = ring
+    x.num = num
+    x.den = den
+    return x
+
+
+def _canonical(ring: NumberRing, num: Sequence[int], den: int) -> RingElement:
+    """Wrap ``num / den`` (``den > 0``) after dividing out their common gcd."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _element(ring, tuple(num), den)
+
+
 class RingElement:
     """An element of a :class:`NumberRing` in the power basis 1, theta, ...
+
+    Stored as an integer numerator vector ``num`` over one common
+    denominator ``den``, in lowest terms: ``den > 0`` and
+    ``gcd(den, *num) == 1``, so zero is ``(0, ..., 0) / 1`` and equal
+    elements have equal fields.  ``coeffs`` gives the coordinates as
+    Fractions on demand.
 
     Immutable and hashable; arithmetic operators accept ints and Fractions on
     either side and promote them to constants of the same ring.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: NumberRing, coeffs: tuple[Fraction, ...]):
+    def __init__(self, ring: NumberRing, coeffs: Sequence[Rational]):
         if len(coeffs) != ring.degree:
             raise ValueError("coefficient vector length must equal ring degree")
+        num, den = _common_denominator(coeffs)
         self.ring = ring
-        self.coeffs = coeffs
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise RingMismatchError(
                     f"cannot combine elements of {self.ring} and {other.ring}"
                 )
@@ -158,41 +225,61 @@ class RingElement:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, int):
+            # num/den + k = (num + k*den)/den, still in lowest terms
+            num = list(self.num)
+            num[0] += other * self.den
+            return _element(self.ring, tuple(num), self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RingElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        dx, dy = self.den, other.den
+        if dx == dy:
+            return _canonical(self.ring, [a + b for a, b in zip(self.num, other.num)], dx)
+        g = gcd(dx, dy)
+        fx, fy = dy // g, dx // g
+        return _canonical(
+            self.ring, [a * fx + b * fy for a, b in zip(self.num, other.num)], dx * fx
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, (int, Fraction, RingElement)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return RingElement(self.ring, tuple(-a for a in self.coeffs))
+        return _element(self.ring, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RingElement(self.ring, tuple(a * other for a in self.coeffs))
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RingElement):
+            if isinstance(other, int):
+                if self.den == 1:
+                    return _element(self.ring, tuple(a * other for a in self.num), 1)
+                return _canonical(self.ring, [a * other for a in self.num], self.den)
+            if isinstance(other, Fraction):
+                return _canonical(
+                    self.ring, [a * other.numerator for a in self.num], self.den * other.denominator
+                )
             return NotImplemented
-        n = self.ring.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        self._coerce(other)  # raises RingMismatchError across rings
+        ring = self.ring
+        den = self.den * other.den
+        x, y = self.num, other.num
+        if len(x) == 1:
+            return _canonical(ring, (x[0] * y[0],), den)
+        prod = [0] * (2 * len(x) - 1)
+        for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(y, i):
                     if b:
-                        prod[i + j] += a * b
-        vec = self.ring._reduce(prod)
-        vec.extend([Fraction(0)] * (n - len(vec)))
-        return RingElement(self.ring, tuple(vec))
+                        prod[j] += a * b
+        den *= ring._reduce(prod)
+        return _canonical(ring, prod, den)
 
     __rmul__ = __mul__
 
@@ -226,27 +313,31 @@ class RingElement:
         return result
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, RingElement):
+            return self.num == other.num and self.den == other.den and self.ring == other.ring
         if isinstance(other, (int, Fraction)):
-            other = self.ring.from_rational(other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+            return (
+                self.is_rational
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.ring.minpoly, self.coeffs))
+        return hash((self.ring.minpoly, self.num, self.den))
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "RingElement":
         """Multiplicative inverse via extended gcd with the modulus.
@@ -257,9 +348,10 @@ class RingElement:
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = polys.ext_gcd(self.coeffs, self.ring.minpoly)
+        # (num/den)^-1 = den * num^-1
+        g, s, _ = polys.ext_gcd(self.num, self.ring.minpoly)
         if len(g) == 1:
-            return self.ring.element(s)
+            return self.ring.element([c * self.den for c in s])
         raise ReducibleModulusError(g)
 
     def __repr__(self) -> str:
@@ -360,6 +452,8 @@ class Embedding:
 
 @lru_cache(maxsize=None)
 def _ring_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
+    import mpmath  # loaded only for numeric previews of degree >= 2 rings
+
     degree = len(minpoly) - 1
     with mpmath.workdps(60):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(minpoly)]

@@ -38,13 +38,13 @@ def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
     """Gap list, per-residue minima, and the last sieved integer.
 
     Stops once a_1 consecutive representable integers appear: from there on,
-    adding copies of a_1 reaches everything.  A hard cap at a_1 * a_k guards
-    against bugs; it is provably never the binding stop.
+    adding copies of a_1 reaches everything.  The sieve grows one byte per
+    integer, so memory follows the Frobenius number, not the cap.  A hard cap
+    at a_1 * a_k guards against bugs; it is provably never the binding stop.
     """
     a1 = gens.modulus
     cap = a1 * gens.largest + a1
-    reachable = [False] * (cap + 1)
-    reachable[0] = True
+    reachable = bytearray(b"\x01")
     minima: list[int | None] = [None] * a1
     minima[0] = 0
     gaps: list[int] = []
@@ -55,7 +55,7 @@ def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
         if n > cap:  # pragma: no cover - unreachable by the stopping argument
             raise AssertionError("sieve exceeded its safety bound")
         hit = any(n >= g and reachable[n - g] for g in gens.values)
-        reachable[n] = hit
+        reachable.append(hit)
         if hit:
             run += 1
             if minima[n % a1] is None:

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gapsums
 from gapsums import LambdaSpec
 from gapsums import arithprog, sylvester
 from gapsums.cli import main
@@ -230,3 +235,144 @@ def test_verify_never_disagrees_on_random_inputs(capsys):
         code, out, err = run_cli(capsys, "verify", *case)
         assert code == 0, (case, err)
         assert "verify OK" in out
+
+
+# --- golden output: the README examples, byte for byte ----------------------
+
+_ZETA5_JSON = """\
+{
+  "label": "s_2^(zeta(5))",
+  "generators": [
+    12,
+    17,
+    22,
+    27,
+    32,
+    37,
+    42
+  ],
+  "query": {
+    "command": "weighted-sum",
+    "mu": 2,
+    "lambda": "zeta(5)"
+  },
+  "method": "ap-closed-form/unity-d",
+  "value": {
+    "ring": {
+      "minpoly": [
+        "1",
+        "1",
+        "1",
+        "1",
+        "1"
+      ]
+    },
+    "coeffs": [
+      "11996",
+      "1838",
+      "15894",
+      "5607"
+    ]
+  },
+  "display": "11996 + 1838*θ + 15894*θ^2 + 5607*θ^3",
+  "numeric": {
+    "re": -4830.701160394587,
+    "im": 7794.588767283163
+  }
+}
+"""
+
+_CBRT2_JSON = """\
+{
+  "label": "s_2^(root(3,2))",
+  "generators": [
+    14,
+    17,
+    20,
+    23,
+    26,
+    29
+  ],
+  "query": {
+    "command": "weighted-sum",
+    "mu": 2,
+    "lambda": "root(3,2)"
+  },
+  "method": "ap-closed-form/general",
+  "value": {
+    "ring": {
+      "minpoly": [
+        "-2",
+        "0",
+        "0",
+        "1"
+      ]
+    },
+    "coeffs": [
+      "21528522",
+      "31320173525",
+      "659369214"
+    ]
+  },
+  "display": "21528522 + 31320173525*θ + 659369214*θ^2",
+  "numeric": {
+    "re": 40529157816.446655,
+    "im": 0.0
+  }
+}
+"""
+
+GOLDEN = [
+    (
+        ["power-sum", "--ap", "a=13,d=3,k=5", "--mu", "1", "--mu", "7"],
+        "s_1 = 894  (method: ap-closed-form)\ns_7 = 10815989768148  (method: ap-closed-form)\n",
+    ),
+    (
+        ["weighted-sum", "--gens", "14,17,20,23,26,29", "--mu", "1", "--lambda", "-1"],
+        "s_1^(-1) = -116  (method: ap-closed-form/unity-a)\n",
+    ),
+    (
+        ["weighted-sum", "--ap", "a=12,d=5,k=7", "--mu", "2", "--lambda", "zeta(5)",
+         "--format", "json", "--numeric"],
+        _ZETA5_JSON,
+    ),
+    (
+        ["verify", "--gens", "14,17,20,23,26,29", "--mu", "3", "--lambda", "root(3,2)"],
+        "verify OK (4 checks: frobenius, genus, apery-table, s_3^(root(3,2)))\n",
+    ),
+    (
+        ["weighted-sum", "--gens", "14,17,20,23,26,29", "--mu", "2", "--lambda", "root(3,2)",
+         "--format", "json", "--numeric"],
+        _CBRT2_JSON,
+    ),
+]
+
+
+def _package_env() -> dict:
+    src = str(Path(gapsums.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + path if path else ""),
+        PYTHONIOENCODING="utf-8",
+    )
+
+
+@pytest.mark.parametrize("argv, stdout", GOLDEN, ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(GOLDEN)])
+def test_readme_examples_are_byte_identical(argv, stdout):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapsums.cli", *argv],
+        capture_output=True, env=_package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == stdout.encode("utf-8")
+
+
+def test_import_leaves_mpmath_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gapsums, gapsums.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, env=_package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -77,3 +78,16 @@ def test_oracle_rejects_bad_arguments():
         oracle.power_sum(gs, -1)
     with pytest.raises(ValueError):
         oracle.weighted_sum(gs, 1, as_element(0))
+
+
+def test_sieve_memory_follows_the_frobenius_number():
+    # a_1 * a_k is about 5.1 million here; the sieve stops at 51,383
+    gens = Generators([1801, 1999, 2203, 2411, 2609, 2801])
+    tracemalloc.start()
+    try:
+        gs = oracle.gap_set(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gs.gaps) == genus(apery_general(gens))
+    assert peak < 8 * 2**20
