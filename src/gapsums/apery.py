@@ -3,15 +3,20 @@
 For coprime generators a_1 < ... < a_k, every residue class i mod a_1 has a
 least representable member m_i (with m_0 = 0).  The table (m_0, ..., m_{a-1})
 drives every formula downstream: the Frobenius number, the genus, and all
-power and weighted sums.  Tables come from a shortest-path computation for
-arbitrary generators, or from a closed-form fill when the generators form an
-arithmetic progression.
+power and weighted sums.  For arbitrary generators the table comes from a
+bit-parallel sieve over blocks of a_1 integers, which hands tables deeper
+than a fixed number of blocks to a shortest-path search over the residues;
+when the generators form an arithmetic progression it comes from a
+closed-form fill.
 """
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from math import gcd
+from itertools import repeat
+from math import factorial, gcd, prod
+from operator import add, mul
 from typing import Iterable
 
 __all__ = [
@@ -115,15 +120,117 @@ class AperyTable:
                 raise ValueError(f"entry {mi} does not represent residue {i}")
 
 
+# The sieve hands a table over to Dijkstra after this many blocks of a_1
+# integers.  A sweep over deep tables (a_1 from 500 to 5*10^4, 1 to 29 steps,
+# a_k up to 2*a_1) timed a block at 1-30 us, growing with a_1 and k, and put
+# the depth at which both cost the same at 219 blocks or more for every set
+# with a_1 >= 1000 (0.03*a_1 to 0.5*a_1 blocks from a_1 = 5000 on) and at
+# 102-167 blocks at a_1 = 500; a block costs no more when a_k is far above
+# a_1.  255 is also the most blocks that one byte per residue holds when
+# they are read out.
+LEVEL_BUDGET = 255
+
+
 def apery_general(gens: Generators) -> AperyTable:
     """Residue table for arbitrary generators.
 
-    Dijkstra over the a_1 residue classes: an arc i -> (i + a_j) mod a_1 of
-    weight a_j extends a representable value by one generator.  Distances
-    from residue 0 are exactly the m_i (finite graph, positive weights).
+    Level sieve: block L holds the integers L*a_1 .. L*a_1 + a_1 - 1, one
+    Python int of a_1 membership bits.  Every generator g = q*a_1 + r is at
+    least a_1, so n - g lies in block L - q or L - q - 1, and the block's
+    members are the OR over g of that pair of blocks shifted by a_1 - r, cut
+    to a_1 bits.  A member n with n - a_1 outside the semigroup is the least
+    one of its residue n mod a_1: it is m_{n mod a_1}.  The sieve stops once
+    all a_1 - 1 nonzero residues are found, after max(m_i) / a_1 blocks; each
+    block costs O(k * a_1 / 64) machine-word operations, done inside the int
+    routines, however large the generators are.  It keeps only the blocks
+    that the generators below the budget reach back to, and the block that
+    found each residue in eight bit planes read out once at the end, so the
+    working memory is a few bytes per integer of min(a_k, 256 * a_1),
+    whatever the Frobenius number.
+
+    Deep tables (two generators, near-progressions, most three-generator
+    sets at a_1 >= 2*10^4) need hundreds to thousands of blocks, where the
+    O(k * a_1 * log a_1) Dijkstra search costs as much or less, so a table
+    not finished within :data:`LEVEL_BUDGET` blocks is handed to
+    :func:`_dijkstra`.  When a volume bound shows that the sums of the
+    generators below that depth cannot meet every residue, the sieve does
+    not start.
     """
     a1 = gens.modulus
     steps = [g for g in gens.values[1:] if g % a1 != 0]
+    m = _level_sieve(a1, steps)
+    if m is None:
+        m = _dijkstra(a1, steps)
+    return AperyTable(a1, tuple(m))
+
+
+def _level_sieve(a1: int, steps: list[int]) -> list[int] | None:
+    """The table of :func:`apery_general` by blocks of a_1 integers (``steps``
+    are the generators other than multiples of a_1, all above a_1), or None
+    when it is not complete within the level budget."""
+    # The minima in blocks 0..LEVEL_BUDGET are sums c.steps (c >= 0) below
+    # top, and no step in such a sum is top or more: leaving those steps out
+    # changes no minimum the sieve can find.
+    top = (LEVEL_BUDGET + 1) * a1
+    steps = [g for g in steps if g < top]
+    # The unit cubes at distinct such c do not overlap and lie in the simplex
+    # x >= 0, x.steps < reach, so there are at most
+    # reach^s / (s! * prod(steps)) of them, s = len(steps); fewer than a_1
+    # means the sieve cannot finish within its budget.
+    reach = top + sum(steps)
+    if reach ** len(steps) < a1 * factorial(len(steps)) * prod(steps):
+        return None
+    # A step g = q*a_1 + r reaches block L from blocks L - q and L - q - 1:
+    # bit t of the block is bit a_1 - r + t of the pair of them.
+    lags: dict[int, list[int]] = {}
+    for g in steps:
+        lags.setdefault(g // a1, []).append(a1 - g % a1)
+    mask = (1 << a1) - 1
+    # bit t of planes[b] is bit b of the block in which residue t was found
+    planes = [0] * LEVEL_BUDGET.bit_length()
+    # the blocks a lag can reach; block 0 holds only the integer 0, and the
+    # blocks before it are empty
+    reach_back = max(lags, default=0)
+    blocks = deque([0] * reach_back + [1], maxlen=reach_back + 1)
+    for level in range(1, LEVEL_BUDGET + 1):
+        below = blocks[-1]  # members n with n - a_1 in the semigroup
+        block = below
+        for q, shifts in lags.items():
+            pair = blocks[-q] << a1 | blocks[-q - 1]
+            for shift in shifts:
+                block |= pair >> shift
+        block &= mask
+        new = block ^ below
+        if new:
+            for b in range(level.bit_length()):
+                if level >> b & 1:
+                    planes[b] |= new
+        if block == mask:
+            break
+        blocks.append(block)
+    else:
+        return None
+    # byte t of levels is the block of residue t: the planes, spread to one
+    # byte per residue, add without carries since LEVEL_BUDGET < 256
+    levels = sum(_spread(plane, a1) << b for b, plane in enumerate(planes))
+    return list(map(add, map(mul, levels.to_bytes(a1, "little"), repeat(a1)), range(a1)))
+
+
+# maps the digits of format(x, "b") to the byte values 0 and 1
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(bits: int, n: int) -> int:
+    """The int whose byte t is bit t of ``bits``, for t < n."""
+    return int.from_bytes(format(bits, f"0{n}b").encode().translate(_BINARY_DIGITS), "big")
+
+
+def _dijkstra(a1: int, steps: list[int]) -> list[int]:
+    """The table of :func:`apery_general` as shortest paths over the a_1
+    residue classes: an arc i -> (i + g) mod a_1 of weight g extends a
+    representable value by one generator, so the distances from residue 0
+    are exactly the m_i.  Costs O(k * a_1 * log a_1) steps in the
+    interpreter, independent of the depth of the table."""
     dist: list[int | None] = [None] * a1
     dist[0] = 0
     heap: list[tuple[int, int]] = [(0, 0)]
@@ -137,7 +244,7 @@ def apery_general(gens: Generators) -> AperyTable:
             if dist[w] is None or nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return AperyTable(a1, tuple(dist))  # type: ignore[arg-type]
+    return dist  # type: ignore[return-value]
 
 
 def apery_arith(ap: ArithProgression) -> AperyTable:

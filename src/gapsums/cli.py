@@ -176,14 +176,17 @@ class _Runner:
             return oracle.power_sum(self.gapset, mu), "oracle"
         return sylvester.power_sum(self.table, mu), "general-apery"
 
-    def weighted_sum(self, mu: int, lam: RingElement) -> tuple[RingElement, str]:
+    def weighted_sums(self, mus: list[int], lam: RingElement) -> list[tuple[RingElement, str]]:
         if self.method == "closed-form":
-            value, branch = arithprog.weighted_sum_ap(self.ap, mu, lam)
-            return value, f"ap-closed-form/{branch}"
+            out = []
+            for mu in mus:
+                value, branch = arithprog.weighted_sum_ap(self.ap, mu, lam)
+                out.append((value, f"ap-closed-form/{branch}"))
+            return out
         if self.method == "oracle":
-            return oracle.weighted_sum(self.gapset, mu, lam), "oracle"
-        value, branch = sylvester.weighted_sum(self.gens, mu, lam)
-        return value, f"general-apery/{branch}"
+            return [(oracle.weighted_sum(self.gapset, mu, lam), "oracle") for mu in mus]
+        values, branch = sylvester.weighted_sums(self.table, mus, lam)
+        return [(values[mu], f"general-apery/{branch}") for mu in mus]
 
     def apery_table(self) -> tuple[list[int], str]:
         if self.method == "closed-form":
@@ -271,11 +274,11 @@ def _run_weighted(args, runner: _Runner) -> int:
     lam = spec.element()
     if lam == lam.ring.one:  # unreachable: parse rejects 1, but keep the guard honest
         raise ValueError("weight 1 is not allowed")
+    mus = sorted(set(args.mu))
+    if mus[0] < 1:
+        raise ValueError("--mu must be positive for weighted sums")
     results = []
-    for mu in sorted(set(args.mu)):
-        if mu < 1:
-            raise ValueError("--mu must be positive for weighted sums")
-        value, method = runner.weighted_sum(mu, lam)
+    for mu, (value, method) in zip(mus, runner.weighted_sums(mus, lam)):
         entry = _result(
             f"s_{mu}^({spec})",
             runner.gens,
@@ -293,7 +296,6 @@ def _run_weighted(args, runner: _Runner) -> int:
 
 def _run_verify(args, runner: _Runner) -> int:
     """Compute every query by all applicable methods; report any disagreement."""
-    gens = runner.gens
     ap = runner.ap
     table = runner.table
     gapset = runner.gapset
@@ -320,8 +322,9 @@ def _run_verify(args, runner: _Runner) -> int:
             ("apery-table", [("general-apery", tuple(table.m)), ("ap-closed-form", apery_arith(ap).m)])
         )
 
-    for mu in sorted(set(args.mu or ())):
-        if args.weight is None:
+    mus = sorted(set(args.mu or ()))
+    if args.weight is None:
+        for mu in mus:
             candidates = [
                 ("general-apery", sylvester.power_sum(table, mu)),
                 ("oracle", oracle.power_sum(gapset, mu)),
@@ -329,12 +332,13 @@ def _run_verify(args, runner: _Runner) -> int:
             if ap is not None:
                 candidates.append(("ap-closed-form", arithprog.power_sum_ap(ap, mu)))
             checks.append((f"s_{mu}", candidates))
-        else:
-            spec = LambdaSpec.parse(args.weight)
-            lam = spec.element()
-            value, branch = sylvester.weighted_sum(gens, mu, lam)
+    elif mus:
+        spec = LambdaSpec.parse(args.weight)
+        lam = spec.element()
+        values, branch = sylvester.weighted_sums(table, mus, lam)
+        for mu in mus:
             candidates = [
-                (f"general-apery/{branch}", value),
+                (f"general-apery/{branch}", values[mu]),
                 ("oracle", oracle.weighted_sum(gapset, mu, lam)),
             ]
             if ap is not None:

@@ -301,15 +301,19 @@ class RingElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.ring.one
+        if not exponent:
+            return self.ring.one
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base  # the lowest set bit; no product with one
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
                 result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+            exponent >>= 1
         return result
 
     def __eq__(self, other) -> bool:

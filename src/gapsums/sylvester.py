@@ -23,6 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
@@ -65,18 +66,29 @@ def genus(table: AperyTable) -> int:
     return int(value)
 
 
+_POWER_CHUNK = 2048  # table entries per pass of power_sum
+
+
 def power_sum(table: AperyTable, mu: int) -> int:
     """mu-th power sum of the gaps; mu = 0 recovers the genus."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     a = table.modulus
+    # sums[e] = sum_i m_i^e for e = 1..mu+1; each list of powers is one
+    # elementwise product away from the previous one, and the table is taken
+    # in chunks so that only two short lists are alive at a time
+    sums = [0] * (mu + 2)
+    for start in range(1, a, _POWER_CHUNK):
+        chunk = powers = table.m[start:start + _POWER_CHUNK]
+        sums[1] += sum(chunk)
+        for e in range(2, mu + 2):
+            powers = list(map(mul, powers, chunk))
+            sums[e] += sum(powers)
     total = Fraction(0)
     for k in range(mu + 1):
         b = bernoulli(k)
-        if not b:
-            continue
-        inner = sum(mi ** (mu + 1 - k) for mi in table.m[1:])
-        total += binomial(mu + 1, k) * b * Fraction(a) ** (k - 1) * inner
+        if b:
+            total += binomial(mu + 1, k) * b * Fraction(a) ** (k - 1) * sums[mu + 1 - k]
     total = total / (mu + 1) + bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
     if total.denominator != 1:
         raise ArithmeticError("non-integral power sum: internal fault")
@@ -114,7 +126,8 @@ def _gap_powers(lam: RingElement, gaps: Iterable[int]) -> dict[int, RingElement]
     last = 0
     for delta in sorted(set(gaps) - {0}):
         step = delta - last
-        powers[delta] = powers[last] * (powers[step] if step in powers else lam ** step)
+        power = powers[step] if step in powers else lam ** step
+        powers[delta] = powers[last] * power if last else power
         last = delta
     return powers
 
@@ -132,8 +145,8 @@ def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> 
     moments = [lam.ring.zero] * (top + 1)
     power = lam.ring.one
     for e, gap in zip(exponents, gaps):
-        if gap:
-            power = power * powers[gap]
+        if gap:  # e == gap: the previous exponent was 0, so power is one
+            power = power * powers[gap] if e != gap else powers[gap]
         weight = 1
         for nu in range(top + 1):
             moments[nu] = moments[nu] + weight * power  # 0**0 == 1 covers e = 0
@@ -156,7 +169,7 @@ def _falling_factorial_moments(
     powers = _gap_powers(lam, gaps + lowest)
     falling = []
     for h, start in enumerate(starts):
-        acc, last = lam.ring.zero, None
+        acc, last = 0, None  # an int until the first power: no product with one
         for e in reversed(exponents[start:]):
             if last is not None:
                 acc = acc * powers[last - e]
@@ -268,7 +281,7 @@ def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[
     out = [lam.ring.zero] * (top + 1)
     power = lam.ring.one
     for (m, i), gap in zip(pairs, gaps):
-        power = power * powers[gap]
+        power = power * powers[gap] if m != gap else powers[gap]  # m == gap: the first
         m_pow = i_pow = 1
         for e in range(1, top + 1):
             m_pow *= m

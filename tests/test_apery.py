@@ -1,6 +1,9 @@
 """Unit tests for residue tables: construction, closed form, validation."""
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 
 from corpora import random_generator_sets, random_progressions
@@ -14,7 +17,7 @@ from gapsums import (
     as_arith_progression,
     frobenius,
 )
-from gapsums import oracle
+from gapsums import apery, oracle
 
 SET_13 = {16, 19, 22, 25, 41, 44, 47, 50, 66, 69, 72, 75}
 SET_14 = {17, 20, 23, 26, 29, 46, 49, 52, 55, 58, 75, 78, 81}
@@ -115,3 +118,129 @@ def test_progression_detection_truncates_redundant_tail():
     ap = as_arith_progression(gens)
     assert ap == ArithProgression(3, 1, 3)
     assert apery_arith(ap) == apery_general(gens)
+
+
+# --- the level sieve and its hand-over to Dijkstra ---------------------------
+
+
+def _sieve_cases() -> list[Generators]:
+    """Random sets with a_1 = 2 forced now and then, generators that are
+    multiples of a_1, generators up to 40 * a_1, and k up to 12."""
+    rng = random.Random(2026)
+    out = [Generators(v) for v in ([1, 4], [2, 3], [2, 4, 7], [3, 6, 7], [4, 8, 12, 13])]
+    while len(out) < 300:
+        a1 = 2 if rng.random() < 0.1 else rng.randint(3, 40)
+        values = {a1}
+        for _ in range(rng.randint(1, 11)):
+            if rng.random() < 0.2:
+                values.add(a1 * rng.randint(2, 5))
+            elif rng.random() < 0.15:
+                values.add(rng.randint(a1 + 1, 40 * a1))
+            else:
+                values.add(rng.randint(a1 + 1, 5 * a1))
+        try:
+            out.append(Generators(values))
+        except ValueError:
+            continue
+    return out
+
+
+def _steps(gens: Generators) -> list[int]:
+    return [g for g in gens.values[1:] if g % gens.modulus]
+
+
+@pytest.mark.parametrize("budget", [apery.LEVEL_BUDGET, 8])
+def test_sieve_dijkstra_and_oracle_agree(monkeypatch, budget):
+    monkeypatch.setattr(apery, "LEVEL_BUDGET", budget)
+    sieved = past_budget = 0
+    for gens in _sieve_cases():
+        expected = oracle.apery_minima(gens)
+        assert tuple(apery._dijkstra(gens.modulus, _steps(gens))) == expected, gens
+        m = apery._level_sieve(gens.modulus, _steps(gens))
+        if m is not None:
+            assert tuple(m) == expected, gens
+            sieved += 1
+            past_budget += max(_steps(gens), default=0) >= (budget + 1) * gens.modulus
+        assert apery_general(gens).m == expected, gens
+    # one table here is more than 255 blocks deep; with 8 blocks about half
+    # hand over, and the sieve finishes some sets without the generators
+    # past 9 * a_1, which it leaves out
+    if budget == 8:
+        assert 100 < sieved < 300 and past_budget > 20
+    else:
+        assert sieved == 299
+
+
+def _assert_least_representatives(gens: Generators, m: tuple[int, ...]) -> None:
+    """Shortest-path certificate, independent of how m was built: no arc
+    i -> i + g shortens an entry, and every nonzero entry is reached by an
+    arc that is tight, so m_i is both a lower bound and attained."""
+    a = gens.modulus
+    assert m[0] == 0 and all(mi % a == i for i, mi in enumerate(m))
+    for i, mi in enumerate(m):
+        assert all(m[(i + g) % a] <= mi + g for g in gens.values)
+        if i:
+            assert any(m[(mi - g) % a] == mi - g for g in gens.values if g <= mi)
+
+
+@pytest.mark.parametrize("values", [(503, 504), (3011, 3012, 3014)])
+def test_deep_tables_hand_over_to_dijkstra(values):
+    # (503, 504) has 502 blocks: the multiples of 504 below 256 * 503 reach
+    # fewer than 503 residues, so the sieve does not start; (3011, 3012,
+    # 3014) has 1004 blocks and runs out of its budget
+    gens = Generators(values)
+    assert apery._level_sieve(gens.modulus, _steps(gens)) is None
+    table = apery_general(gens)
+    assert max(table.m) // gens.modulus > apery.LEVEL_BUDGET
+    _assert_least_representatives(gens, table.m)
+    if len(values) == 2:
+        assert sorted(table.m) == [504 * j for j in range(503)]
+
+
+def test_shallow_tables_never_reach_dijkstra(monkeypatch):
+    def refuse(a1, steps):
+        raise AssertionError("handed over a shallow table")
+
+    monkeypatch.setattr(apery, "_dijkstra", refuse)
+    sets = random_generator_sets(30, seed=404, max_a1=2000, max_k=40, max_value=4000)
+    wide = [gens for gens in sets if len(gens) >= 20]
+    assert len(wide) >= 10
+    for gens in wide:
+        _assert_least_representatives(gens, apery_general(gens).m)
+
+
+def test_sieve_memory_follows_the_largest_generator():
+    # 248 blocks deep: F is about 2.0 * 10^6, so one bit per integer up to F
+    # would take 250 KB (the oracle's sieve takes one byte per integer); the
+    # level sieve's working memory, its peak above the table it returns,
+    # stays within eight bytes per integer of a_k (it keeps two blocks of
+    # a_1 bits here)
+    gens = Generators([8090, 8602, 9033])
+    tracemalloc.start()
+    try:
+        m = apery._level_sieve(gens.modulus, _steps(gens))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m is not None
+    frob = max(m) - gens.modulus
+    assert frob > 19 * 10**5
+    assert peak - current < 8 * gens.largest < frob // 24
+
+
+@pytest.mark.parametrize("values", [(7, 8, 10**8 + 1), (3011, 3012, 3014, 10**8 + 7)])
+def test_far_generators_do_not_widen_the_sieve(values):
+    # a generator at or past 256 * a_1 takes no part in a minimum the sieve
+    # can find, so memory stays linear in a_1: a window as wide as a_k would
+    # take 12.5 MB here.  (7, 8, ...) is sieved in 6 blocks; (3011, ...)
+    # runs out of budget and Dijkstra, with every generator, finishes it.
+    gens = Generators(values)
+    tracemalloc.start()
+    try:
+        table = apery_general(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14 + 256 * gens.modulus
+    _assert_least_representatives(gens, table.m)
+    assert table.m == apery_general(Generators(values[:-1])).m

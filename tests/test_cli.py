@@ -205,6 +205,35 @@ def test_verify_power_sums_ok(capsys):
     assert "verify OK" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weighted-sum", "--gens", "14,17,21", "--mu", "1", "--mu", "3", "--lambda", "2"],
+        ["weighted-sum", "--gens", "14,17,21", "--mu", "2", "--mu", "1", "--lambda", "-1"],
+        ["verify", "--gens", "14,17,21", "--mu", "1", "--mu", "2", "--mu", "3", "--lambda", "-1/2"],
+        ["verify", "--ap", "a=13,d=3,k=5", "--mu", "1", "--mu", "2", "--lambda", "zeta(13)"],
+    ],
+)
+def test_one_residue_table_per_run(capsys, monkeypatch, argv):
+    from gapsums import apery, cli
+
+    builds = []
+
+    def counted(gens):
+        builds.append(gens)
+        return apery.apery_general(gens)
+
+    monkeypatch.setattr(cli, "apery_general", counted)
+    monkeypatch.setattr(sylvester, "apery_general", counted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(builds) == 1
+    if argv[0] == "verify":
+        assert out.startswith("verify OK")
+    else:
+        assert out.count("(method: general-apery/") == argv.count("--mu")
+
+
 def test_verify_detects_injected_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(arithprog, "frobenius_ap", lambda ap: 10 ** 9)
     code, _, err = run_cli(capsys, "verify", "--ap", "a=13,d=3,k=5")

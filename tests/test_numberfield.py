@@ -282,6 +282,48 @@ def test_json_roundtrip_property(case):
     assert again == x and again.ring == ring
 
 
+@given(_ring_and_vectors(1), st.integers(-3, 12))
+def test_power_matches_repeated_multiplication(case, n):
+    ring, xc = case
+    x = ring.element(xc)
+    if n < 0 and x.is_zero:
+        return
+    want = (Fraction(1),) + (Fraction(0),) * (ring.degree - 1)
+    product = ring.one
+    for _ in range(abs(n)):
+        want = _schoolbook_mul(ring.minpoly, want, xc)
+        product = product * x
+    got = x ** n
+    _assert_canonical(got)
+    if n >= 0:
+        assert got.coeffs == want and got == product
+    else:
+        assert got * ring.element(want) == 1 and got == product.inverse()
+
+
+def test_power_makes_no_product_with_one(monkeypatch):
+    from gapsums.numberfield import RingElement
+
+    products = []
+    honest = RingElement.__mul__
+
+    def counted(x, y):
+        if isinstance(y, RingElement):
+            products.append((x, y))
+        return honest(x, y)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    for ring in PROPERTY_RINGS:
+        x = ring.element([Fraction(3, 2)] + [Fraction(-1, 3)] * (ring.degree - 1))
+        for n in range(1, 70):
+            products.clear()
+            x ** n
+            # square-and-multiply: one squaring per bit below the top, one
+            # product per further set bit
+            assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
+            assert all(a != ring.one and b != ring.one for a, b in products)
+
+
 # --- numeric previews -------------------------------------------------------
 
 

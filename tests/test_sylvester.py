@@ -22,6 +22,7 @@ from gapsums import (
     weighted_sum_unity_a,
 )
 from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
+from gapsums.numberfield import RingElement
 from gapsums.sylvester import moment_from_polynomial, weighted_moments, weighted_sums
 
 GENS_13 = Generators([13, 16, 19, 22, 25])
@@ -132,6 +133,36 @@ def test_moment_kernel_matches_dense_derivative_route():
             for nu in range(5):
                 assert moments[nu] == moment_from_polynomial(apery_polynomial(table), nu, lam)
                 assert moments[nu] == weighted_moment(table, nu, lam)
+
+
+def test_moment_kernel_makes_no_product_with_one(monkeypatch):
+    products = []
+    honest = RingElement.__mul__
+
+    def counted(x, y):
+        if isinstance(y, RingElement):
+            products.append((x, y))
+        return honest(x, y)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    for lam in (as_element(2), LambdaSpec.root(3, 2).element(), as_element(Fraction(-1, 2))):
+        for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19])):
+            table = apery_general(gens)
+            products.clear()
+            weighted_moments(sorted(table.m), 3, lam)
+            assert products and all(x != 1 and y != 1 for x, y in products)
+
+
+@pytest.mark.parametrize("chunk", [3, 2048])
+def test_power_sum_matches_oracle_up_to_mu_12(monkeypatch, chunk):
+    # a chunk of 3 table entries puts chunk boundaries inside every table
+    monkeypatch.setattr(sylvester, "_POWER_CHUNK", chunk)
+    for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19]), Generators([2, 3])):
+        table = apery_general(gens)
+        gs = oracle.gap_set(gens)
+        assert [power_sum(table, mu) for mu in range(13)] == [
+            oracle.power_sum(gs, mu) for mu in range(13)
+        ]
 
 
 def test_moment_kernel_rejects_bad_input():
