@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import gapsums
+from corpora import reference_weights
 from gapsums import LambdaSpec
 from gapsums import arithprog, sylvester
 from gapsums.cli import main
@@ -264,6 +269,37 @@ def test_verify_never_disagrees_on_random_inputs(capsys):
         code, out, err = run_cli(capsys, "verify", *case)
         assert code == 0, (case, err)
         assert "verify OK" in out
+
+
+@st.composite
+def _verify_argv(draw):
+    """A small generator set or progression, one or two exponents, and no
+    weight or one from the panel."""
+    if draw(st.booleans()):
+        a = draw(st.integers(2, 24))
+        d = draw(st.integers(1, 9).filter(lambda d: gcd(a, d) == 1))
+        k = draw(st.integers(2, min(a, 6)))
+        argv = ["verify", "--ap", f"a={a},d={d},k={k}"]
+    else:
+        a1 = draw(st.integers(1, 24))
+        rest = draw(st.lists(st.integers(a1 + 1, 4 * a1 + 1), min_size=1, max_size=4))
+        assume(gcd(a1, *rest) == 1)
+        argv = ["verify", "--gens", ",".join(map(str, [a1, *rest]))]
+    for mu in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)):
+        argv += ["--mu", str(mu)]
+    weight = draw(st.sampled_from([None, *reference_weights()]))
+    if weight is not None:
+        argv.append(f"--lambda={weight}")
+    return argv
+
+
+@given(_verify_argv())
+def test_verify_property(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    assert out.getvalue().startswith("verify OK")
 
 
 # --- golden output: the README examples, byte for byte ----------------------

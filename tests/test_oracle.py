@@ -4,11 +4,13 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 
 import pytest
 
 from corpora import random_generator_sets
-from gapsums import Generators, apery_general, as_element, genus
+from gapsums import Generators, apery_general, as_element, frobenius, genus
 from gapsums import oracle
 
 GAPS_13 = tuple(
@@ -91,3 +93,96 @@ def test_sieve_memory_follows_the_frobenius_number():
         tracemalloc.stop()
     assert len(gs.gaps) == genus(apery_general(gens))
     assert peak < 8 * 2**20
+
+
+def _reference_sieve(gens: Generators) -> tuple[list[int], list[int], int]:
+    """The per-integer sieve: one interpreted ``any`` over the generators per
+    integer, stopping after a_1 consecutive representable integers."""
+    a1 = gens.modulus
+    cap = a1 * gens.largest + a1
+    reachable = bytearray(b"\x01")
+    minima: list[int | None] = [None] * a1
+    minima[0] = 0
+    gaps: list[int] = []
+    run = 0
+    n = 0
+    while run < a1:
+        n += 1
+        if n > cap:
+            raise AssertionError("sieve exceeded its safety bound")
+        hit = any(n >= g and reachable[n - g] for g in gens.values)
+        reachable.append(hit)
+        if hit:
+            run += 1
+            if minima[n % a1] is None:
+                minima[n % a1] = n
+        else:
+            run = 0
+            gaps.append(n)
+    return gaps, minima, n  # type: ignore[return-value]
+
+
+def _sieve_corpus(count: int, seed: int) -> list[Generators]:
+    """a_1 from 1 to 300 (one set in ten above 30, one in a hundred above 100,
+    so that the per-integer reference stays quick), k up to 7, generators up
+    to 6·a_1, one in five a multiple of a_1."""
+    rng = random.Random(seed)
+    out: list[Generators] = []
+    while len(out) < count:
+        top = 300 if len(out) % 100 == 0 else 100 if len(out) % 10 == 0 else 30
+        a1 = rng.randint(1, top)
+        values = {a1}
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.2:
+                values.add(a1 * rng.randint(2, 6))
+            else:
+                values.add(rng.randint(a1 + 1, 6 * a1))
+        try:
+            out.append(Generators(values))
+        except ValueError:
+            continue
+    return out
+
+
+def test_sieve_matches_per_integer_reference():
+    sets = _sieve_corpus(2000, seed=2204)
+    assert sum(gens.modulus == 1 for gens in sets) > 20
+    assert sum(gens.modulus > 100 for gens in sets) > 10
+    for gens in sets:
+        assert oracle._sieve(gens) == _reference_sieve(gens), gens.values
+
+
+@pytest.mark.parametrize("values", [(1000, 1001), (3011, 3012, 3014)])
+def test_deep_sieves_match_the_residue_table(values):
+    # F is about a_1^2 and a_1^2 / 3, so the horizon doubles nine times from
+    # 2·a_1.  The per-integer reference takes seconds here, so the check is
+    # against the residue table instead: a strictly increasing list of genus
+    # many integers, each below the least member of its residue class, is
+    # the gap set.
+    gens = Generators(values)
+    table = apery_general(gens)
+    gaps, minima, bound = oracle._sieve(gens)
+    a1 = gens.modulus
+    assert tuple(minima) == table.m
+    assert bound == frobenius(table) + a1 == max(table.m)
+    assert len(gaps) == genus(table) and gaps[-1] == frobenius(table)
+    assert all(map(lt, gaps, islice(gaps, 1, None)))
+    assert all(n < minima[n % a1] for n in gaps)
+
+
+@pytest.mark.parametrize(
+    "near, far",
+    [((7, 8), 10**12 + 1), ((1801, 1999, 2203, 2411, 2609, 2801), 10**9 + 7)],
+)
+def test_far_generators_stay_cheap(near, far):
+    # the far generator never fits under the horizon, so it adds no work and
+    # no memory, where a_1 * a_k bits would be 875 GB and 225 GB
+    gens = Generators(near + (far,))
+    tracemalloc.start()
+    try:
+        gs = oracle.gap_set(gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gs == oracle.gap_set(Generators(near))
+    assert peak < 48 * gs.gaps[-1] + 4096
