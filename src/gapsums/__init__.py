@@ -24,6 +24,7 @@ from .arithprog import (
     weighted_moment_ap,
     weighted_moment_unity_d,
     weighted_sum_ap,
+    weighted_sums_ap,
 )
 from .exact import bernoulli, binomial, eulerian, stirling2
 from .numberfield import (
@@ -96,4 +97,5 @@ __all__ = [
     "weighted_sum_general",
     "weighted_sum_unity_a",
     "weighted_sums",
+    "weighted_sums_ap",
 ]

@@ -19,12 +19,18 @@ Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .apery import ArithProgression
 from .exact import bernoulli, binomial
 from .numberfield import RingElement, as_element, is_power_unity
-from .sylvester import eulerian_weight, weighted_moments, weighted_sum_from_moments
+from .sylvester import (
+    WeightedSums,
+    eulerian_weight,
+    require_weight,
+    weighted_moments,
+    weighted_sum_from_moments,
+)
 # bench/tracing.py wraps arithprog.moment_from_polynomial, so the name stays importable
 from .sylvester import moment_from_polynomial  # noqa: F401
 
@@ -37,6 +43,7 @@ __all__ = [
     "weighted_moment_ap",
     "weighted_moment_unity_d",
     "weighted_sum_ap",
+    "weighted_sums_ap",
 ]
 
 
@@ -183,8 +190,8 @@ def weight_branch(ap: ArithProgression, lam) -> str:
     return "general"
 
 
-def _unity_a_sum(ap: ArithProgression, mu: int, lam: RingElement) -> RingElement:
-    """Weighted gap sum when lam^a = 1 and lam^d != 1.
+def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dict[int, RingElement]:
+    """Weighted gap sums for every mu in ``mus`` when lam^a = 1 and lam^d != 1.
 
     The residue pairing engine specializes row by row: with D_j = lam^{jd} j^l,
 
@@ -202,29 +209,32 @@ def _unity_a_sum(ap: ArithProgression, mu: int, lam: RingElement) -> RingElement
     ld_pow = [lam.ring.one]
     for _ in range(a - 1):
         ld_pow.append(ld_pow[-1] * ld)
-    total = lam.ring.zero
-    for n in range(mu + 1):
-        b_n = bernoulli(n)
-        if not b_n:
-            continue
-        outer = lam.ring.zero
-        for l in range(mu + 2 - n):
-            e = mu + 1 - n - l
-            rows = lam.ring.zero
-            for s in range(1, q + 1):
-                block = lam.ring.zero
-                for j in range((s - 1) * (k - 1) + 1, s * (k - 1) + 1):
-                    block = block + ld_pow[j] * j ** l
-                rows = rows + block * (s * a) ** e
-            block = lam.ring.zero
-            for j in range(q * (k - 1) + 1, q * (k - 1) + r + 1):
-                block = block + ld_pow[j] * j ** l
-            rows = rows + block * ((q + 1) * a) ** e
-            outer = outer + rows * (binomial(mu + 1 - n, l) * d ** l)
-        total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
-    total = total * Fraction(1, mu + 1)
     inv_l = (lam - 1).inverse()
-    return total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
+    out = {}
+    for mu in mus:
+        total = lam.ring.zero
+        for n in range(mu + 1):
+            b_n = bernoulli(n)
+            if not b_n:
+                continue
+            outer = lam.ring.zero
+            for l in range(mu + 2 - n):
+                e = mu + 1 - n - l
+                rows = lam.ring.zero
+                for s in range(1, q + 1):
+                    block = lam.ring.zero
+                    for j in range((s - 1) * (k - 1) + 1, s * (k - 1) + 1):
+                        block = block + ld_pow[j] * j ** l
+                    rows = rows + block * (s * a) ** e
+                block = lam.ring.zero
+                for j in range(q * (k - 1) + 1, q * (k - 1) + r + 1):
+                    block = block + ld_pow[j] * j ** l
+                rows = rows + block * ((q + 1) * a) ** e
+                outer = outer + rows * (binomial(mu + 1 - n, l) * d ** l)
+            total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
+        total = total * Fraction(1, mu + 1)
+        out[mu] = total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
+    return out
 
 
 class WeightedSumAP(NamedTuple):
@@ -232,24 +242,29 @@ class WeightedSumAP(NamedTuple):
     branch: str  # "general" | "unity-d" | "unity-a"
 
 
-def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSumAP:
-    """Weighted gap sum by closed form, dispatched on the weight regime.
+def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
+    """Weighted gap sums for every mu in ``mus`` by closed form, dispatched on
+    the weight regime; each regime does its per-query work once for all of
+    them (the table exponents and one moment vector, the moments M(0..max mu),
+    or the powers of lam^d).
 
     Equals the general residue-table engine on the same generators; weights 0
     and 1 are rejected (1 would be the plain power sum).
     """
-    if mu < 1:
-        raise ValueError("mu must be positive for weighted sums")
-    lam = as_element(lam)
-    if lam.is_zero:
-        raise ValueError("weight 0 is not allowed")
-    if lam == lam.ring.one:
-        raise ValueError("weight 1 is not allowed (use power_sum_ap)")
+    mus = sorted(set(mus))
+    lam = require_weight(mus, lam)
     branch = weight_branch(ap, lam)
     if branch == "unity-a":
-        return WeightedSumAP(_unity_a_sum(ap, mu, lam), branch)
+        return WeightedSums(_unity_a_sums(ap, mus, lam), branch)
     if branch == "unity-d":
-        moment = lambda nu: weighted_moment_unity_d(ap, nu, lam)
+        moments = [weighted_moment_unity_d(ap, nu, lam) for nu in range(mus[-1] + 1)]
     else:
-        moment = weighted_moments(_table_exponents(ap), mu, lam).__getitem__
-    return WeightedSumAP(weighted_sum_from_moments(ap.a, mu, lam, moment), branch)
+        moments = weighted_moments(_table_exponents(ap), mus[-1], lam)
+    values = {mu: weighted_sum_from_moments(ap.a, mu, lam, moments.__getitem__) for mu in mus}
+    return WeightedSums(values, branch)
+
+
+def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSumAP:
+    """Weighted gap sum by closed form: the one-mu case of :func:`weighted_sums_ap`."""
+    values, branch = weighted_sums_ap(ap, (mu,), lam)
+    return WeightedSumAP(values[mu], branch)

@@ -3,7 +3,13 @@
 Subcommands: apery, frobenius, genus, power-sum, weighted-sum, gaps, verify.
 Input is either --gens (explicit generators) or --ap (a=..,d=..,k=..); the
 method is chosen automatically (closed form when the input is an arithmetic
-progression, else the residue-table engine) unless forced with --method.
+progression, else the residue-table engine) unless forced with --method, by
+the same rule as ``summarize`` (:func:`gapsums.paths.choose`).
+
+``verify`` evaluates every label along every applicable path (the table, the
+oracle, and the closed form on progressions) and compares each value with the
+table path's, the reference.  The labels are frobenius, genus, apery-table
+(progressions only) and one per --mu.
 
 Exit codes: 0 success; 2 invalid input, including a weight ring whose modulus
 turns out reducible where an inverse is needed; 3 a disagreement between
@@ -17,20 +23,14 @@ import re
 import sys
 from fractions import Fraction
 
-from . import arithprog, oracle, sylvester
-from .apery import (
-    AperyTable,
-    ArithProgression,
-    Generators,
-    apery_arith,
-    apery_general,
-    as_arith_progression,
-)
+from . import oracle, paths
+from .apery import ArithProgression, Generators, as_arith_progression
+# bench/tracing.py wraps cli.apery_general and cli.apery_arith, so the names stay importable
+from .apery import apery_arith, apery_general  # noqa: F401
 from .numberfield import (
     Embedding,
     LambdaSpec,
     ReducibleModulusError,
-    RingElement,
     element_to_json,
     numeric_eval,
 )
@@ -107,22 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_input(args) -> tuple[Generators, ArithProgression | None]:
-    if args.ap is not None:
-        ap = _parse_ap(args.ap)
-        return ap.generators(), ap
-    gens = _parse_gens(args.gens)
-    return gens, as_arith_progression(gens)
-
-
-def _pick_method(args, ap: ArithProgression | None) -> str:
-    if args.method == "auto":
-        return "closed-form" if ap is not None else "apery"
-    if args.method == "closed-form" and ap is None:
-        raise ValueError("--method closed-form needs generators in arithmetic progression")
-    return args.method
-
-
 def _numeric_embedding(args, spec: LambdaSpec | None) -> Embedding:
     if args.numeric != "auto":
         return Embedding.at_index(int(args.numeric))
@@ -131,69 +115,6 @@ def _numeric_embedding(args, spec: LambdaSpec | None) -> Embedding:
 
 def _numeric_json(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
-
-
-class _Runner:
-    def __init__(self, args):
-        self.args = args
-        self.gens, self.ap = _resolve_input(args)
-        self.method = _pick_method(args, self.ap)
-        self._table: AperyTable | None = None
-        self._gapset: oracle.GapSet | None = None
-
-    @property
-    def table(self) -> AperyTable:
-        if self._table is None:
-            self._table = apery_general(self.gens)
-        return self._table
-
-    @property
-    def gapset(self) -> oracle.GapSet:
-        if self._gapset is None:
-            self._gapset = oracle.gap_set(self.gens)
-        return self._gapset
-
-    # --- scalar queries -------------------------------------------------
-
-    def frobenius(self) -> tuple[int, str]:
-        if self.method == "closed-form":
-            return arithprog.frobenius_ap(self.ap), "ap-closed-form"
-        if self.method == "oracle":
-            return max(self.gapset.gaps, default=-1), "oracle"
-        return sylvester.frobenius(self.table), "general-apery"
-
-    def genus(self) -> tuple[int, str]:
-        if self.method == "closed-form":
-            return arithprog.genus_ap(self.ap), "ap-closed-form"
-        if self.method == "oracle":
-            return len(self.gapset.gaps), "oracle"
-        return sylvester.genus(self.table), "general-apery"
-
-    def power_sum(self, mu: int) -> tuple[int, str]:
-        if self.method == "closed-form":
-            return arithprog.power_sum_ap(self.ap, mu), "ap-closed-form"
-        if self.method == "oracle":
-            return oracle.power_sum(self.gapset, mu), "oracle"
-        return sylvester.power_sum(self.table, mu), "general-apery"
-
-    def weighted_sums(self, mus: list[int], lam: RingElement) -> list[tuple[RingElement, str]]:
-        if self.method == "closed-form":
-            out = []
-            for mu in mus:
-                value, branch = arithprog.weighted_sum_ap(self.ap, mu, lam)
-                out.append((value, f"ap-closed-form/{branch}"))
-            return out
-        if self.method == "oracle":
-            return [(oracle.weighted_sum(self.gapset, mu, lam), "oracle") for mu in mus]
-        values, branch = sylvester.weighted_sums(self.table, mus, lam)
-        return [(values[mu], f"general-apery/{branch}") for mu in mus]
-
-    def apery_table(self) -> tuple[list[int], str]:
-        if self.method == "closed-form":
-            return list(apery_arith(self.ap).m), "ap-closed-form"
-        if self.method == "oracle":
-            return list(oracle.apery_minima(self.gens)), "oracle"
-        return list(self.table.m), "general-apery"
 
 
 def _emit(args, results: list[dict]) -> None:
@@ -226,62 +147,37 @@ def _result(label: str, gens: Generators, query: dict, value, method: str) -> di
 
 
 def _run(args) -> int:
-    runner = _Runner(args)
-    gens = runner.gens
+    gens = _parse_ap(args.ap).generators() if args.ap is not None else _parse_gens(args.gens)
+    path = paths.choose(gens, args.method)
     command = args.command
-
-    if command in ("frobenius", "genus"):
-        value, method = runner.frobenius() if command == "frobenius" else runner.genus()
-        results = [_result(command, gens, {"command": command}, str(value), method)]
-        _emit(args, results)
-        return 0
-
-    if command == "apery":
-        table, method = runner.apery_table()
-        results = [_result("apery", gens, {"command": "apery"}, table, method)]
-        _emit(args, results)
-        return 0
-
-    if command == "gaps":
-        gs = runner.gapset
-        results = [_result("gaps", gens, {"command": "gaps"}, list(gs.gaps), "oracle")]
-        _emit(args, results)
-        return 0
-
-    if command == "power-sum":
-        results = []
-        for mu in sorted(set(args.mu)):
-            if mu < 0:
-                raise ValueError("--mu must be nonnegative")
-            value, method = runner.power_sum(mu)
-            results.append(
-                _result(f"s_{mu}", gens, {"command": "power-sum", "mu": mu}, str(value), method)
-            )
-        _emit(args, results)
-        return 0
-
     if command == "weighted-sum":
-        return _run_weighted(args, runner)
-
+        return _run_weighted(args, gens, path)
     if command == "verify":
-        return _run_verify(args, runner)
+        return _run_verify(args, gens)
+    query = {"command": command}
+    if command == "power-sum":
+        results = [
+            _result(f"s_{mu}", gens, {**query, "mu": mu}, str(path.power_sum(mu)), path.tag)
+            for mu in sorted(set(args.mu))
+        ]
+    elif command == "gaps":
+        results = [_result(command, gens, query, list(oracle.gap_set(gens).gaps), "oracle")]
+    elif command == "apery":
+        results = [_result(command, gens, query, list(path.apery()), path.tag)]
+    else:  # frobenius, genus
+        results = [_result(command, gens, query, str(getattr(path, command)()), path.tag)]
+    _emit(args, results)
+    return 0
 
-    raise AssertionError(f"unhandled command {command}")  # pragma: no cover
 
-
-def _run_weighted(args, runner: _Runner) -> int:
+def _run_weighted(args, gens: Generators, path) -> int:
     spec = LambdaSpec.parse(args.weight)
-    lam = spec.element()
-    if lam == lam.ring.one:  # unreachable: parse rejects 1, but keep the guard honest
-        raise ValueError("weight 1 is not allowed")
-    mus = sorted(set(args.mu))
-    if mus[0] < 1:
-        raise ValueError("--mu must be positive for weighted sums")
+    values, method = path.weighted_sums(args.mu, spec.element())
     results = []
-    for mu, (value, method) in zip(mus, runner.weighted_sums(mus, lam)):
+    for mu, value in values.items():
         entry = _result(
             f"s_{mu}^({spec})",
-            runner.gens,
+            gens,
             {"command": "weighted-sum", "mu": mu, "lambda": str(spec)},
             element_to_json(value),
             method,
@@ -294,57 +190,22 @@ def _run_weighted(args, runner: _Runner) -> int:
     return 0
 
 
-def _run_verify(args, runner: _Runner) -> int:
-    """Compute every query by all applicable methods; report any disagreement."""
-    ap = runner.ap
-    table = runner.table
-    gapset = runner.gapset
-    checks: list[tuple[str, list[tuple[str, object]]]] = []
-
-    candidates: list[tuple[str, object]] = [
-        ("general-apery", sylvester.frobenius(table)),
-        ("oracle", max(gapset.gaps, default=-1)),
-    ]
-    if ap is not None:
-        candidates.append(("ap-closed-form", arithprog.frobenius_ap(ap)))
-    checks.append(("frobenius", candidates))
-
-    candidates = [
-        ("general-apery", sylvester.genus(table)),
-        ("oracle", len(gapset.gaps)),
-    ]
-    if ap is not None:
-        candidates.append(("ap-closed-form", arithprog.genus_ap(ap)))
-    checks.append(("genus", candidates))
-
-    if ap is not None:
-        checks.append(
-            ("apery-table", [("general-apery", tuple(table.m)), ("ap-closed-form", apery_arith(ap).m)])
-        )
-
+def _run_verify(args, gens: Generators) -> int:
+    """Evaluate every label along every applicable path and compare each
+    value with the table path's, the first; report any disagreement."""
+    every = paths.applicable(gens)
+    labels = [("frobenius", lambda p: p.frobenius()), ("genus", lambda p: p.genus())]
+    if as_arith_progression(gens) is not None:
+        labels.append(("apery-table", lambda p: p.apery()))
+    checks = [(label, [(p.tag, value(p)) for p in every]) for label, value in labels]
     mus = sorted(set(args.mu or ()))
     if args.weight is None:
-        for mu in mus:
-            candidates = [
-                ("general-apery", sylvester.power_sum(table, mu)),
-                ("oracle", oracle.power_sum(gapset, mu)),
-            ]
-            if ap is not None:
-                candidates.append(("ap-closed-form", arithprog.power_sum_ap(ap, mu)))
-            checks.append((f"s_{mu}", candidates))
+        checks += [(f"s_{mu}", [(p.tag, p.power_sum(mu)) for p in every]) for mu in mus]
     elif mus:
         spec = LambdaSpec.parse(args.weight)
         lam = spec.element()
-        values, branch = sylvester.weighted_sums(table, mus, lam)
-        for mu in mus:
-            candidates = [
-                (f"general-apery/{branch}", values[mu]),
-                ("oracle", oracle.weighted_sum(gapset, mu, lam)),
-            ]
-            if ap is not None:
-                ap_value, ap_branch = arithprog.weighted_sum_ap(ap, mu, lam)
-                candidates.append((f"ap-closed-form/{ap_branch}", ap_value))
-            checks.append((f"s_{mu}^({spec})", candidates))
+        sums = [p.weighted_sums(mus, lam) for p in every]
+        checks += [(f"s_{mu}^({spec})", [(tag, values[mu]) for values, tag in sums]) for mu in mus]
 
     failures = []
     for label, candidates in checks:

@@ -31,10 +31,12 @@ _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 @dataclass(frozen=True)
 class GapSet:
-    """The sorted gap set plus the sieve horizon that produced it."""
+    """The sorted gap set, the sieve horizon that produced it, and the least
+    member of each residue class mod a_1 (the residue table)."""
 
     gaps: tuple[int, ...]
     bound: int
+    minima: tuple[int, ...]
 
     def is_representable(self, n: int) -> bool:
         if n < 0:
@@ -127,14 +129,13 @@ def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
 
 
 def gap_set(gens: Generators) -> GapSet:
-    gaps, _, bound = _sieve(gens)
-    return GapSet(tuple(gaps), bound)
+    gaps, minima, bound = _sieve(gens)
+    return GapSet(tuple(gaps), bound, tuple(minima))
 
 
 def apery_minima(gens: Generators) -> tuple[int, ...]:
     """Per-residue least representable values straight from the sieve."""
-    _, minima, _ = _sieve(gens)
-    return tuple(minima)
+    return gap_set(gens).minima
 
 
 def power_sum(gs: GapSet, mu: int) -> int:

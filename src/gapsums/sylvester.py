@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
-from .apery import AperyTable, Generators, apery_general, as_arith_progression
+from .apery import AperyTable, Generators, apery_general
 # bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
 from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
@@ -42,6 +42,7 @@ __all__ = [
     "genus",
     "moment_from_polynomial",
     "power_sum",
+    "require_weight",
     "summarize",
     "weighted_moment",
     "weighted_moments",
@@ -253,8 +254,13 @@ def weighted_sum_from_moments(
     return total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
 
 
-def _require_weight(mu: int, lam) -> RingElement:
-    if mu < 1:
+def require_weight(mus: Iterable[int], lam) -> RingElement:
+    """The argument check of every weighted sum, whichever path evaluates it:
+    at least one mu, each mu >= 1, and a weight other than 0 and 1."""
+    mus = list(mus)
+    if not mus:
+        raise ValueError("no exponents requested")
+    if min(mus) < 1:
         raise ValueError("mu must be positive for weighted sums")
     lam = as_element(lam)
     if lam.is_zero:
@@ -329,7 +335,7 @@ def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> di
 
 def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a != 1, from the residue table."""
-    lam = _require_weight(mu, lam)
+    lam = require_weight((mu,), lam)
     if is_power_unity(lam, table.modulus):
         raise ValueError(
             "weight is a root of unity of the modulus order; use weighted_sum_unity_a"
@@ -341,7 +347,7 @@ def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums;
     the difference and moment forms of the residue pairing are compared
     exactly."""
-    lam = _require_weight(mu, lam)
+    lam = require_weight((mu,), lam)
     if not is_power_unity(lam, table.modulus):
         raise ValueError("weight is not a root of unity of the modulus order")
     return _unity_a_sums(table, (mu,), lam)[mu]
@@ -354,16 +360,14 @@ class WeightedSum(NamedTuple):
 
 class WeightedSums(NamedTuple):
     values: dict[int, RingElement]  # mu -> weighted gap sum
-    branch: str  # "general" | "unity-a"
+    branch: str  # "general" | "unity-a", or "unity-d" from the closed forms
 
 
 def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
     """Weighted gap sums for every mu in ``mus`` from one table, dispatching
     on whether lam^a = 1; all of them read one shared moment vector."""
     mus = sorted(set(mus))
-    if not mus:
-        raise ValueError("no exponents requested")
-    lam = _require_weight(mus[0], lam)
+    lam = require_weight(mus, lam)
     if is_power_unity(lam, table.modulus):
         return WeightedSums(_unity_a_sums(table, mus, lam), "unity-a")
     return WeightedSums(_general_sums(table, mus, lam), "general")
@@ -372,7 +376,7 @@ def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
 def weighted_sum(gens: Generators, mu: int, lam) -> WeightedSum:
     """Weighted gap sum for arbitrary generators, dispatching on whether the
     weight is a root of unity of order dividing the smallest generator."""
-    lam = _require_weight(mu, lam)
+    lam = require_weight((mu,), lam)
     values, branch = weighted_sums(apery_general(gens), (mu,), lam)
     return WeightedSum(values[mu], branch)
 
@@ -399,70 +403,29 @@ def summarize(
 ) -> GapSummary:
     """Bundle the Frobenius number, genus, and requested sums.
 
-    ``method`` selects the evaluation path: "auto" takes the closed forms
-    when the generators form an arithmetic progression and the residue-table
-    engine otherwise; "apery", "closed-form" and "oracle" force a path
+    ``method`` selects the evaluation path by the rule the command line uses
+    too (:func:`gapsums.paths.choose`): "auto" takes the closed forms when the
+    generators form an arithmetic progression and the residue-table engine
+    otherwise; "apery", "closed-form" and "oracle" force a path
     ("closed-form" requires progression input).  Each entry records the path
     that produced it.
     """
-    from . import arithprog, oracle  # deferred: arithprog builds on this module
+    from . import paths  # deferred: the paths build on this module
 
-    ap = as_arith_progression(gens)
-    if method == "auto":
-        method = "closed-form" if ap is not None else "apery"
-    if method == "closed-form" and ap is None:
-        raise ValueError("closed forms need generators in arithmetic progression")
-    if method not in ("apery", "closed-form", "oracle"):
-        raise ValueError(f"unknown method {method!r}")
     if weighted_mus and weight is None:
         raise ValueError("weighted sums need a weight")
-
-    methods: dict[str, str] = {}
-    power_sums: dict[int, int] = {}
-    weighted: dict[int, RingElement] = {}
-
-    if method == "closed-form":
-        tag = "ap-closed-form"
-        frob, count = arithprog.frobenius_ap(ap), arithprog.genus_ap(ap)
-        for mu in sorted(set(power_mus)):
-            power_sums[mu] = arithprog.power_sum_ap(ap, mu)
-            methods[f"power_sum[{mu}]"] = tag
-        if weight is not None:
-            for mu in sorted(set(weighted_mus)):
-                value, branch = arithprog.weighted_sum_ap(ap, mu, weight)
-                weighted[mu] = value
-                methods[f"weighted_sum[{mu}]"] = f"{tag}/{branch}"
-    elif method == "oracle":
-        tag = "oracle"
-        gs = oracle.gap_set(gens)
-        frob = max(gs.gaps, default=-1)
-        count = len(gs.gaps)
-        for mu in sorted(set(power_mus)):
-            power_sums[mu] = oracle.power_sum(gs, mu)
-            methods[f"power_sum[{mu}]"] = tag
-        if weight is not None:
-            for mu in sorted(set(weighted_mus)):
-                weighted[mu] = oracle.weighted_sum(gs, mu, weight)
-                methods[f"weighted_sum[{mu}]"] = tag
-    else:
-        tag = "general-apery"
-        table = apery_general(gens)
-        frob, count = frobenius(table), genus(table)
-        for mu in sorted(set(power_mus)):
-            power_sums[mu] = power_sum(table, mu)
-            methods[f"power_sum[{mu}]"] = tag
-        if weight is not None and weighted_mus:
-            values, branch = weighted_sums(table, weighted_mus, weight)
-            for mu, value in values.items():
-                weighted[mu] = value
-                methods[f"weighted_sum[{mu}]"] = f"{tag}/{branch}"
-    methods["frobenius"] = tag
-    methods["genus"] = tag
-
+    path = paths.choose(gens, method)
+    power_sums = {mu: path.power_sum(mu) for mu in sorted(set(power_mus))}
+    methods = {f"power_sum[{mu}]": path.tag for mu in power_sums}
+    weighted: Mapping[int, RingElement] = {}
+    if weight is not None and weighted_mus:
+        weighted, tag = path.weighted_sums(weighted_mus, weight)
+        methods.update((f"weighted_sum[{mu}]", tag) for mu in weighted)
+    methods["frobenius"] = methods["genus"] = path.tag
     return GapSummary(
         generators=gens.values,
-        frobenius=frob,
-        genus=count,
+        frobenius=path.frobenius(),
+        genus=path.genus(),
         power_sums=power_sums,
         weight=as_element(weight) if weight is not None else None,
         weighted_sums=weighted,

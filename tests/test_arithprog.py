@@ -23,8 +23,9 @@ from gapsums import (
     weighted_moment_unity_d,
     weighted_sum,
     weighted_sum_ap,
+    weighted_sums_ap,
 )
-from gapsums import oracle, summarize
+from gapsums import apery_general, oracle, summarize, weighted_sums
 from gapsums.arithprog import _table_exponents
 
 AP_13 = ArithProgression(13, 3, 5)
@@ -150,6 +151,25 @@ def test_weighted_closed_form_rejects_degenerate_weights():
         weighted_sum_ap(AP_14, 2, as_element(0))
     with pytest.raises(ValueError):
         weighted_sum_ap(AP_14, 0, as_element(7))
+
+
+@pytest.mark.parametrize(
+    "ap, weight, branch",
+    [
+        (AP_14, "root(3,2)", "general"),
+        (ArithProgression(9, 4, 3), "-1/2", "general"),
+        (AP_12, "zeta(5)", "unity-d"),
+        (ArithProgression(15, 2, 4), "zeta(5)", "unity-a"),
+        (AP_14, "-1", "unity-a"),
+    ],
+)
+def test_weighted_sums_ap_match_one_mu_at_a_time_and_the_table(ap, weight, branch):
+    lam = LambdaSpec.parse(weight).element()
+    values, got = weighted_sums_ap(ap, (3, 1, 4, 1), lam)
+    assert got == branch and list(values) == [1, 3, 4]
+    for mu, value in values.items():
+        assert weighted_sum_ap(ap, mu, lam) == (value, branch)
+    assert values == weighted_sums(apery_general(ap.generators()), (1, 3, 4), lam).values
 
 
 def test_weighted_closed_form_equivalence_smoke():

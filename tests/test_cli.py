@@ -15,8 +15,8 @@ from hypothesis import assume, given, strategies as st
 
 import gapsums
 from corpora import reference_weights
-from gapsums import LambdaSpec
-from gapsums import arithprog, sylvester
+from gapsums import ArithProgression, Generators, LambdaSpec, summarize
+from gapsums import arithprog, oracle, sylvester
 from gapsums.cli import main
 from gapsums.numberfield import element_from_json
 
@@ -245,6 +245,62 @@ def test_verify_detects_injected_disagreement(capsys, monkeypatch):
     assert code == 3
     assert "verify FAILED" in err
     assert "1000000000" in err
+
+
+def test_verify_checks_the_oracle_residue_table(capsys, monkeypatch):
+    honest = oracle._sieve
+
+    def corrupted(gens):
+        gaps, minima, bound = honest(gens)
+        minima[1] += gens.modulus
+        return gaps, minima, bound
+
+    monkeypatch.setattr(oracle, "_sieve", corrupted)
+    code, _, err = run_cli(capsys, "verify", "--ap", "a=13,d=3,k=5")
+    assert code == 3
+    assert err.startswith("verify FAILED for apery-table:")
+    assert "\n  oracle: " in err
+
+
+# a general set, then one progression per weight regime of the closed forms
+_FRONT_END_INPUTS = [
+    (Generators([14, 17, 21]), ("--gens", "14,17,21"), "-1/2"),
+    (ArithProgression(14, 3, 6).generators(), ("--ap", "a=14,d=3,k=6"), "root(3,2)"),
+    (ArithProgression(12, 5, 7).generators(), ("--ap", "a=12,d=5,k=7"), "zeta(5)"),
+    (ArithProgression(14, 3, 6).generators(), ("--ap", "a=14,d=3,k=6"), "-1"),
+]
+
+
+@pytest.mark.parametrize("method", ["auto", "apery", "closed-form", "oracle"])
+@pytest.mark.parametrize("command", ["frobenius", "genus", "power-sum", "weighted-sum"])
+@pytest.mark.parametrize(
+    "gens, given, weight", _FRONT_END_INPUTS, ids=["gens", "general", "unity-d", "unity-a"]
+)
+def test_summarize_and_the_cli_agree(capsys, method, command, gens, given, weight):
+    argv = [command, *given, "--method", method, "--format", "json"]
+    if command in ("power-sum", "weighted-sum"):
+        argv += ["--mu", "2"]
+    if command == "weighted-sum":
+        argv.append(f"--lambda={weight}")
+    lam = LambdaSpec.parse(weight).element()
+    try:
+        summary = summarize(gens, power_mus=(2,), weight=lam, weighted_mus=(2,), method=method)
+    except ValueError:
+        assert method == "closed-form" and given[0] == "--gens"
+        assert run_cli(capsys, *argv)[0] == 2
+        return
+    value, tag = {
+        "frobenius": (str(summary.frobenius), summary.methods["frobenius"]),
+        "genus": (str(summary.genus), summary.methods["genus"]),
+        "power-sum": (str(summary.power_sums[2]), summary.methods["power_sum[2]"]),
+        "weighted-sum": (summary.weighted_sums[2], summary.methods["weighted_sum[2]"]),
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if command == "weighted-sum":
+        payload["value"] = element_from_json(payload["value"])
+    assert (payload["value"], payload["method"]) == (value, tag)
 
 
 def test_help_exits_cleanly():

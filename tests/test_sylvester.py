@@ -331,3 +331,12 @@ def test_summarize_general_and_oracle_agree():
         summarize(gens, method="closed-form")
     with pytest.raises(ValueError):
         summarize(gens, weighted_mus=(1,))
+
+
+@pytest.mark.parametrize("method", ["auto", "apery", "closed-form", "oracle"])
+@pytest.mark.parametrize("mu, weight", [(0, 7), (0, -1), (1, 1), (2, 0)])
+def test_summarize_checks_weighted_arguments_on_every_path(method, mu, weight):
+    inputs = [GENS_13, GENS_14] + ([] if method == "closed-form" else [Generators([14, 17, 21])])
+    for gens in inputs:
+        with pytest.raises(ValueError):
+            summarize(gens, weight=weight, weighted_mus=(mu, 3), method=method)
