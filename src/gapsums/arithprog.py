@@ -209,6 +209,15 @@ def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dic
     ld_pow = [lam.ring.one]
     for _ in range(a - 1):
         ld_pow.append(ld_pow[-1] * ld)
+    # blocks[l][s-1] = sum_{j in row s} D_j, rows 1..q then the last row; a
+    # block depends on l alone, so it is built once for every mu, n
+    starts = [(s - 1) * (k - 1) + 1 for s in range(1, q + 2)]
+    ends = starts[1:] + [q * (k - 1) + r + 1]
+    zero = lam.ring.zero
+    blocks = [
+        [sum((ld_pow[j] * j ** l for j in range(lo, hi)), zero) for lo, hi in zip(starts, ends)]
+        for l in range(mus[-1] + 2)
+    ]
     inv_l = (lam - 1).inverse()
     out = {}
     for mu in mus:
@@ -221,15 +230,8 @@ def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dic
             for l in range(mu + 2 - n):
                 e = mu + 1 - n - l
                 rows = lam.ring.zero
-                for s in range(1, q + 1):
-                    block = lam.ring.zero
-                    for j in range((s - 1) * (k - 1) + 1, s * (k - 1) + 1):
-                        block = block + ld_pow[j] * j ** l
+                for s, block in enumerate(blocks[l], 1):
                     rows = rows + block * (s * a) ** e
-                block = lam.ring.zero
-                for j in range(q * (k - 1) + 1, q * (k - 1) + r + 1):
-                    block = block + ld_pow[j] * j ** l
-                rows = rows + block * ((q + 1) * a) ** e
                 outer = outer + rows * (binomial(mu + 1 - n, l) * d ** l)
             total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
         total = total * Fraction(1, mu + 1)

@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import oracle, paths
 from .apery import ArithProgression, Generators, as_arith_progression
@@ -54,6 +55,7 @@ def _parse_ap(text: str) -> ArithProgression:
     return ArithProgression(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapsums",

@@ -2,18 +2,19 @@
 
 A sieve enumerates the gap set (the nonrepresentable positive integers)
 directly from the generators, deciding every integer below its horizon; sums
-over the gaps are computed term by term.  The sieve is word-parallel: the
-membership bits of ``[0, H]`` are one Python int, closed under each generator
-by shift-and-OR, so each integer is one bit and every step runs in C over
-whole digits of the int (30 integers per CPython digit).  It shares no code
-with the residue-table engine: this module exists to certify the closed
-forms, not to compete with them.
+over the gaps are computed term by term, one term per gap, and a weighted sum
+runs on integral elements in one pass with a single reduction at the end.
+The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
+int, closed under each generator by shift-and-OR, so each integer is one bit
+and every step runs in C over whole digits of the int (30 integers per
+CPython digit).  It shares no code with the residue-table engine: this
+module exists to certify the closed forms, not to compete with them.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 from .apery import Generators
 from .numberfield import RingElement, as_element
@@ -142,21 +143,45 @@ def power_sum(gs: GapSet, mu: int) -> int:
     """sum n^mu over the gap set."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    return sum(n ** mu for n in gs.gaps)
+    return sum(map(pow, gs.gaps, repeat(mu)))
 
 
 def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
-    """sum lam^n * n^mu over the gap set, exactly in lam's ring."""
+    """sum lam^n * n^mu over the gap set, exactly in lam's ring.
+
+    With lam = v / D (D = lam.den, so v is integral) and the gaps
+    n_1 < ... < n_J, the sum is
+
+        v^(n_1) / D^(n_J) * sum_j v^(n_j - n_1) D^(n_J - n_j) n_j^mu,
+
+    and the inner sum is one descending Horner pass over the gaps:
+    acc <- acc * v^(n_{j+1} - n_j) + n_j^mu * D^(n_J - n_j).  Over an
+    integral modulus every step stays integral, so none reduces a fraction;
+    the one reduction is the final division by D^(n_J).  For an integer
+    weight D = 1 and this is plain Horner.
+    """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     lam = as_element(lam)
     if lam.is_zero:
         raise ValueError("weight 0 is not allowed")
-    total = lam.ring.zero
-    power = lam.ring.one
-    last = 0
-    for n in gs.gaps:  # ascending, so powers advance by small deltas
-        power = power * lam ** (n - last)
-        last = n
-        total = total + power * n ** mu
-    return total
+    gaps = gs.gaps
+    if not gaps:
+        return lam.ring.zero
+    den = lam.den
+    v = lam * den
+    steps: dict[int, tuple[RingElement, int]] = {}  # delta -> (v^delta, D^delta)
+    acc = lam.ring.zero
+    scale = 1  # D^(n_J - n)
+    above = gaps[-1]
+    for n in reversed(gaps):
+        delta = above - n
+        if delta:
+            step = steps.get(delta)
+            if step is None:
+                step = steps[delta] = (v ** delta, den ** delta)
+            acc = acc * step[0]
+            scale *= step[1]
+        acc = acc + n ** mu * scale
+        above = n
+    return acc * v ** above / den ** gaps[-1]

@@ -58,6 +58,20 @@ def test_table_validation():
         AperyTable(3, (0, 4))  # wrong length
 
 
+@pytest.mark.parametrize(
+    "modulus, m, message",
+    [
+        (3, (0, -2, 2), "entry -2 does not represent residue 1"),  # negative, right residue
+        (3, (0, 4, 4), "entry 4 does not represent residue 2"),
+        (4, (0, 5, 7, 6), "entry 7 does not represent residue 2"),  # the first bad entry
+    ],
+)
+def test_table_validation_names_the_first_bad_entry(modulus, m, message):
+    with pytest.raises(ValueError) as info:
+        AperyTable(modulus, m)
+    assert str(info.value) == message
+
+
 def test_general_small_cases():
     assert apery_general(Generators([2, 3])).m == (0, 3)
     t = apery_general(Generators([13, 16, 19, 22, 25]))

@@ -172,6 +172,20 @@ def test_weighted_sums_ap_match_one_mu_at_a_time_and_the_table(ap, weight, branc
     assert values == weighted_sums(apery_general(ap.generators()), (1, 3, 4), lam).values
 
 
+@pytest.mark.parametrize(
+    "ap, weight",
+    [(ArithProgression(15, 2, 4), "zeta(5)"), (ArithProgression(16, 3, 6), "-1")],
+)
+def test_unity_a_sums_for_consecutive_mus(ap, weight):
+    # the row blocks are built once per l and shared by every mu; r = 2 and r = 0
+    lam = LambdaSpec.parse(weight).element()
+    values, branch = weighted_sums_ap(ap, (1, 2, 3), lam)
+    assert branch == "unity-a" and list(values) == [1, 2, 3]
+    for mu, value in values.items():
+        assert weighted_sum_ap(ap, mu, lam) == (value, branch)
+    assert values == weighted_sums(apery_general(ap.generators()), (1, 2, 3), lam).values
+
+
 def test_weighted_closed_form_equivalence_smoke():
     weights = [spec.element() for spec in reference_weights()]
     for ap in random_progressions(6, seed=99, max_a=20, max_d=7, max_k=6):

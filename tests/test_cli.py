@@ -16,7 +16,7 @@ from hypothesis import assume, given, strategies as st
 import gapsums
 from corpora import reference_weights
 from gapsums import ArithProgression, Generators, LambdaSpec, summarize
-from gapsums import arithprog, oracle, sylvester
+from gapsums import arithprog, cli, oracle, sylvester
 from gapsums.cli import main
 from gapsums.numberfield import element_from_json
 
@@ -310,6 +310,37 @@ def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as info:
         main(["weighted-sum", "--help"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (["verify", "--gens", "3,5", "--mu", "2"], ["verify", "--gens", "3,5"]),
+        (
+            ["weighted-sum", "--gens", "5,7", "--mu", "2", "--lambda", "-1/2", "--numeric"],
+            ["weighted-sum", "--gens", "5,7", "--mu", "2", "--lambda", "-1/2"],
+        ),
+        (
+            ["weighted-sum", "--gens", "5,7", "--mu", "2", "--numeric"],  # no --lambda
+            ["weighted-sum", "--gens", "5,7", "--mu", "1", "--lambda", "2"],
+        ),
+    ],
+    ids=["verify-mu", "numeric", "bad-argv"],
+)
+def test_the_cached_parser_keeps_no_state(capsys, before, after):
+    cli.build_parser.cache_clear()  # as if `after` were the first call in the process
+    expected = run_cli(capsys, *after)
+    assert expected[0] == 0
+    cli.build_parser.cache_clear()
+    try:
+        run_cli(capsys, *before)
+    except SystemExit as exc:
+        assert exc.code == 2
+        capsys.readouterr()
+    assert run_cli(capsys, *after) == expected
+    assert cli.build_parser() is cli.build_parser()
+    if before[0] == "verify":
+        assert expected[1] == "verify OK (3 checks: frobenius, genus, apery-table)\n"
 
 
 def test_verify_never_disagrees_on_random_inputs(capsys):

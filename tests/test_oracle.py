@@ -10,7 +10,7 @@ from operator import lt
 import pytest
 
 from corpora import random_generator_sets
-from gapsums import Generators, apery_general, as_element, frobenius, genus
+from gapsums import Generators, LambdaSpec, apery_general, as_element, frobenius, genus
 from gapsums import oracle
 
 GAPS_13 = tuple(
@@ -72,6 +72,42 @@ def test_oracle_sums():
     assert oracle.weighted_sum(gs14, 3, as_element(-1)) == -375500
     gs23 = oracle.gap_set(Generators([2, 3]))
     assert oracle.weighted_sum(gs23, 9, as_element(Fraction(1, 2))) == Fraction(1, 2)
+
+
+def _reference_weighted_sums(gs: oracle.GapSet, mus, lam) -> dict:
+    """The ascending term-by-term sums: one ring power and product per gap,
+    and one sum per gap and mu, each reduced to lowest terms."""
+    totals = dict.fromkeys(mus, lam.ring.zero)
+    power = lam.ring.one
+    last = 0
+    for n in gs.gaps:
+        power = power * lam ** (n - last)
+        last = n
+        for mu in mus:
+            totals[mu] = totals[mu] + power * n ** mu
+    return totals
+
+
+REFERENCE_WEIGHTS = [
+    "2", "-1", "-1/2", "2/3", "-2", "root(3,2)", "zeta(5)",
+    "elem(minpoly=[1,0,1];coeffs=[4,3])",  # 4 + 3i
+    "elem(minpoly=[1/2,0,1];coeffs=[1/3,5/7])",  # a modulus with a non-integral coefficient
+]
+
+
+def test_weighted_sum_matches_the_ascending_reference():
+    weights = [LambdaSpec.parse(w).element() for w in REFERENCE_WEIGHTS]
+    sets = random_generator_sets(300, seed=4417, max_a1=10, max_k=4, max_value=30)
+    for gens in sets:
+        gs = oracle.gap_set(gens)
+        for lam in weights:
+            for mu, want in _reference_weighted_sums(gs, (0, 1, 3), lam).items():
+                got = oracle.weighted_sum(gs, mu, lam)
+                assert (got.num, got.den) == (want.num, want.den), (gens.values, str(lam), mu)
+    empty = oracle.gap_set(Generators([1, 5]))  # 1 is a generator, so there are no gaps
+    assert empty.gaps == ()
+    assert all(oracle.weighted_sum(empty, 1, lam).is_zero for lam in weights)
+    assert oracle.power_sum(empty, 2) == 0
 
 
 def test_oracle_rejects_bad_arguments():
