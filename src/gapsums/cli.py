@@ -21,6 +21,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -148,32 +149,50 @@ def _result(label: str, gens: Generators, query: dict, value, method: str) -> di
     }
 
 
+@contextmanager
+def _exact_output():
+    """Lift the interpreter's cap on the digits of an int converted to
+    decimal (Python 3.11+): an exact answer may have any number of digits.
+    Input is parsed before this, under the cap."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _run(args) -> int:
     gens = _parse_ap(args.ap).generators() if args.ap is not None else _parse_gens(args.gens)
+    weight = getattr(args, "weight", None)
+    spec = LambdaSpec.parse(weight) if weight is not None else None
     path = paths.choose(gens, args.method)
     command = args.command
-    if command == "weighted-sum":
-        return _run_weighted(args, gens, path)
-    if command == "verify":
-        return _run_verify(args, gens)
-    query = {"command": command}
-    if command == "power-sum":
-        results = [
-            _result(f"s_{mu}", gens, {**query, "mu": mu}, str(path.power_sum(mu)), path.tag)
-            for mu in sorted(set(args.mu))
-        ]
-    elif command == "gaps":
-        results = [_result(command, gens, query, list(oracle.gap_set(gens).gaps), "oracle")]
-    elif command == "apery":
-        results = [_result(command, gens, query, list(path.apery()), path.tag)]
-    else:  # frobenius, genus
-        results = [_result(command, gens, query, str(getattr(path, command)()), path.tag)]
-    _emit(args, results)
+    with _exact_output():
+        if command == "weighted-sum":
+            return _run_weighted(args, gens, spec, path)
+        if command == "verify":
+            return _run_verify(args, gens, spec)
+        query = {"command": command}
+        if command == "power-sum":
+            results = [
+                _result(f"s_{mu}", gens, {**query, "mu": mu}, str(path.power_sum(mu)), path.tag)
+                for mu in sorted(set(args.mu))
+            ]
+        elif command == "gaps":
+            results = [_result(command, gens, query, list(oracle.gap_set(gens).gaps), "oracle")]
+        elif command == "apery":
+            results = [_result(command, gens, query, list(path.apery()), path.tag)]
+        else:  # frobenius, genus
+            results = [_result(command, gens, query, str(getattr(path, command)()), path.tag)]
+        _emit(args, results)
     return 0
 
 
-def _run_weighted(args, gens: Generators, path) -> int:
-    spec = LambdaSpec.parse(args.weight)
+def _run_weighted(args, gens: Generators, spec: LambdaSpec, path) -> int:
     values, method = path.weighted_sums(args.mu, spec.element())
     results = []
     for mu, value in values.items():
@@ -192,7 +211,7 @@ def _run_weighted(args, gens: Generators, path) -> int:
     return 0
 
 
-def _run_verify(args, gens: Generators) -> int:
+def _run_verify(args, gens: Generators, spec: LambdaSpec | None) -> int:
     """Evaluate every label along every applicable path and compare each
     value with the table path's, the first; report any disagreement."""
     every = paths.applicable(gens)
@@ -201,10 +220,9 @@ def _run_verify(args, gens: Generators) -> int:
         labels.append(("apery-table", lambda p: p.apery()))
     checks = [(label, [(p.tag, value(p)) for p in every]) for label, value in labels]
     mus = sorted(set(args.mu or ()))
-    if args.weight is None:
+    if spec is None:
         checks += [(f"s_{mu}", [(p.tag, p.power_sum(mu)) for p in every]) for mu in mus]
     elif mus:
-        spec = LambdaSpec.parse(args.weight)
         lam = spec.element()
         sums = [p.weighted_sums(mus, lam) for p in every]
         checks += [(f"s_{mu}^({spec})", [(tag, values[mu]) for values, tag in sums]) for mu in mus]

@@ -13,7 +13,8 @@ module exists to certify the closed forms, not to compete with them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 
 from .apery import Generators
@@ -32,12 +33,18 @@ _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
 @dataclass(frozen=True)
 class GapSet:
-    """The sorted gap set, the sieve horizon that produced it, and the least
-    member of each residue class mod a_1 (the residue table)."""
+    """The sorted gap set and the sieve horizon that produced it; the least
+    member of each residue class mod a_1 (the residue table) is read out of
+    the same sieve on first use."""
 
     gaps: tuple[int, ...]
     bound: int
-    minima: tuple[int, ...]
+    members: int = field(repr=False)  # membership bits on [0, bound]
+    modulus: int
+
+    @cached_property
+    def minima(self) -> tuple[int, ...]:
+        return _minima(self.members, self.bound, self.modulus)
 
     def is_representable(self, n: int) -> bool:
         if n < 0:
@@ -89,8 +96,9 @@ def _first_run_end(members: int, length: int) -> int | None:
     return (ends & -ends).bit_length() - 1
 
 
-def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
-    """Gap list, per-residue minima, and the last sieved integer.
+def _sieve(gens: Generators) -> tuple[int, int]:
+    """Membership bits of the semigroup up to the last sieved integer, and
+    that integer.
 
     The sieve stops at the first run of a_1 consecutive representable
     positive integers; from there on, adding copies of a_1 reaches everything,
@@ -99,10 +107,6 @@ def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
     is about one bit per integer up to 2(F + a_1) whatever a_k, and a
     generator past the horizon costs nothing.  A hard cap at a_1·a_k + a_1
     guards against bugs; it is provably never the binding stop.
-
-    A member n whose n - a_1 is not a member is the least member of its
-    residue class, so the minima are the set bits of
-    ``members & ~(members << a_1)``.
     """
     a1 = gens.modulus
     cap = a1 * gens.largest + a1
@@ -115,28 +119,42 @@ def _sieve(gens: Generators) -> tuple[list[int], list[int], int]:
         if horizon >= cap:  # pragma: no cover - unreachable by the stopping argument
             raise AssertionError("sieve exceeded its safety bound")
         horizon = min(2 * horizon, cap)
+    return members & ((2 << bound) - 1), bound
+
+
+def _gaps(members: int, bound: int) -> tuple[int, ...]:
+    """The positions of the clear bits on [0, bound]: the gaps, ascending."""
     width = bound + 1
-    mask = (1 << width) - 1
-    row = _digits(members & mask, width).encode().translate(_GAP_FLAGS)
-    gaps = list(compress(range(width), row))  # 0 is always a member
-    # exactly a_1 set bits: find them one by one rather than scan every position
-    firsts = _digits(members & ~(members << a1) & mask, width)
+    row = _digits(members, width).encode().translate(_GAP_FLAGS)
+    return tuple(compress(range(width), row))  # 0 is always a member
+
+
+def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
+    """The least member of each residue class mod a_1.
+
+    A member n whose n - a_1 is not a member is the least of its class, so
+    the minima are the set bits of ``members & ~(members << a_1)``; there
+    are exactly a_1 of them, found one by one rather than by a scan of
+    every position.
+    """
+    firsts = _digits(members & ~(members << a1), bound + 1)
     minima = [0] * a1
     m = firsts.find("1")
     while m >= 0:
         minima[m % a1] = m
         m = firsts.find("1", m + 1)
-    return gaps, minima, bound
+    return tuple(minima)
 
 
 def gap_set(gens: Generators) -> GapSet:
-    gaps, minima, bound = _sieve(gens)
-    return GapSet(tuple(gaps), bound, tuple(minima))
+    members, bound = _sieve(gens)
+    return GapSet(_gaps(members, bound), bound, members, gens.modulus)
 
 
 def apery_minima(gens: Generators) -> tuple[int, ...]:
     """Per-residue least representable values straight from the sieve."""
-    return gap_set(gens).minima
+    members, bound = _sieve(gens)
+    return _minima(members, bound, gens.modulus)
 
 
 def power_sum(gs: GapSet, mu: int) -> int:

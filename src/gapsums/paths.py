@@ -90,7 +90,8 @@ class OraclePath:
         return oracle.gap_set(self.gens)
 
     def frobenius(self) -> int:
-        return max(self.gapset.gaps, default=-1)
+        gaps = self.gapset.gaps  # ascending
+        return gaps[-1] if gaps else -1
 
     def genus(self) -> int:
         return len(self.gapset.gaps)

@@ -15,11 +15,12 @@ the general engine divides by (w^a - 1), the unity engine uses the residue
 pairing i = m_i mod a instead.  Both consume the weighted moments
 M(nu) = sum_i m_i^nu w^{m_i}: every M(0..top) a query needs comes from one
 call of :func:`weighted_moments`, which computes them along two independent
-routes over the sorted table entries and compares them exactly.
+routes over the sorted table entries and compares them exactly.  A weight
+with a denominator costs what an integer weight costs: both routes run on
+integer numerators and divide by one power of the denominator at the end.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
@@ -116,19 +117,48 @@ def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> 
     return total
 
 
-def _gap_powers(lam: RingElement, gaps: Iterable[int]) -> dict[int, RingElement]:
-    """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0).
+def _times(x: RingElement | None, y: RingElement | None) -> RingElement | None:
+    """x * y for powers of a weight, with None standing for one: no product
+    is made with one, and a product that equals one comes back as None.
+    Unit powers come up for root-of-unity weights and for lam = +-1/D,
+    whose numerator is +-1."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    z = x * y
+    return None if _is_one(z) else z
+
+
+def _is_one(x: RingElement) -> bool:
+    return x.num[0] == 1 and x == 1  # the first test fails fast on almost every power
+
+
+def _gap_powers(lam: RingElement, gaps: Iterable[int]) -> dict[int, RingElement | None]:
+    """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0), with
+    None for a power that equals one (see :func:`_times`).
 
     The deltas are taken in ascending order and each power is the previous
     one times lam^(difference), so gaps that lie close together cost one
-    multiplication each.
+    multiplication each; a difference met for the first time is raised by
+    square-and-multiply.
     """
-    powers = {0: lam.ring.one}
+    powers: dict[int, RingElement | None] = {0: None}
+    first = None if _is_one(lam) else lam
     last = 0
     for delta in sorted(set(gaps) - {0}):
         step = delta - last
-        power = powers[step] if step in powers else lam ** step
-        powers[delta] = powers[last] * power if last else power
+        if step in powers:
+            power = powers[step]
+        else:
+            power, base = None, first
+            while step:
+                if step & 1:
+                    power = _times(power, base)
+                step >>= 1
+                if step:
+                    base = _times(base, base)
+        powers[delta] = _times(powers[last], power)
         last = delta
     return powers
 
@@ -138,21 +168,48 @@ def _steps(exponents: Sequence[int]) -> list[int]:
     return [e - last for last, e in zip([0, *exponents], exponents)]
 
 
+def _split(lam: RingElement, gaps: Sequence[int]) -> tuple[RingElement, int, dict[int, int]]:
+    """lam = v / D with D = lam.den, so v has integer coordinates and, over
+    an integral modulus, so has every product of powers of v; with the
+    integer scales {delta: D^delta} for the distinct ``gaps`` (none when
+    D = 1)."""
+    den = lam.den
+    scales = {gap: den ** gap for gap in set(gaps)} if den != 1 else {}
+    return lam * den, den, scales
+
+
+def _undo_scale(values: list, den: int, top_exponent: int) -> list[RingElement]:
+    """values / D^E, the one reduction of a route (none when D = 1)."""
+    if den == 1:
+        return values
+    scale = Fraction(1, den ** top_exponent)
+    return [x * scale for x in values]
+
+
 def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list[RingElement]:
-    """M(0..top) in one ascending pass: lam^e is stepped by lam^(e - previous e),
-    and every M(nu) takes its e^nu lam^e term from the same power."""
+    """M(0..top) in one ascending pass on lam = v/D: v^e is stepped by
+    v^(e - previous e), and every sum takes its e^nu v^e term from the same
+    power.  Before each term the sums are multiplied by D^(e - previous e), a
+    Horner scheme in D, so the top exponent E leaves
+    sum_e e^nu D^(E-e) v^e = D^E M(nu) behind, divided by D^E once."""
     gaps = _steps(exponents)
-    powers = _gap_powers(lam, gaps)
-    moments = [lam.ring.zero] * (top + 1)
-    power = lam.ring.one
+    v, den, scales = _split(lam, gaps)
+    one = v.ring.one
+    powers = _gap_powers(v, gaps)
+    sums = [v.ring.zero] * (top + 1)
+    power = None  # v^e, None while it equals one
     for e, gap in zip(exponents, gaps):
-        if gap:  # e == gap: the previous exponent was 0, so power is one
-            power = power * powers[gap] if e != gap else powers[gap]
+        if gap:
+            power = _times(power, powers[gap])
+            if scales:
+                scale = scales[gap]
+                sums = [x * scale for x in sums]
+        term = one if power is None else power
         weight = 1
         for nu in range(top + 1):
-            moments[nu] = moments[nu] + weight * power  # 0**0 == 1 covers e = 0
+            sums[nu] = sums[nu] + weight * term  # 0**0 == 1 covers e = 0
             weight *= e
-    return moments
+    return _undo_scale(sums, den, exponents[-1])
 
 
 def _falling_factorial_moments(
@@ -161,26 +218,37 @@ def _falling_factorial_moments(
     """M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
     M(nu) = sum_h S(nu, h) F(h) since e^nu = sum_h S(nu, h) (e)_h.
 
-    Each F(h) is a descending Horner pass over the exponents e >= h (the
-    falling factorial (e)_h vanishes below h), with powers of its own.
+    The F(h) are descending Horner passes on lam = v/D, run side by side
+    over the exponents with powers of their own:
+    acc_h <- acc_h * v^(previous e - e) + (e)_h D^(E - e), with the integer
+    scale D^(E - e) stepped up once per exponent for all of them.  The
+    falling factorial (e)_h vanishes for e < h, so those exponents add
+    nothing.  The passes end at D^E F(h), and the recombined D^E M(nu) are
+    divided by D^E once.
     """
-    starts = [bisect_left(exponents, h) for h in range(top + 1)]
-    lowest = [exponents[i] for i in starts if i < len(exponents)]
     gaps = [high - low for low, high in zip(exponents, exponents[1:])]
-    powers = _gap_powers(lam, gaps + lowest)
-    falling = []
-    for h, start in enumerate(starts):
-        acc, last = 0, None  # an int until the first power: no product with one
-        for e in reversed(exponents[start:]):
-            if last is not None:
-                acc = acc * powers[last - e]
-            acc = acc + perm(e, h)
-            last = e
-        falling.append(acc * powers[last] if last else acc)
-    return [
-        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), lam.ring.zero)
+    v, den, scales = _split(lam, gaps)
+    powers = _gap_powers(v, gaps + [exponents[0]])
+    falling = [0] * (top + 1)  # ints until the first power: no product with one
+    scale = 1  # D^(E - e)
+    last = exponents[-1]
+    for e in reversed(exponents):
+        gap = last - e
+        step = powers[gap]  # powers[0] is None: the top exponent takes no step
+        if gap and scales:
+            scale *= scales[gap]
+        for h in range(top + 1):
+            acc = falling[h] if step is None else falling[h] * step
+            falling[h] = acc + perm(e, h) * scale
+        last = e
+    step = powers[last]
+    if step is not None:
+        falling = [acc * step for acc in falling]
+    scaled = [
+        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), v.ring.zero)
         for nu in range(top + 1)
     ]
+    return _undo_scale(scaled, den, exponents[-1])
 
 
 def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElement]:
@@ -190,6 +258,10 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
 
     Computed along two routes that share no power of lam, the ascending power
     pass and the falling-factorial Horner passes; they must agree exactly.
+    Each route writes lam = v/D (D = lam.den) and runs on v with integer
+    scales D^(E-e), E the top exponent, so over an integral modulus no sum
+    or product in the passes reduces a fraction; each divides by D^E once at
+    the end.  For D = 1 there is nothing to scale or divide.
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
@@ -285,14 +357,16 @@ def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[
     gaps = _steps([m for m, _ in pairs])
     powers = _gap_powers(lam, gaps)
     out = [lam.ring.zero] * (top + 1)
-    power = lam.ring.one
+    one = lam.ring.one
+    power = None  # lam^m, None while it equals one
     for (m, i), gap in zip(pairs, gaps):
-        power = power * powers[gap] if m != gap else powers[gap]  # m == gap: the first
+        power = _times(power, powers[gap])
+        term = one if power is None else power
         m_pow = i_pow = 1
         for e in range(1, top + 1):
             m_pow *= m
             i_pow *= i
-            out[e] = out[e] + (m_pow - i_pow) * power
+            out[e] = out[e] + (m_pow - i_pow) * term
     return out
 
 

@@ -165,6 +165,53 @@ def test_reducible_weight_ring_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@contextlib.contextmanager
+def _any_digits():
+    """Decimal conversion of ints of any size (Python 3.11+ caps it)."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_big_exact_answer_prints(capsys, form):
+    # an 88 kbit answer: about 26,500 decimal digits, past the interpreter's
+    # default cap of 4,300
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(
+        capsys, "weighted-sum", "--gens", "1001,1008,1014", "--mu", "3", "--lambda", "2",
+        "--format", form,
+    )
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    value = sylvester.weighted_sum(Generators([1001, 1008, 1014]), 3, 2).value
+    with _any_digits():
+        if form == "json":
+            assert element_from_json(json.loads(out)["value"]) == value
+        else:
+            assert out == f"s_3^(2) = {value}  (method: general-apery/general)\n"
+            assert len(str(value)) > 26000
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap before Python 3.11"
+)
+def test_input_keeps_the_digit_cap(capsys):
+    huge = "9" * 5000
+    for argv in (
+        ("genus", "--gens", f"2,{huge}"),
+        ("weighted-sum", "--gens", "5,7", "--mu", "1", "--lambda", f"{huge}/7"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert err.startswith("error: "), argv
+
+
 def test_internal_route_disagreement_exits_3(capsys, monkeypatch):
     honest = sylvester._falling_factorial_moments
 
@@ -248,14 +295,14 @@ def test_verify_detects_injected_disagreement(capsys, monkeypatch):
 
 
 def test_verify_checks_the_oracle_residue_table(capsys, monkeypatch):
-    honest = oracle._sieve
+    honest = oracle._minima
 
-    def corrupted(gens):
-        gaps, minima, bound = honest(gens)
-        minima[1] += gens.modulus
-        return gaps, minima, bound
+    def corrupted(members, bound, a1):
+        minima = list(honest(members, bound, a1))
+        minima[1] += a1
+        return tuple(minima)
 
-    monkeypatch.setattr(oracle, "_sieve", corrupted)
+    monkeypatch.setattr(oracle, "_minima", corrupted)
     code, _, err = run_cli(capsys, "verify", "--ap", "a=13,d=3,k=5")
     assert code == 3
     assert err.startswith("verify FAILED for apery-table:")

@@ -65,6 +65,28 @@ def test_apery_minima_match_shortest_path_table():
         assert oracle.apery_minima(gens) == apery_general(gens).m
 
 
+def test_residue_minima_are_read_out_on_demand(monkeypatch):
+    # the table is read out of the sieve only when asked for, and then once
+    from gapsums import paths
+
+    calls = []
+    honest = oracle._minima
+
+    def counted(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(oracle, "_minima", counted)
+    gens = Generators([13, 16, 19, 22, 25])
+    path = paths.OraclePath(gens)
+    assert (path.frobenius(), path.genus(), path.power_sum(2)) == (62, 36, 33150)
+    path.weighted_sums((1,), 2)
+    assert not calls
+    assert path.apery() == path.apery() == apery_general(gens).m
+    assert len(calls) == 1
+    assert paths.OraclePath(Generators([1, 5])).frobenius() == -1  # no gaps
+
+
 def test_oracle_sums():
     gs13 = oracle.gap_set(Generators([13, 16, 19, 22, 25]))
     assert oracle.power_sum(gs13, 2) == 33150
@@ -185,7 +207,8 @@ def test_sieve_matches_per_integer_reference():
     assert sum(gens.modulus == 1 for gens in sets) > 20
     assert sum(gens.modulus > 100 for gens in sets) > 10
     for gens in sets:
-        assert oracle._sieve(gens) == _reference_sieve(gens), gens.values
+        gs = oracle.gap_set(gens)
+        assert (list(gs.gaps), list(gs.minima), gs.bound) == _reference_sieve(gens), gens.values
 
 
 @pytest.mark.parametrize("values", [(1000, 1001), (3011, 3012, 3014)])
@@ -197,7 +220,8 @@ def test_deep_sieves_match_the_residue_table(values):
     # the gap set.
     gens = Generators(values)
     table = apery_general(gens)
-    gaps, minima, bound = oracle._sieve(gens)
+    gs = oracle.gap_set(gens)
+    gaps, minima, bound = gs.gaps, gs.minima, gs.bound
     a1 = gens.modulus
     assert tuple(minima) == table.m
     assert bound == frobenius(table) + a1 == max(table.m)

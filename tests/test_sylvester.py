@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, perm
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from corpora import random_generator_sets, reference_weights
 from gapsums import (
@@ -184,6 +185,83 @@ def test_moment_route_check_fires(monkeypatch):
         weighted_moments(sorted(table.m), 2, as_element(3))
     with pytest.raises(ArithmeticError):
         weighted_sum(GENS_14, 2, as_element(3))
+
+
+def _per_operation_moments(exponents, top, lam):
+    """M(0..top) on lam itself, one reduced ring operation at a time, along
+    the kernel's two routes as they ran before they were scaled to integer
+    numerators: the ascending power pass and the falling-factorial Horner
+    passes."""
+    ring = lam.ring
+    direct = [ring.zero] * (top + 1)
+    power, last = ring.one, 0
+    for e in exponents:
+        power = power * lam ** (e - last)
+        last = e
+        for nu in range(top + 1):
+            direct[nu] = direct[nu] + e ** nu * power
+    falling = []
+    for h in range(top + 1):
+        acc, above = ring.zero, None
+        for e in reversed([e for e in exponents if e >= h]):
+            if above is not None:
+                acc = acc * lam ** (above - e)
+            acc = acc + perm(e, h)
+            above = e
+        falling.append(acc if above is None else acc * lam ** above)
+    recombined = [
+        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), ring.zero)
+        for nu in range(top + 1)
+    ]
+    assert direct == recombined
+    return direct
+
+
+# the last modulus, x^2 + 1/2, is not integral: v = lam * lam.den has
+# integer coordinates, but v * v does not
+KERNEL_WEIGHTS = [
+    "2/3",
+    "-1/2",
+    "3",
+    "root(3,2)",
+    "elem(minpoly=[1,0,1];coeffs=[4,3])",
+    "elem(minpoly=[1/2,0,1];coeffs=[1/3,5/7])",
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_WEIGHTS)
+def test_moment_kernel_matches_per_operation_routes(spec):
+    lam = LambdaSpec.parse(spec).element()
+    if spec.startswith("elem(minpoly=[1/2"):
+        v = lam * lam.den
+        assert v.den == 1 and (v * v).den == 2
+    cases = [sorted(apery_general(gens).m) for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19]))]
+    cases += [[0], [0, 3], [2], [1, 4, 5, 11]]  # top past every exponent; no exponent 0
+    for exponents in cases:
+        expected = _per_operation_moments(exponents, 4, lam)
+        assert weighted_moments(exponents, 4, lam) == expected, exponents
+        for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
+            assert route(exponents, 4, lam) == expected, (route.__name__, exponents)
+
+
+@st.composite
+def _small_generator_sets(draw):
+    a1 = draw(st.integers(2, 12))
+    rest = draw(st.lists(st.integers(a1 + 1, 3 * a1 + 2), min_size=1, max_size=3))
+    assume(gcd(a1, *rest) == 1)
+    return Generators([a1, *rest])
+
+
+@given(
+    _small_generator_sets(),
+    st.integers(-9, 9),
+    st.integers(1, 9),
+    st.integers(1, 3),
+)
+def test_rational_weights_match_the_oracle(gens, p, q, mu):
+    lam = Fraction(p, q)
+    assume(lam not in (0, 1))
+    assert weighted_sum(gens, mu, lam).value == oracle.weighted_sum(oracle.gap_set(gens), mu, lam)
 
 
 def test_unity_difference_form_check_fires(monkeypatch):
