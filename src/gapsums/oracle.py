@@ -3,7 +3,8 @@
 A sieve enumerates the gap set (the nonrepresentable positive integers)
 directly from the generators, deciding every integer below its horizon; sums
 over the gaps are computed term by term, one term per gap, and a weighted sum
-runs on integral elements in one pass with a single reduction at the end.
+runs on integral elements in one pass with a single reduction at the end (on
+Python ints for a rational weight, with its powers of two as shifts).
 The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
 int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
 
@@ -175,8 +177,12 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     and the inner sum is one descending Horner pass over the gaps:
     acc <- acc * v^(n_{j+1} - n_j) + n_j^mu * D^(n_J - n_j).  Over an
     integral modulus every step stays integral, so none reduces a fraction;
-    the one reduction is the final division by D^(n_J).  For an integer
-    weight D = 1 and this is plain Horner.
+    the one reduction is the final division by D^(n_J).
+
+    The powers of two in v = s 2^b and D = t 2^c are one shift of the term,
+    v^n D^(n_J - n) = s^n t^(n_J - n) << (b n + c (n_J - n)), so the pass
+    multiplies acc by s^delta only and ends at acc * s^(n_1) / D^(n_J).  A
+    rational weight runs on Python ints; other weights keep v whole (b = 0).
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -187,19 +193,29 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     if not gaps:
         return lam.ring.zero
     den = lam.den
-    v = lam * den
-    steps: dict[int, tuple[RingElement, int]] = {}  # delta -> (v^delta, D^delta)
-    acc = lam.ring.zero
-    scale = 1  # D^(n_J - n)
-    above = gaps[-1]
+    if lam.ring.degree == 1:
+        s, acc = lam.num[0], 0
+        b = (s & -s).bit_length() - 1
+        s >>= b
+    else:
+        s, acc, b = lam * den, lam.ring.zero, 0
+    c = (den & -den).bit_length() - 1
+    t = den >> c
+    steps: dict[int, tuple] = {}  # delta -> (s^delta, t^delta)
+    scale = 1  # t^(n_J - n)
+    top = above = gaps[-1]
     for n in reversed(gaps):
         delta = above - n
         if delta:
             step = steps.get(delta)
             if step is None:
-                step = steps[delta] = (v ** delta, den ** delta)
-            acc = acc * step[0]
+                step = steps[delta] = (s ** delta, t ** delta)
+            if step[0] != 1:  # s = 1 for lam = 2^b / D
+                acc = acc * step[0]
             scale *= step[1]
-        acc = acc + n ** mu * scale
+        acc = acc + (n ** mu * scale << b * n + c * (top - n))
         above = n
-    return acc * v ** above / den ** gaps[-1]
+    acc = acc * s ** above
+    if lam.ring.degree == 1:
+        return lam.ring.from_rational(Fraction(acc, den ** top))
+    return acc / den ** top

@@ -17,7 +17,9 @@ M(nu) = sum_i m_i^nu w^{m_i}: every M(0..top) a query needs comes from one
 call of :func:`weighted_moments`, which computes them along two independent
 routes over the sorted table entries and compares them exactly.  A weight
 with a denominator costs what an integer weight costs: both routes run on
-integer numerators and divide by one power of the denominator at the end.
+integer numerators, and their scaled values are compared before the one
+division by a power of the denominator.  A rational weight runs on Python
+ints, on which a product with a power of two is a shift.
 """
 from __future__ import annotations
 
@@ -117,7 +119,7 @@ def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> 
     return total
 
 
-def _times(x: RingElement | None, y: RingElement | None) -> RingElement | None:
+def _times(x, y):
     """x * y for powers of a weight, with None standing for one: no product
     is made with one, and a product that equals one comes back as None.
     Unit powers come up for root-of-unity weights and for lam = +-1/D,
@@ -130,11 +132,41 @@ def _times(x: RingElement | None, y: RingElement | None) -> RingElement | None:
     return None if _is_one(z) else z
 
 
-def _is_one(x: RingElement) -> bool:
-    return x.num[0] == 1 and x == 1  # the first test fails fast on almost every power
+def _is_one(x) -> bool:
+    if isinstance(x, RingElement):
+        return x.num[0] == 1 and x == 1  # the first test fails fast on almost every power
+    return x == 1  # an int, or a _Shift power of an even v, which is never one
 
 
-def _gap_powers(lam: RingElement, gaps: Iterable[int]) -> dict[int, RingElement | None]:
+class _Shift:
+    """The integer odd * 2**shift kept in its two parts: a product with an
+    int is one product with ``odd`` and a shift, and a product of two
+    multiplies the odd parts and adds the shifts."""
+
+    __slots__ = ("odd", "shift")
+
+    def __init__(self, odd: int, shift: int):
+        self.odd = odd
+        self.shift = shift
+
+    def __mul__(self, other):
+        if type(other) is _Shift:
+            return _Shift(self.odd * other.odd, self.shift + other.shift)
+        return (other if self.odd == 1 else other * self.odd) << self.shift
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> _Shift:
+        return _Shift(self.odd ** n, self.shift * n)
+
+
+def _binary(x: int):
+    """x as odd * 2**k: x itself when it is odd, else a :class:`_Shift`."""
+    k = (x & -x).bit_length() - 1
+    return _Shift(x >> k, k) if k else x
+
+
+def _gap_powers(lam, gaps: Iterable[int]) -> dict:
     """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0), with
     None for a power that equals one (see :func:`_times`).
 
@@ -168,35 +200,44 @@ def _steps(exponents: Sequence[int]) -> list[int]:
     return [e - last for last, e in zip([0, *exponents], exponents)]
 
 
-def _split(lam: RingElement, gaps: Sequence[int]) -> tuple[RingElement, int, dict[int, int]]:
+def _split(lam: RingElement, gaps: Sequence[int]) -> tuple:
     """lam = v / D with D = lam.den, so v has integer coordinates and, over
-    an integral modulus, so has every product of powers of v; with the
-    integer scales {delta: D^delta} for the distinct ``gaps`` (none when
-    D = 1)."""
+    an integral modulus, so has every product of powers of v.  Returns v,
+    the integer scales {delta: D^delta} for 0 and the distinct ``gaps``
+    (none when D = 1), and the zero and one of the pass.
+
+    A weight of ring degree 1 takes the int path: v is a Python int, and v
+    and D are kept as odd * 2**k (:func:`_binary`), so that a product with
+    a power of two is a shift.
+    """
     den = lam.den
-    scales = {gap: den ** gap for gap in set(gaps)} if den != 1 else {}
-    return lam * den, den, scales
+    if lam.ring.degree == 1:
+        v, d, zero, one = _binary(lam.num[0]), _binary(den), 0, 1
+    else:
+        v, d, zero, one = lam * den, den, lam.ring.zero, lam.ring.one
+    scales = {gap: d ** gap for gap in {0, *gaps}} if den != 1 else {}
+    return v, scales, zero, one
 
 
-def _undo_scale(values: list, den: int, top_exponent: int) -> list[RingElement]:
-    """values / D^E, the one reduction of a route (none when D = 1)."""
-    if den == 1:
-        return values
-    scale = Fraction(1, den ** top_exponent)
+def _lift(values: list, lam: RingElement, top_exponent: int) -> list[RingElement]:
+    """values / D^E in lam's ring, E = ``top_exponent``: the one reduction
+    of an integral pass."""
+    scale = Fraction(1, lam.den ** top_exponent)
+    if lam.ring.degree == 1:
+        return [lam.ring.from_rational(x * scale) for x in values]
     return [x * scale for x in values]
 
 
-def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list[RingElement]:
-    """M(0..top) in one ascending pass on lam = v/D: v^e is stepped by
+def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list:
+    """D^E M(0..top) in one ascending pass on lam = v/D: v^e is stepped by
     v^(e - previous e), and every sum takes its e^nu v^e term from the same
     power.  Before each term the sums are multiplied by D^(e - previous e), a
     Horner scheme in D, so the top exponent E leaves
-    sum_e e^nu D^(E-e) v^e = D^E M(nu) behind, divided by D^E once."""
+    sum_e e^nu D^(E-e) v^e = D^E M(nu) behind."""
     gaps = _steps(exponents)
-    v, den, scales = _split(lam, gaps)
-    one = v.ring.one
+    v, scales, zero, one = _split(lam, gaps)
     powers = _gap_powers(v, gaps)
-    sums = [v.ring.zero] * (top + 1)
+    sums = [zero] * (top + 1)
     power = None  # v^e, None while it equals one
     for e, gap in zip(exponents, gaps):
         if gap:
@@ -209,13 +250,11 @@ def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> 
         for nu in range(top + 1):
             sums[nu] = sums[nu] + weight * term  # 0**0 == 1 covers e = 0
             weight *= e
-    return _undo_scale(sums, den, exponents[-1])
+    return sums
 
 
-def _falling_factorial_moments(
-    exponents: Sequence[int], top: int, lam: RingElement
-) -> list[RingElement]:
-    """M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
+def _falling_factorial_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list:
+    """D^E M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
     M(nu) = sum_h S(nu, h) F(h) since e^nu = sum_h S(nu, h) (e)_h.
 
     The F(h) are descending Horner passes on lam = v/D, run side by side
@@ -223,14 +262,13 @@ def _falling_factorial_moments(
     acc_h <- acc_h * v^(previous e - e) + (e)_h D^(E - e), with the integer
     scale D^(E - e) stepped up once per exponent for all of them.  The
     falling factorial (e)_h vanishes for e < h, so those exponents add
-    nothing.  The passes end at D^E F(h), and the recombined D^E M(nu) are
-    divided by D^E once.
+    nothing.  The passes end at D^E F(h), recombined into D^E M(nu).
     """
     gaps = [high - low for low, high in zip(exponents, exponents[1:])]
-    v, den, scales = _split(lam, gaps)
+    v, scales, zero, _ = _split(lam, gaps)
     powers = _gap_powers(v, gaps + [exponents[0]])
     falling = [0] * (top + 1)  # ints until the first power: no product with one
-    scale = 1  # D^(E - e)
+    scale = scales[0] if scales else 1  # D^(E - e); (e)_h * scale is a shift for even D
     last = exponents[-1]
     for e in reversed(exponents):
         gap = last - e
@@ -244,11 +282,10 @@ def _falling_factorial_moments(
     step = powers[last]
     if step is not None:
         falling = [acc * step for acc in falling]
-    scaled = [
-        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), v.ring.zero)
+    return [
+        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), zero)
         for nu in range(top + 1)
     ]
-    return _undo_scale(scaled, den, exponents[-1])
 
 
 def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElement]:
@@ -260,8 +297,9 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
     pass and the falling-factorial Horner passes; they must agree exactly.
     Each route writes lam = v/D (D = lam.den) and runs on v with integer
     scales D^(E-e), E the top exponent, so over an integral modulus no sum
-    or product in the passes reduces a fraction; each divides by D^E once at
-    the end.  For D = 1 there is nothing to scale or divide.
+    or product in the passes reduces a fraction.  The routes' D^E M(nu) are
+    compared, then divided by D^E once.  A weight of ring degree 1 runs both
+    routes on Python ints (see :func:`_split`).
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
@@ -272,10 +310,10 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
         x >= y for x, y in zip(exponents, exponents[1:])
     ):
         raise ValueError("exponents must be nonnegative and strictly ascending")
-    direct = _ascending_moments(exponents, top, lam)
-    if direct != _falling_factorial_moments(exponents, top, lam):
+    scaled = _ascending_moments(exponents, top, lam)
+    if scaled != _falling_factorial_moments(exponents, top, lam):
         raise ArithmeticError("weighted moment routes disagree: internal fault")
-    return direct
+    return _lift(scaled, lam, exponents[-1])
 
 
 def weighted_moment(table: AperyTable, nu: int, lam) -> RingElement:
@@ -352,22 +390,26 @@ def _general_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> di
 def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
     """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 1..top (D(0) stays 0,
     no sum reads it), in one ascending pass over the (m_i, i) pairs with its
-    own powers of lam."""
+    own powers of lam, written lam = v/D and scaled like
+    :func:`_ascending_moments`."""
     pairs = sorted(zip(table.m[1:], range(1, table.modulus)))
     gaps = _steps([m for m, _ in pairs])
-    powers = _gap_powers(lam, gaps)
-    out = [lam.ring.zero] * (top + 1)
-    one = lam.ring.one
-    power = None  # lam^m, None while it equals one
+    v, scales, zero, one = _split(lam, gaps)
+    powers = _gap_powers(v, gaps)
+    out = [zero] * (top + 1)
+    power = None  # v^m, None while it equals one
     for (m, i), gap in zip(pairs, gaps):
         power = _times(power, powers[gap])
+        if scales:
+            scale = scales[gap]
+            out = [x * scale for x in out]
         term = one if power is None else power
         m_pow = i_pow = 1
         for e in range(1, top + 1):
             m_pow *= m
             i_pow *= i
             out[e] = out[e] + (m_pow - i_pow) * term
-    return out
+    return _lift(out, lam, pairs[-1][0])
 
 
 def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:

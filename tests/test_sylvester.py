@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, perm
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from corpora import random_generator_sets, reference_weights
 from gapsums import (
@@ -136,22 +136,58 @@ def test_moment_kernel_matches_dense_derivative_route():
                 assert moments[nu] == weighted_moment(table, nu, lam)
 
 
+class _RecordedPower:
+    """An int-path power of the kernel's v = lam * lam.den that logs the
+    factors of every product it takes part in: power by power, or
+    accumulator by power (an int accumulator is not logged: it is one
+    integer product whatever its value, as on the ring path)."""
+
+    def __init__(self, value, log):
+        self.value, self.log = value, log
+
+    def __mul__(self, other):
+        if isinstance(other, _RecordedPower):
+            self.log.append(("power", self.value, other.value))
+            return _RecordedPower(self.value * other.value, self.log)
+        self.log.append(("accumulator", self.value))
+        return other * self.value
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.value == other
+
+
 def test_moment_kernel_makes_no_product_with_one(monkeypatch):
-    products = []
-    honest = RingElement.__mul__
+    # ring path: every product of two ring elements; int path: v is wrapped
+    # where both routes split lam, so every product with a power of v
+    log = []
+    honest_mul, honest_split = RingElement.__mul__, sylvester._split
 
     def counted(x, y):
         if isinstance(y, RingElement):
-            products.append((x, y))
-        return honest(x, y)
+            log.append(("ring", x, y))
+        return honest_mul(x, y)
+
+    def recorded(lam, gaps):
+        v, *rest = honest_split(lam, gaps)
+        return (v if isinstance(v, RingElement) else _RecordedPower(v, log), *rest)
 
     monkeypatch.setattr(RingElement, "__mul__", counted)
-    for lam in (as_element(2), LambdaSpec.root(3, 2).element(), as_element(Fraction(-1, 2))):
-        for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19])):
-            table = apery_general(gens)
-            products.clear()
-            weighted_moments(sorted(table.m), 3, lam)
-            assert products and all(x != 1 and y != 1 for x, y in products)
+    monkeypatch.setattr(sylvester, "_split", recorded)
+    weights = {
+        "ring": (LambdaSpec.root(3, 2).element(), LambdaSpec.zeta(5).element()),
+        "int": (as_element(2), as_element(Fraction(-1, 2)), as_element(-6)),
+    }
+    for path, kinds in (("ring", {"ring"}), ("int", {"power", "accumulator"})):
+        for lam in weights[path]:
+            for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19])):
+                exponents = sorted(apery_general(gens).m)
+                log.clear()
+                moments = weighted_moments(exponents, 3, lam)
+                assert {kind for kind, *_ in log} == kinds, (lam, gens)
+                assert all(x != 1 for _, *factors in log for x in factors), (lam, gens)
+                assert moments == _per_operation_moments(exponents, 3, lam)
 
 
 @pytest.mark.parametrize("chunk", [3, 2048])
@@ -241,7 +277,9 @@ def test_moment_kernel_matches_per_operation_routes(spec):
         expected = _per_operation_moments(exponents, 4, lam)
         assert weighted_moments(exponents, 4, lam) == expected, exponents
         for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
-            assert route(exponents, 4, lam) == expected, (route.__name__, exponents)
+            # a route returns D^E M(nu); the kernel divides once, after comparing
+            scaled = route(exponents, 4, lam)
+            assert sylvester._lift(scaled, lam, exponents[-1]) == expected, (route.__name__, exponents)
 
 
 @st.composite
@@ -262,6 +300,51 @@ def test_rational_weights_match_the_oracle(gens, p, q, mu):
     lam = Fraction(p, q)
     assume(lam not in (0, 1))
     assert weighted_sum(gens, mu, lam).value == oracle.weighted_sum(oracle.gap_set(gens), mu, lam)
+
+
+def _lifted(lam: Fraction) -> RingElement:
+    """The rational lam as an element of Q[i], a ring of degree 2: the same
+    number on the ring path."""
+    return LambdaSpec.custom((1, 0, 1), (lam, 0)).element()
+
+
+def _same_number(rational: RingElement, lifted: RingElement) -> bool:
+    return rational.ring.degree == 1 and lifted.coeffs == (rational.coeffs[0], 0)
+
+
+@st.composite
+def _binary_weights(draw):
+    """sign * odd * 2^k / odd': +-2^s, +-1/2^t, +-2^s/odd, odd/2^t, odd/odd."""
+    sign = draw(st.sampled_from([1, -1]))
+    k = draw(st.integers(-4, 4))
+    top, bottom = draw(st.sampled_from([1, 3, 5, 15])), draw(st.sampled_from([1, 3, 7]))
+    lam = Fraction(sign * top * 2 ** max(k, 0), bottom * 2 ** max(-k, 0))
+    assume(lam != 1)
+    return lam
+
+
+@given(_small_generator_sets(), _binary_weights())
+@example(Generators([5, 7]), Fraction(-1, 2))  # v = -1
+@example(Generators([6, 7, 15]), Fraction(1, 4))  # v = 1
+@example(Generators([7, 10, 13]), Fraction(-4))  # D = 1
+@example(Generators([4, 9]), Fraction(-1))  # D = 1, and lam^a = 1: unity-a
+@example(GENS_14, Fraction(-1))
+@example(Generators([8, 11, 13]), Fraction(-1))
+@example(Generators([2, 3]), Fraction(-1))
+def test_int_path_matches_the_ring_path(gens, lam):
+    ring_lam = _lifted(lam)
+    table = apery_general(gens)
+    exponents = sorted(table.m)
+    for x, y in zip(weighted_moments(exponents, 3, lam), weighted_moments(exponents, 3, ring_lam)):
+        assert _same_number(x, y)
+    values, branch = weighted_sums(table, (1, 2, 3), lam)
+    ring_values, ring_branch = weighted_sums(table, (1, 2, 3), ring_lam)
+    assert branch == ring_branch == ("unity-a" if lam ** table.modulus == 1 else "general")
+    gs = oracle.gap_set(gens)
+    for mu in (1, 2, 3):
+        assert _same_number(values[mu], ring_values[mu])
+        assert _same_number(oracle.weighted_sum(gs, mu, lam), oracle.weighted_sum(gs, mu, ring_lam))
+        assert values[mu] == oracle.weighted_sum(gs, mu, lam)
 
 
 def test_unity_difference_form_check_fires(monkeypatch):
