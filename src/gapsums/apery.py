@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import factorial, gcd, prod
 from operator import add, mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "AperyTable",
@@ -72,7 +72,8 @@ class ArithProgression:
     """Generators a, a+d, ..., a+(k-1)d with gcd(a, d) = 1 and 2 <= k <= a.
 
     The decomposition a - 1 = q(k-1) + r with 0 <= r < k-1 (so q >= 1) shapes
-    the closed-form residue table and every arithmetic-progression formula.
+    the closed-form residue table (:meth:`rows`) and every
+    arithmetic-progression formula.
     """
 
     a: int
@@ -101,6 +102,17 @@ class ArithProgression:
 
     def generators(self) -> Generators:
         return Generators(self.a + j * self.d for j in range(self.k))
+
+    def rows(self) -> Iterator[tuple[int, range]]:
+        """The rows of the residue table: (s*a, js) for the nonempty rows
+        s = 1..q+1, where row s holds the entries s*a + j*d for j in
+        js = (s-1)(k-1)+1 .. min(s(k-1), a-1).  There are q full rows of k-1
+        entries and, when r > 0, a last row of r; the a-1 entries together
+        are the nonzero table entries, in ascending order, since row s ends
+        at s*a_k, below the start of row s+1."""
+        k1 = self.k - 1
+        for s in range(1, self.q + 1 + (self.r > 0)):
+            yield s * self.a, range((s - 1) * k1 + 1, min(s * k1, self.a - 1) + 1)
 
 
 @dataclass(frozen=True)
@@ -248,24 +260,16 @@ def _dijkstra(a1: int, steps: list[int]) -> list[int]:
 
 
 def apery_arith(ap: ArithProgression) -> AperyTable:
-    """Closed-form residue table for an arithmetic progression.
-
-    Row s (1 <= s <= q) holds s*a + ((s-1)(k-1)+t)*d for t = 1..k-1, and when
-    r > 0 a final partial row (q+1)*a + (q(k-1)+t)*d for t = 1..r, giving the
-    a-1 nonzero entries.  Agrees with :func:`apery_general` on the same
-    generators.
+    """Closed-form residue table for an arithmetic progression, filled from
+    its rows (:meth:`ArithProgression.rows`).  Agrees with
+    :func:`apery_general` on the same generators.
     """
-    a, d, k, q, r = ap.a, ap.d, ap.k, ap.q, ap.r
+    a, d = ap.a, ap.d
     m = [0] * a
-    for s in range(1, q + 1):
-        base = s * a
-        offset = (s - 1) * (k - 1)
-        for t in range(1, k):
-            value = base + (offset + t) * d
+    for base, js in ap.rows():
+        for j in js:
+            value = base + j * d
             m[value % a] = value
-    for t in range(1, r + 1):
-        value = (q + 1) * a + (q * (k - 1) + t) * d
-        m[value % a] = value
     return AperyTable(a, tuple(m))
 
 
@@ -291,7 +295,4 @@ def as_arith_progression(gens: Generators) -> ArithProgression | None:
     d = vals[1] - vals[0]
     if any(vals[i + 1] - vals[i] != d for i in range(1, len(vals) - 1)):
         return None
-    k = min(len(vals), a)
-    if k < 2:
-        return None
-    return ArithProgression(a, d, k)
+    return ArithProgression(a, d, min(len(vals), a))

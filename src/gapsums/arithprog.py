@@ -1,32 +1,35 @@
 """Closed forms for generators in arithmetic progression a, a+d, ..., a+(k-1)d.
 
-The table's known row structure (q full rows of k-1 entries plus r leftovers,
-a-1 = q(k-1)+r) is exploited directly.  Frobenius number, genus, power sums
-and the unity regimes stay polynomial in q, k and the exponent; only the
-generic weighted regime lists the table, as its a entries in ascending order
-(``_table_exponents``), so its memory is O(a) whatever the size of the entries.
+The residue table has a known row structure, defined once by
+:meth:`ArithProgression.rows`: with a-1 = q(k-1)+r, row s holds the entries
+s*a + j*d for a run of k-1 consecutive j (r in the last row).  The Frobenius
+number, the genus and the power sums are closed forms in q, k and the
+exponent, with no entry listed.  The weighted sums read the rows, one term per
+table entry (so O(a) time and memory, whatever the size of the entries), and
+split into three regimes, dispatched on the weight w:
 
-The weighted sums split into three regimes, dispatched on the weight w:
-
-* w^a != 1 and w^d != 1: generic regime; the table entries are generated
-  row by row and fed to the sparse moment kernel (``weighted_moment_ap``).
-* w^a != 1 and w^d  = 1: the weight is constant along each table row
-  (``weighted_moment_unity_d``).
-* w^a  = 1 and w^d != 1: the unity-weight engine with row-wise column sums.
+* w^a != 1 and w^d != 1: generic regime; the a entries, in ascending order
+  (``_table_exponents``), feed the sparse moment kernel.
+* w^a != 1 and w^d  = 1: every entry of row s carries the weight w^{sa}, so
+  each moment is a sum over the rows of w^{sa} times an integer power sum
+  of the row (``weighted_moment_unity_d``).
+* w^a  = 1 and w^d != 1: the unity-weight engine with row-wise column sums
+  over the powers w^{jd}, j < a.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .apery import ArithProgression
 from .exact import bernoulli, binomial
 from .numberfield import RingElement, as_element, is_power_unity
 from .sylvester import (
+    WeightedSum,
     WeightedSums,
-    eulerian_weight,
+    geometric_tails,
     require_weight,
     weighted_moments,
     weighted_sum_from_moments,
@@ -35,7 +38,6 @@ from .sylvester import (
 from .sylvester import moment_from_polynomial  # noqa: F401
 
 __all__ = [
-    "WeightedSumAP",
     "frobenius_ap",
     "genus_ap",
     "power_sum_ap",
@@ -108,21 +110,11 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
 
 
 def _table_exponents(ap: ArithProgression) -> list[int]:
-    """The a table entries in ascending order, generated from the row blocks
-
-        0,  a + d + s a_k + t d  (0 <= s < q, 0 <= t < k-1),
-            q a_k + a + d + t d  (0 <= t < r),
-
-    where row s ends at (s+1) a_k, below the start of row s+1.
-    """
-    a, d, k, q, r = ap.a, ap.d, ap.k, ap.q, ap.r
-    ak = ap.largest
+    """The a table entries in ascending order: 0, then the rows."""
+    d = ap.d
     out = [0]
-    for s in range(q):
-        base = a + d + s * ak
-        out.extend(range(base, base + (k - 1) * d, d))
-    base = q * ak + a + d
-    out.extend(range(base, base + r * d, d))
+    for base, js in ap.rows():
+        out.extend(range(base + js.start * d, base + js.stop * d, d))
     return out
 
 
@@ -137,11 +129,33 @@ def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
     return weighted_moments(_table_exponents(ap), nu, lam)[nu]
 
 
-def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} when lam^d = 1.
+def _unity_d_moments(ap: ArithProgression, top: int, lam: RingElement) -> list[RingElement]:
+    """[M(0), ..., M(top)] when lam^d = 1: every entry of row s carries
+    lam^{sa}, so
 
-    Row s of the table then carries the constant weight lam^{sa}, so each row
-    telescopes through Bernoulli sums; the nu = 0 value includes the unit
+        M(nu) = [nu = 0] + sum_s lam^{sa} sum_{j in row s} (sa + jd)^nu,
+
+    with plain integer power sums inside.  lam^{sa} depends on sa mod d
+    alone, so the rows are summed per class before any ring product."""
+    d = ap.d
+    classes: dict[int, list[int]] = {}
+    for base, js in ap.rows():
+        sums = classes.setdefault(base % d, [0] * (top + 1))
+        for m in range(base + js.start * d, base + js.stop * d, d):
+            power = 1
+            for nu in range(top + 1):
+                sums[nu] += power
+                power *= m
+    moments = [lam.ring.one] + [lam.ring.zero] * top  # m_0 = 0 adds 1 to M(0)
+    for c, sums in classes.items():
+        weight = lam ** c
+        moments = [x + weight * y for x, y in zip(moments, sums)]
+    return moments
+
+
+def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
+    """sum_i m_i^nu lam^{m_i} when lam^d = 1, from the row sums of
+    :func:`_unity_d_moments`; the nu = 0 value includes the unit
     contribution of the zero residue, matching :func:`weighted_moment_ap`.
     """
     if nu < 0:
@@ -149,32 +163,7 @@ def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
     lam = as_element(lam)
     if not is_power_unity(lam, ap.d):
         raise ValueError("this route requires the weight to satisfy lam^d = 1")
-    a, d, k, q, r = ap.a, ap.d, ap.k, ap.q, ap.r
-    la = lam ** a
-    la_pow = [lam.ring.one]
-    for _ in range(q + 1):
-        la_pow.append(la_pow[-1] * la)
-    total = lam.ring.zero
-    for l in range(nu + 1):
-        e = nu - l
-        inner = lam.ring.zero
-        for j in range(l + 1):
-            b_j = bernoulli(j)
-            if not b_j:
-                continue
-            c = Fraction(binomial(l + 1, j)) * b_j
-            bracket = -(la_pow[1] * (a ** e)) * c
-            for s in range(1, q + 1):
-                step = la_pow[s + 1] * ((s + 1) * a) ** e - la_pow[s] * (s * a) ** e
-                bracket = bracket - step * (c * (s * (k - 1) + 1) ** (l + 1 - j))
-            bracket = bracket + la_pow[q + 1] * (
-                c * ((q + 1) * a) ** e * (q * (k - 1) + r + 1) ** (l + 1 - j)
-            )
-            inner = inner + bracket
-        total = total + inner * (Fraction(binomial(nu, l) * d ** l) / (l + 1))
-    if nu == 0:
-        total = total + 1
-    return total
+    return _unity_d_moments(ap, nu, lam)[nu]
 
 
 def weight_branch(ap: ArithProgression, lam) -> str:
@@ -197,28 +186,25 @@ def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dic
 
         s_mu^(w) = (1/(mu+1)) sum_n C(mu+1, n) B_n a^{n-1}
                      sum_l C(mu+1-n, l) d^l
-                       [ sum_{s=1}^{q} (sa)^{mu+1-n-l} sum_{j in row s} D_j
-                         + ((q+1)a)^{mu+1-n-l} sum_{j in last row} D_j ]
+                       sum_s (sa)^{mu+1-n-l} sum_{j in row s} D_j
                    + (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1},
 
-    where row s covers j = (s-1)(k-1)+1 .. s(k-1) and the last row covers
-    j = q(k-1)+1 .. q(k-1)+r.
+    over the rows s of :meth:`ArithProgression.rows`.
     """
-    a, d, k, q, r = ap.a, ap.d, ap.k, ap.q, ap.r
+    a, d = ap.a, ap.d
     ld = lam ** d
     ld_pow = [lam.ring.one]
     for _ in range(a - 1):
         ld_pow.append(ld_pow[-1] * ld)
-    # blocks[l][s-1] = sum_{j in row s} D_j, rows 1..q then the last row; a
-    # block depends on l alone, so it is built once for every mu, n
-    starts = [(s - 1) * (k - 1) + 1 for s in range(1, q + 2)]
-    ends = starts[1:] + [q * (k - 1) + r + 1]
+    # blocks[l][s-1] = sum_{j in row s} D_j; a block depends on l alone, so
+    # it is built once for every mu, n
+    rows = list(ap.rows())
     zero = lam.ring.zero
     blocks = [
-        [sum((ld_pow[j] * j ** l for j in range(lo, hi)), zero) for lo, hi in zip(starts, ends)]
+        [sum((ld_pow[j] * j ** l for j in js), zero) for _, js in rows]
         for l in range(mus[-1] + 2)
     ]
-    inv_l = (lam - 1).inverse()
+    tails = geometric_tails(mus, lam)
     out = {}
     for mu in mus:
         total = lam.ring.zero
@@ -229,26 +215,20 @@ def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dic
             outer = lam.ring.zero
             for l in range(mu + 2 - n):
                 e = mu + 1 - n - l
-                rows = lam.ring.zero
-                for s, block in enumerate(blocks[l], 1):
-                    rows = rows + block * (s * a) ** e
-                outer = outer + rows * (binomial(mu + 1 - n, l) * d ** l)
+                row_sum = lam.ring.zero
+                for (base, _), block in zip(rows, blocks[l]):
+                    row_sum = row_sum + block * base ** e
+                outer = outer + row_sum * (binomial(mu + 1 - n, l) * d ** l)
             total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
-        total = total * Fraction(1, mu + 1)
-        out[mu] = total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
+        out[mu] = total * Fraction(1, mu + 1) + tails[mu]
     return out
-
-
-class WeightedSumAP(NamedTuple):
-    value: RingElement
-    branch: str  # "general" | "unity-d" | "unity-a"
 
 
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
     """Weighted gap sums for every mu in ``mus`` by closed form, dispatched on
     the weight regime; each regime does its per-query work once for all of
-    them (the table exponents and one moment vector, the moments M(0..max mu),
-    or the powers of lam^d).
+    them (the table exponents and one moment vector, the row sums of the
+    moments M(0..max mu), or the powers of lam^d).
 
     Equals the general residue-table engine on the same generators; weights 0
     and 1 are rejected (1 would be the plain power sum).
@@ -259,14 +239,13 @@ def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedS
     if branch == "unity-a":
         return WeightedSums(_unity_a_sums(ap, mus, lam), branch)
     if branch == "unity-d":
-        moments = [weighted_moment_unity_d(ap, nu, lam) for nu in range(mus[-1] + 1)]
+        moments = _unity_d_moments(ap, mus[-1], lam)
     else:
         moments = weighted_moments(_table_exponents(ap), mus[-1], lam)
-    values = {mu: weighted_sum_from_moments(ap.a, mu, lam, moments.__getitem__) for mu in mus}
-    return WeightedSums(values, branch)
+    return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), branch)
 
 
-def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSumAP:
+def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSum:
     """Weighted gap sum by closed form: the one-mu case of :func:`weighted_sums_ap`."""
     values, branch = weighted_sums_ap(ap, (mu,), lam)
-    return WeightedSumAP(values[mu], branch)
+    return WeightedSum(values[mu], branch)

@@ -14,10 +14,10 @@ section 4.2).  Sums and products run on Python ints with a single gcd per
 result, skipped when the denominator is 1; reduction by an integral modulus
 stays in the integers, and degree-1 products are a single integer product.
 
-Inversion runs the extended Euclidean algorithm against the modulus.  Moduli
-are not factored up front: if an inversion uncovers a nontrivial factor of
-the modulus, a :class:`ReducibleModulusError` naming that factor is raised at
-that point.
+Inversion of a rational is den/num; in a ring of degree >= 2 it runs the
+extended Euclidean algorithm against the modulus.  Moduli are not factored
+up front: if an inversion uncovers a nontrivial factor of the modulus, a
+:class:`ReducibleModulusError` naming that factor is raised at that point.
 """
 from __future__ import annotations
 
@@ -344,7 +344,8 @@ class RingElement:
         return Fraction(self.num[0], self.den)
 
     def inverse(self) -> "RingElement":
-        """Multiplicative inverse via extended gcd with the modulus.
+        """Multiplicative inverse via extended gcd with the modulus (den/num
+        for an element of a degree-1 ring, a rational).
 
         Raises ZeroDivisionError for zero, and ReducibleModulusError when the
         gcd is a nontrivial factor of the modulus (i.e. the element is a zero
@@ -352,6 +353,9 @@ class RingElement:
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
+        if self.ring.degree == 1:
+            num = self.num[0]
+            return _element(self.ring, (self.den if num > 0 else -self.den,), abs(num))
         # (num/den)^-1 = den * num^-1
         g, s, _ = polys.ext_gcd(self.num, self.ring.minpoly)
         if len(g) == 1:

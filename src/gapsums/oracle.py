@@ -22,7 +22,7 @@ from itertools import compress, repeat
 from .apery import Generators
 from .numberfield import RingElement, as_element
 
-__all__ = ["GapSet", "apery_minima", "gap_set", "power_sum", "weighted_sum"]
+__all__ = ["GapSet", "gap_set", "power_sum", "weighted_sum"]
 
 # The first horizon, in multiples of a_1; it doubles until it holds a run of
 # a_1 consecutive members.  Every set with a_1 >= 2 has all of 1..a_1-1 as
@@ -151,12 +151,6 @@ def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
 def gap_set(gens: Generators) -> GapSet:
     members, bound = _sieve(gens)
     return GapSet(_gaps(members, bound), bound, members, gens.modulus)
-
-
-def apery_minima(gens: Generators) -> tuple[int, ...]:
-    """Per-residue least representable values straight from the sieve."""
-    members, bound = _sieve(gens)
-    return _minima(members, bound, gens.modulus)
 
 
 def power_sum(gs: GapSet, mu: int) -> int:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "add",
     "derivative",
     "divmod_exact",
     "eval_at",
@@ -28,14 +27,6 @@ def trim(p: Sequence) -> list:
     while n and not p[n - 1]:
         n -= 1
     return list(p[:n])
-
-
-def add(p: Sequence, q: Sequence) -> list:
-    out = list(p) if len(p) >= len(q) else list(q)
-    small = q if len(p) >= len(q) else p
-    for i, c in enumerate(small):
-        out[i] = out[i] + c
-    return trim(out)
 
 
 def sub(p: Sequence, q: Sequence) -> list:

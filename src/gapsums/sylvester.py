@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
 from .apery import AperyTable, Generators, apery_general
@@ -43,6 +43,7 @@ __all__ = [
     "eulerian_weight",
     "frobenius",
     "genus",
+    "geometric_tails",
     "moment_from_polynomial",
     "power_sum",
     "require_weight",
@@ -335,33 +336,40 @@ def eulerian_weight(n: int, x: RingElement) -> RingElement:
     return total
 
 
+def geometric_tails(mus: Iterable[int], lam: RingElement) -> dict[int, RingElement]:
+    """{mu: (-1)^{mu+1} / (lam - 1)^{mu+1} * sum_{j=0}^{mu} <mu, mu-j> lam^j},
+    the part of every weighted gap sum that the table does not enter, with
+    1/(lam - 1) taken once."""
+    minus_inv = -(lam - 1).inverse()
+    return {mu: minus_inv ** (mu + 1) * eulerian_weight(mu, lam) for mu in mus}
+
+
 def weighted_sum_from_moments(
-    modulus: int, mu: int, lam: RingElement, moment: Callable[[int], RingElement]
-) -> RingElement:
-    """Weighted gap sum for lam^a != 1 (a = modulus), from a moment source.
+    modulus: int, mus: Sequence[int], lam: RingElement, moments: Sequence[RingElement]
+) -> dict[int, RingElement]:
+    """Weighted gap sums for lam^a != 1 (a = modulus) and every mu in ``mus``,
+    from the moments M(0..max mus).
 
     With M(nu) = sum_i m_i^nu lam^{m_i} (the nu = 0 value including the unit
     contribution of m_0), the sum telescopes to
 
-        sum_{n=0}^{mu} (-a)^n / (lam^a - 1)^{n+1} C(mu, n)
-            * [ sum_{j=0}^{n} <n, n-j> lam^{ja} ] * M(mu - n)
-        + (-1)^{mu+1} / (lam - 1)^{mu+1} * sum_{j=0}^{mu} <mu, mu-j> lam^j .
+        sum_{n=0}^{mu} C(mu, n) F(n) M(mu - n)  +  geometric_tails(mu),
+        F(n) = (-a)^n / (lam^a - 1)^{n+1} * sum_{j=0}^{n} <n, n-j> lam^{ja}.
 
-    The n = mu term consumes M(0) directly, so no 0^0 convention is needed.
+    lam^a, its inverse and the F(n) depend on mu through n alone, so they
+    are made once for every mu.  The n = mu term consumes M(0) directly, so
+    no 0^0 convention is needed.
     """
     la = lam ** modulus
     inv_la = (la - 1).inverse()
-    total = lam.ring.zero
-    for n in range(mu + 1):
-        total = total + (
-            binomial(mu, n)
-            * Fraction(-modulus) ** n
-            * inv_la ** (n + 1)
-            * eulerian_weight(n, la)
-            * moment(mu - n)
-        )
-    inv_l = (lam - 1).inverse()
-    return total + (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
+    factors = [
+        (-modulus) ** n * inv_la ** (n + 1) * eulerian_weight(n, la) for n in range(max(mus) + 1)
+    ]
+    tails = geometric_tails(mus, lam)
+    return {
+        mu: sum((binomial(mu, n) * factors[n] * moments[mu - n] for n in range(mu + 1)), tails[mu])
+        for mu in mus
+    }
 
 
 def require_weight(mus: Iterable[int], lam) -> RingElement:
@@ -382,9 +390,7 @@ def require_weight(mus: Iterable[int], lam) -> RingElement:
 
 def _general_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:
     moments = weighted_moments(sorted(table.m), max(mus), lam)
-    return {
-        mu: weighted_sum_from_moments(table.modulus, mu, lam, moments.__getitem__) for mu in mus
-    }
+    return weighted_sum_from_moments(table.modulus, mus, lam, moments)
 
 
 def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
@@ -422,13 +428,13 @@ def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> di
             sum_{i>=1} (m_i^{mu+1-n} - i^{mu+1-n}) lam^{m_i}
     * moment form: the same outer sum over M(mu+1-n) alone, plus the
       geometric tail (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1}
-      (that is :func:`eulerian_weight`, by the row symmetry <mu, j> = <mu, mu-1-j>).
+      (that is :func:`geometric_tails`, by the row symmetry <mu, j> = <mu, mu-1-j>).
     """
     a = table.modulus
     top = max(mus) + 1
     moments = weighted_moments(sorted(table.m), top, lam)
     differences = _residue_differences(table, top, lam)
-    inv_l = (lam - 1).inverse()
+    tails = geometric_tails(mus, lam)
     out = {}
     for mu in mus:
         diff_form = moment_form = lam.ring.zero
@@ -440,9 +446,7 @@ def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> di
             diff_form = diff_form + scale * differences[mu + 1 - n]
             moment_form = moment_form + scale * moments[mu + 1 - n]
         diff_form = diff_form * Fraction(1, mu + 1)
-        moment_form = moment_form * Fraction(1, mu + 1) + (
-            (-1) ** (mu + 1) * inv_l ** (mu + 1) * eulerian_weight(mu, lam)
-        )
+        moment_form = moment_form * Fraction(1, mu + 1) + tails[mu]
         if diff_form != moment_form:
             raise ArithmeticError("unity-weight forms disagree: internal fault")
         out[mu] = diff_form
@@ -471,7 +475,7 @@ def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
 
 class WeightedSum(NamedTuple):
     value: RingElement
-    branch: str  # "general" | "unity-a"
+    branch: str  # "general" | "unity-a", or "unity-d" from the closed forms
 
 
 class WeightedSums(NamedTuple):

@@ -1,8 +1,10 @@
 """Unit tests for the arithmetic-progression closed forms."""
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +17,7 @@ from gapsums import (
     frobenius,
     frobenius_ap,
     genus_ap,
+    is_power_unity,
     power_sum,
     power_sum_ap,
     weight_branch,
@@ -98,6 +101,42 @@ def test_moment_without_table_matches_table_moment():
     table = apery_arith(AP_12)
     for nu in range(4):
         assert weighted_moment_ap(AP_12, nu, lam) == weighted_moment(table, nu, lam)
+
+
+def _row_cases(count: int, seed: int) -> list[ArithProgression]:
+    """Random progressions, in turn with k = 2, k = a, r = 0 and r > 0."""
+    rng = random.Random(seed)
+    out: list[ArithProgression] = []
+    while len(out) < count:
+        a, d = rng.randint(2, 40), rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 30])
+        kind = len(out) % 4
+        ks = [2] if kind == 0 else [a] if kind == 1 else [
+            k for k in range(3, a) if ((a - 1) % (k - 1) == 0) == (kind == 2)
+        ]
+        if gcd(a, d) == 1 and ks:
+            out.append(ArithProgression(a, d, rng.choice(ks)))
+    return out
+
+
+def test_rows_unity_d_moments_and_sums_randomized():
+    weights = [LambdaSpec.parse(w).element() for w in ("-1", "zeta(3)", "zeta(4)", "zeta(5)", "zeta(6)")]
+    unity_d = 0
+    for ap in _row_cases(48, seed=1010):
+        rows = list(ap.rows())
+        assert [base for base, _ in rows] == [s * ap.a for s in range(1, ap.q + 1 + (ap.r > 0))]
+        assert all(len(js) == ap.k - 1 for _, js in rows[:ap.q])
+        entries = [base + j * ap.d for base, js in rows for j in js]
+        assert entries == sorted(apery_general(ap.generators()).m[1:])
+        table = apery_arith(ap)
+        gs = oracle.gap_set(ap.generators())
+        for lam in weights:
+            if is_power_unity(lam, ap.d) and not is_power_unity(lam, ap.a):
+                unity_d += 1
+                for nu in range(5):
+                    assert weighted_moment_unity_d(ap, nu, lam) == weighted_moment(table, nu, lam)
+            values, _ = weighted_sums_ap(ap, (1, 2, 3), lam)
+            assert values == {mu: oracle.weighted_sum(gs, mu, lam) for mu in (1, 2, 3)}
+    assert unity_d >= 40, unity_d
 
 
 def test_moment_unity_d():

@@ -91,6 +91,27 @@ def test_inverse_of_zero():
         CBRT2.zero.inverse()
 
 
+def test_degree_one_inverse_is_den_over_num(monkeypatch):
+    # a rational's inverse is den/num: no polynomial Euclid runs, and the
+    # result is in lowest terms with a positive denominator
+    def no_euclid(*args):
+        raise AssertionError("ext_gcd called for a degree-1 element")
+
+    monkeypatch.setattr("gapsums.polys.ext_gcd", no_euclid)
+    rng = random.Random(11)
+    for ring in (RATIONAL_RING, NumberRing([-3, 1]), NumberRing([5, 1])):
+        values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(-6, 4), Fraction(7, 9)]
+        values += [Fraction(rng.randint(-10**12, 10**12) or 1, rng.randint(1, 10**9)) for _ in range(40)]
+        for value in values:
+            inv = ring.from_rational(value).inverse()
+            assert inv == ring.from_rational(1 / Fraction(value))
+            assert inv.ring is ring and inv.den > 0
+            assert math.gcd(inv.den, *inv.num) == 1
+            assert inv * value == 1
+        with pytest.raises(ZeroDivisionError):
+            ring.zero.inverse()
+
+
 def test_reducible_modulus_surfaces_factor():
     ring = NumberRing([-1, 0, 1])  # x^2 - 1, reducible
     with pytest.raises(ReducibleModulusError) as info:

@@ -62,7 +62,7 @@ def test_gap_count_matches_table_genus():
 
 def test_apery_minima_match_shortest_path_table():
     for gens in random_generator_sets(40, seed=123, max_a1=40):
-        assert oracle.apery_minima(gens) == apery_general(gens).m
+        assert oracle.gap_set(gens).minima == apery_general(gens).m
 
 
 def test_residue_minima_are_read_out_on_demand(monkeypatch):
