@@ -220,7 +220,8 @@ def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dic
                     row_sum = row_sum + block * base ** e
                 outer = outer + row_sum * (binomial(mu + 1 - n, l) * d ** l)
             total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
-        out[mu] = total * Fraction(1, mu + 1) + tails[mu]
+        tail, tail_den = tails[mu]
+        out[mu] = total * Fraction(1, mu + 1) + tail * Fraction(1, tail_den)
     return out
 
 

@@ -14,10 +14,15 @@ section 4.2).  Sums and products run on Python ints with a single gcd per
 result, skipped when the denominator is 1; reduction by an integral modulus
 stays in the integers, and degree-1 products are a single integer product.
 
-Inversion of a rational is den/num; in a ring of degree >= 2 it runs the
-extended Euclidean algorithm against the modulus.  Moduli are not factored
-up front: if an inversion uncovers a nontrivial factor of the modulus, a
-:class:`ReducibleModulusError` naming that factor is raised at that point.
+Inversion of a rational is den/num; in a ring of degree >= 2 it is
+1/z = adj(z)/N(z), with the norm N(z) and the adjugate adj(z) of z's
+multiplication matrix read off its characteristic polynomial
+(Faddeev-LeVerrier, with traces taken from the power sums of the roots of
+the modulus).  Over an integral modulus that is a handful of integer ring
+products and one gcd.  Moduli are not factored up front: an element of norm
+0 is a zero divisor, and inverting it raises a
+:class:`ReducibleModulusError` naming the factor of the modulus it shares
+(the one place a Euclid over the rationals runs).
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import polys
@@ -343,30 +349,85 @@ class RingElement:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.num[0], self.den)
 
-    def inverse(self) -> "RingElement":
-        """Multiplicative inverse via extended gcd with the modulus (den/num
-        for an element of a degree-1 ring, a rational).
+    @property
+    def numerator(self) -> "RingElement":
+        """The integer vector ``num`` as an element: self * den, unreduced."""
+        return _element(self.ring, self.num, 1)
 
-        Raises ZeroDivisionError for zero, and ReducibleModulusError when the
-        gcd is a nontrivial factor of the modulus (i.e. the element is a zero
-        divisor, which cannot happen over an irreducible modulus).
+    def adjugate(self) -> tuple["RingElement", Rational]:
+        """(adj, N) with self * adj == N: N is the norm of self, the
+        determinant of multiplication by self, and adj its adjugate matrix
+        read back as an element.
+
+        Faddeev-LeVerrier on the numerator z (Cohen, section 4.2): from m_1 = 1,
+        c_{n-k} = -Tr(z m_k)/k and m_{k+1} = z m_k + c_{n-k} give the
+        characteristic polynomial sum_k c_k x^k of z, and z m_n = -c_0 by
+        Cayley-Hamilton, which is checked.  Over an integral modulus every
+        c_k is an integer and the n - 1 products z m_k stay integral, so no
+        step reduces a fraction.
+
+        Raises ZeroDivisionError for zero, and ReducibleModulusError naming
+        gcd(z, f) when N = 0: z is then a zero divisor, which cannot happen
+        over an irreducible modulus f.
+        """
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero")
+        ring, den = self.ring, self.den
+        n = ring.degree
+        if n == 1:
+            adj, norm = ring.one, self.num[0]
+        else:
+            traces = _traces(ring.minpoly)
+            z = self.numerator
+            p, c = z, _trace_step(z, traces, 1)
+            for k in range(2, n + 1):
+                m = p + c
+                p = z * m
+                c = _trace_step(p, traces, k)
+            if p != -c:
+                raise ArithmeticError("characteristic polynomial check failed: internal fault")
+            if not c:
+                raise ReducibleModulusError(polys.gcd(self.num, ring.minpoly))
+            adj, norm = (m, -c) if n % 2 else (-m, c)
+        if den == 1:
+            return adj, norm
+        return adj * Fraction(1, den ** (n - 1)), Fraction(norm, den ** n)
+
+    def inverse(self) -> "RingElement":
+        """Multiplicative inverse: den/num for an element of a degree-1 ring
+        (a rational), else den * adj(z) / N(z) for the numerator z, with one
+        reduction; raises as :meth:`adjugate` does.
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         if self.ring.degree == 1:
             num = self.num[0]
             return _element(self.ring, (self.den if num > 0 else -self.den,), abs(num))
-        # (num/den)^-1 = den * num^-1
-        g, s, _ = polys.ext_gcd(self.num, self.ring.minpoly)
-        if len(g) == 1:
-            return self.ring.element([c * self.den for c in s])
-        raise ReducibleModulusError(g)
+        adj, norm = self.numerator.adjugate()
+        return adj * Fraction(self.den, norm)
 
     def __repr__(self) -> str:
         return f"RingElement({self.ring!r}, {tuple(str(c) for c in self.coeffs)})"
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
+
+
+@lru_cache(maxsize=None)
+def _traces(minpoly: tuple[Fraction, ...]) -> tuple[Rational, ...]:
+    """Tr(theta^j) for j < n: the power sums of the roots of the modulus, by
+    Newton's identities; ints for an integral modulus."""
+    n = len(minpoly) - 1
+    sums = [Fraction(n)]
+    for k in range(1, n):
+        sums.append(-k * minpoly[n - k] - sum(minpoly[n - i] * sums[k - i] for i in range(1, k)))
+    return tuple(int(s) if s.denominator == 1 else s for s in sums)
+
+
+def _trace_step(x: RingElement, traces: Sequence[Rational], k: int) -> Rational:
+    """-Tr(x)/k, as an int when it is one."""
+    value = Fraction(-sum(map(mul, x.num, traces)), k * x.den)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _format_poly(coeffs: Sequence[Fraction], var: str = "θ") -> str:

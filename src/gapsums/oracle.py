@@ -4,7 +4,8 @@ A sieve enumerates the gap set (the nonrepresentable positive integers)
 directly from the generators, deciding every integer below its horizon; sums
 over the gaps are computed term by term, one term per gap, and a weighted sum
 runs on integral elements in one pass with a single reduction at the end (on
-Python ints for a rational weight, with its powers of two as shifts).
+Python ints for a rational weight, with its powers of two as shifts, and over
+an integral modulus for any other).
 The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
 int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
+from math import lcm
 
 from .apery import Generators
-from .numberfield import RingElement, as_element
+from .numberfield import NumberRing, RingElement, as_element
 
 __all__ = ["GapSet", "gap_set", "power_sum", "weighted_sum"]
 
@@ -173,6 +175,10 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     integral modulus every step stays integral, so none reduces a fraction;
     the one reduction is the final division by D^(n_J).
 
+    A modulus with rational coefficients is first made integral by scaling
+    theta (:func:`_integral_modulus`); the result is mapped back with the
+    one reduction, so no gap costs a gcd there either.
+
     The powers of two in v = s 2^b and D = t 2^c are one shift of the term,
     v^n D^(n_J - n) = s^n t^(n_J - n) << (b n + c (n_J - n)), so the pass
     multiplies acc by s^delta only and ends at acc * s^(n_1) / D^(n_J).  A
@@ -183,15 +189,18 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     lam = as_element(lam)
     if lam.is_zero:
         raise ValueError("weight 0 is not allowed")
+    ring = lam.ring
     gaps = gs.gaps
     if not gaps:
-        return lam.ring.zero
-    den = lam.den
-    if lam.ring.degree == 1:
+        return ring.zero
+    if ring.degree == 1:
+        den = lam.den
         s, acc = lam.num[0], 0
         b = (s & -s).bit_length() - 1
         s >>= b
     else:
+        lam, stretch = _integral_modulus(lam)
+        den = lam.den
         s, acc, b = lam * den, lam.ring.zero, 0
     c = (den & -den).bit_length() - 1
     t = den >> c
@@ -210,6 +219,26 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
         acc = acc + (n ** mu * scale << b * n + c * (top - n))
         above = n
     acc = acc * s ** above
-    if lam.ring.degree == 1:
-        return lam.ring.from_rational(Fraction(acc, den ** top))
-    return acc / den ** top
+    if ring.degree == 1:
+        return ring.from_rational(Fraction(acc, den ** top))
+    coords = [x * stretch ** j for j, x in enumerate(acc.num)]  # acc is integral
+    return ring.element(coords) * Fraction(1, den ** top)
+
+
+def _integral_modulus(lam: RingElement) -> tuple[RingElement, int]:
+    """lam moved to a ring with an integral modulus, and the scale T that
+    maps a result back.
+
+    With T the lcm of the denominators of the monic modulus f of degree n,
+    theta' = T theta is a root of T^n f(x/T), which is monic with integer
+    coefficients; lam = sum_j c_j theta^j is sum_j (c_j / T^j) theta'^j,
+    and sum_j r_j theta'^j maps back to sum_j (r_j T^j) theta^j.  For an
+    integral f, T = 1 and lam stays where it is.
+    """
+    ring = lam.ring
+    scale = lcm(*(c.denominator for c in ring.minpoly))
+    if scale == 1:
+        return lam, 1
+    n = ring.degree
+    work = NumberRing([c * scale ** (n - i) for i, c in enumerate(ring.minpoly)])
+    return work.element([c / scale ** j for j, c in enumerate(lam.coeffs)]), scale

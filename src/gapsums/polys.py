@@ -14,9 +14,7 @@ __all__ = [
     "divmod_exact",
     "eval_at",
     "eval_sparse",
-    "ext_gcd",
-    "mul",
-    "sub",
+    "gcd",
     "trim",
 ]
 
@@ -27,26 +25,6 @@ def trim(p: Sequence) -> list:
     while n and not p[n - 1]:
         n -= 1
     return list(p[:n])
-
-
-def sub(p: Sequence, q: Sequence) -> list:
-    out = list(p) + [0] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return trim(out)
-
-
-def mul(p: Sequence, q: Sequence) -> list:
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-    return trim(out)
 
 
 def derivative(p: Sequence, times: int = 1) -> list:
@@ -101,23 +79,9 @@ def divmod_exact(p: Sequence, q: Sequence) -> tuple[list, list]:
     return quot, rem
 
 
-def ext_gcd(p: Sequence, q: Sequence) -> tuple[list, list, list]:
-    """Extended Euclid over Q[x]: returns (g, s, t) with s*p + t*q = g.
-
-    g is monic when nonzero.
-    """
+def gcd(p: Sequence, q: Sequence) -> list:
+    """Monic gcd over Q[x] by Euclid's algorithm ([] when both are zero)."""
     r0, r1 = trim([Fraction(c) for c in p]), trim([Fraction(c) for c in q])
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
     while r1:
-        quot, rem = divmod_exact(r0, r1)
-        r0, r1 = r1, trim(rem)
-        s0, s1 = s1, sub(s0, mul(quot, s1))
-        t0, t1 = t1, sub(t0, mul(quot, t1))
-    if r0:
-        lead = r0[-1]
-        if lead != 1:
-            r0 = [c / lead for c in r0]
-            s0 = [c / lead for c in s0]
-            t0 = [c / lead for c in t0]
-    return r0, s0, t0
+        r0, r1 = r1, divmod_exact(r0, r1)[1]
+    return [c / r0[-1] for c in r0]

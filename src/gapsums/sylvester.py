@@ -20,12 +20,18 @@ with a denominator costs what an integer weight costs: both routes run on
 integer numerators, and their scaled values are compared before the one
 division by a power of the denominator.  A rational weight runs on Python
 ints, on which a product with a power of two is a shift.
+
+The recombination of the moments into sums (:func:`weighted_sum_from_moments`,
+:func:`geometric_tails` and both unity forms) runs on integer numerators
+too: the moments share one denominator, w = v/D, and the divisions by
+w^a - 1 and w - 1 become products with the adjugates of v^a - D^a and v - D
+over their integer norms, so each mu ends in a single reduction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -34,13 +40,12 @@ from .apery import AperyTable, Generators, apery_general
 # bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
 from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
-from .numberfield import RingElement, as_element, is_power_unity
+from .numberfield import Rational, RingElement, as_element, is_power_unity
 
 __all__ = [
     "GapSummary",
     "WeightedSum",
     "WeightedSums",
-    "eulerian_weight",
     "frobenius",
     "genus",
     "geometric_tails",
@@ -326,22 +331,37 @@ def weighted_moment(table: AperyTable, nu: int, lam) -> RingElement:
     return weighted_moments(sorted(table.m), nu, lam)[nu]
 
 
-def eulerian_weight(n: int, x: RingElement) -> RingElement:
-    """sum_{j=0}^{n} <n, n-j> x^j."""
-    total = x.ring.zero
-    for j in range(n + 1):
-        c = eulerian(n, n - j)
-        if c:
-            total = total + c * x ** j
-    return total
+def _numerators(values: Sequence[RingElement]) -> tuple[list[RingElement], int]:
+    """Integral numerators over one positive integer: values[i] = nums[i] / q."""
+    q = lcm(*(x.den for x in values))
+    return [x.numerator * (q // x.den) for x in values], q
 
 
-def geometric_tails(mus: Iterable[int], lam: RingElement) -> dict[int, RingElement]:
-    """{mu: (-1)^{mu+1} / (lam - 1)^{mu+1} * sum_{j=0}^{mu} <mu, mu-j> lam^j},
-    the part of every weighted gap sum that the table does not enter, with
-    1/(lam - 1) taken once."""
-    minus_inv = -(lam - 1).inverse()
-    return {mu: minus_inv ** (mu + 1) * eulerian_weight(mu, lam) for mu in mus}
+def _eulerian_form(n: int, x, y):
+    """sum_{j=0}^{n} <n, n-j> x^j y^(n-j): the Eulerian polynomial of row n,
+    made homogeneous, so that E_n(v/D) = _eulerian_form(n, v, D) / D^n."""
+    acc = 1  # <n, 0>
+    for j in range(n - 1, -1, -1):
+        acc = acc * x + eulerian(n, n - j) * y ** (n - j)
+    return acc
+
+
+def geometric_tails(mus: Iterable[int], lam: RingElement) -> dict[int, tuple[RingElement, Rational]]:
+    """{mu: (num, den)} with num / den = (-1)^{mu+1} E_mu(lam) / (lam - 1)^{mu+1},
+    E_mu(x) = sum_{j=0}^{mu} <mu, mu-j> x^j: the part of every weighted gap
+    sum that the table does not enter.
+
+    With lam = v/D it is (-1)^{mu+1} D E_mu(v, D) / (v - D)^{mu+1}, and the
+    division by v - D is a product with its adjugate over its norm, so num
+    is integral and den an integer (over an integral modulus) and nothing is
+    reduced; the caller reduces once.
+    """
+    v, d = lam.numerator, lam.den
+    adj, norm = (v - d).adjugate()
+    return {
+        mu: ((-1) ** (mu + 1) * d * adj ** (mu + 1) * _eulerian_form(mu, v, d), norm ** (mu + 1))
+        for mu in mus
+    }
 
 
 def weighted_sum_from_moments(
@@ -356,20 +376,35 @@ def weighted_sum_from_moments(
         sum_{n=0}^{mu} C(mu, n) F(n) M(mu - n)  +  geometric_tails(mu),
         F(n) = (-a)^n / (lam^a - 1)^{n+1} * sum_{j=0}^{n} <n, n-j> lam^{ja}.
 
-    lam^a, its inverse and the F(n) depend on mu through n alone, so they
-    are made once for every mu.  The n = mu term consumes M(0) directly, so
-    no 0^0 convention is needed.
+    It runs on integer numerators.  The moments are brought to one common
+    denominator q, lam = v/D, and P = v^a - D^a = D^a (lam^a - 1), so
+    F(n) = (-a)^n D^a E_n(v^a, D^a) / P^{n+1} and the sum is
+
+        D^a sum_n C(mu, n) (-a)^n E_n(v^a, D^a) P^{mu-n} q M(mu-n) / (q P^{mu+1}),
+
+    with 1/P = adj(P)/N(P).  Over an integral modulus no sum or product
+    reduces a fraction, and each mu ends in exactly one reduction, after the
+    tail is added over the product of the two integer denominators.  The
+    n = mu term consumes M(0) directly, so no 0^0 convention is needed.
     """
-    la = lam ** modulus
-    inv_la = (la - 1).inverse()
-    factors = [
-        (-modulus) ** n * inv_la ** (n + 1) * eulerian_weight(n, la) for n in range(max(mus) + 1)
-    ]
+    a, top = modulus, max(mus)
+    nums, q = _numerators(moments)
+    v, d = lam.numerator, lam.den
+    va, da = v ** a, d ** a
+    p = va - da
+    adj, norm = p.adjugate()
+    factors = [(-a) ** n * _eulerian_form(n, va, da) for n in range(top + 1)]
+    p_powers = [p ** j for j in range(top + 1)]
     tails = geometric_tails(mus, lam)
-    return {
-        mu: sum((binomial(mu, n) * factors[n] * moments[mu - n] for n in range(mu + 1)), tails[mu])
-        for mu in mus
-    }
+    out = {}
+    for mu in mus:
+        head = sum(
+            binomial(mu, n) * factors[n] * p_powers[mu - n] * nums[mu - n] for n in range(mu + 1)
+        )
+        head, head_den = da * adj ** (mu + 1) * head, q * norm ** (mu + 1)
+        tail, tail_den = tails[mu]
+        out[mu] = (head * tail_den + tail * head_den) * Fraction(1, head_den * tail_den)
+    return out
 
 
 def require_weight(mus: Iterable[int], lam) -> RingElement:
@@ -429,27 +464,35 @@ def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> di
     * moment form: the same outer sum over M(mu+1-n) alone, plus the
       geometric tail (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1}
       (that is :func:`geometric_tails`, by the row symmetry <mu, j> = <mu, mu-1-j>).
+
+    Both run on integer numerators: the differences and the moments are
+    each brought to one common denominator, the rational outer coefficients
+    to integers over their lcm, and the forms are compared cross-multiplied,
+    so only the returned value is reduced, once per mu.
     """
     a = table.modulus
     top = max(mus) + 1
-    moments = weighted_moments(sorted(table.m), top, lam)
-    differences = _residue_differences(table, top, lam)
+    moments, moments_den = _numerators(weighted_moments(sorted(table.m), top, lam))
+    differences, differences_den = _numerators(_residue_differences(table, top, lam))
     tails = geometric_tails(mus, lam)
     out = {}
     for mu in mus:
-        diff_form = moment_form = lam.ring.zero
-        for n in range(mu + 1):
-            b = bernoulli(n)
-            if not b:
-                continue
-            scale = binomial(mu + 1, n) * b * Fraction(a) ** (n - 1)
-            diff_form = diff_form + scale * differences[mu + 1 - n]
-            moment_form = moment_form + scale * moments[mu + 1 - n]
-        diff_form = diff_form * Fraction(1, mu + 1)
-        moment_form = moment_form * Fraction(1, mu + 1) + tails[mu]
-        if diff_form != moment_form:
+        scales = {
+            n: binomial(mu + 1, n) * bernoulli(n) * Fraction(a) ** (n - 1) / (mu + 1)
+            for n in range(mu + 1)
+            if bernoulli(n)
+        }
+        k = lcm(*(c.denominator for c in scales.values()))
+        scales = {n: int(c * k) for n, c in scales.items()}
+        diff_form = sum(c * differences[mu + 1 - n] for n, c in scales.items())
+        moment_form = sum(c * moments[mu + 1 - n] for n, c in scales.items())
+        tail, tail_den = tails[mu]
+        # diff_form / (k differences_den) against
+        # (moment_form tail_den + tail k moments_den) / (k moments_den tail_den)
+        moment_form = moment_form * tail_den + tail * (k * moments_den)
+        if diff_form * (moments_den * tail_den) != moment_form * differences_den:
             raise ArithmeticError("unity-weight forms disagree: internal fault")
-        out[mu] = diff_form
+        out[mu] = diff_form * Fraction(1, k * differences_den)
     return out
 
 

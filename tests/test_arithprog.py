@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from corpora import random_progressions, reference_weights
 from gapsums import (
@@ -261,3 +262,50 @@ def test_general_weighted_memory_is_linear_in_a():
     assert summary.methods["weighted_sum[1]"] == "general-apery/general"
     assert summary.weighted_sums[1] == value
     assert closed_peak < 8 and table_peak < 8, (closed_peak, table_peak)
+
+
+# --- the fraction-free recombination, held to the oracle on every branch ------
+
+RECOMBINATION_WEIGHTS = {
+    spec: LambdaSpec.parse(spec).element()
+    for spec in (
+        "2",
+        "-1/2",
+        "2/3",
+        "root(3,2)",
+        "zeta(5)",
+        "elem(minpoly=[1,0,1];coeffs=[4,3])",  # 4 + 3i
+        "elem(minpoly=[1/2,0,1];coeffs=[1/3,2])",  # a modulus with a non-integral coefficient
+        "root(5,1/32)",  # reducible modulus, every divisor still a unit
+    )
+}
+
+
+@st.composite
+def _weighted_progressions(draw):
+    a = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 12).filter(lambda d: gcd(a, d) == 1))
+    k = draw(st.integers(2, min(a, 6)))
+    spec = draw(st.sampled_from(sorted(RECOMBINATION_WEIGHTS)))
+    mus = draw(st.sets(st.integers(1, 3), min_size=1))
+    return ArithProgression(a, d, k), spec, sorted(mus)
+
+
+@given(_weighted_progressions())
+@example((ArithProgression(10, 3, 4), "zeta(5)", [1, 2, 3]))  # unity-a
+@example((ArithProgression(12, 5, 3), "zeta(5)", [1, 3]))  # unity-d
+@example((ArithProgression(40, 7, 6), "-1/2", [3]))
+@example((ArithProgression(25, 2, 2), "root(5,1/32)", [1, 2]))
+def test_recombination_matches_the_oracle_on_every_branch(case):
+    ap, spec, mus = case
+    lam = RECOMBINATION_WEIGHTS[spec]
+    unity_a, unity_d = is_power_unity(lam, ap.a), is_power_unity(lam, ap.d)
+    table_values, table_branch = weighted_sums(apery_general(ap.generators()), mus, lam)
+    closed_values, closed_branch = weighted_sums_ap(ap, mus, lam)
+    assert table_branch == ("unity-a" if unity_a else "general")
+    assert closed_branch == ("unity-a" if unity_a else "unity-d" if unity_d else "general")
+    gs = oracle.gap_set(ap.generators())
+    for mu in mus:
+        want = oracle.weighted_sum(gs, mu, lam)
+        assert table_values[mu] == want, (ap, spec, mu)
+        assert closed_values[mu] == want, (ap, spec, mu)

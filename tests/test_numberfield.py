@@ -21,6 +21,7 @@ from gapsums import (
     is_power_unity,
     numeric_eval,
 )
+from gapsums import polys
 from gapsums.numberfield import element_from_json, element_to_json
 
 CBRT2 = NumberRing([-2, 0, 0, 1])  # theta^3 = 2
@@ -95,9 +96,9 @@ def test_degree_one_inverse_is_den_over_num(monkeypatch):
     # a rational's inverse is den/num: no polynomial Euclid runs, and the
     # result is in lowest terms with a positive denominator
     def no_euclid(*args):
-        raise AssertionError("ext_gcd called for a degree-1 element")
+        raise AssertionError("polynomial gcd called for a degree-1 element")
 
-    monkeypatch.setattr("gapsums.polys.ext_gcd", no_euclid)
+    monkeypatch.setattr("gapsums.polys.gcd", no_euclid)
     rng = random.Random(11)
     for ring in (RATIONAL_RING, NumberRing([-3, 1]), NumberRing([5, 1])):
         values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(-6, 4), Fraction(7, 9)]
@@ -457,3 +458,81 @@ def test_string_rendering():
     assert str(GAUSS.element([0, Fraction(-1, 2)])) == "-1/2*θ"
     assert str(CBRT2.zero) == "0"
     assert "Q[θ]" in str(CBRT2)
+
+
+# --- inversion by norm and adjugate -----------------------------------------
+
+HALF = NumberRing([Fraction(1, 2), 0, 1])  # theta^2 = -1/2, a non-integral modulus
+ROOT5_32 = NumberRing([Fraction(-1, 32), 0, 0, 0, 0, 1])  # theta^5 = 1/32, has the factor x - 1/2
+NORM_RINGS = [RATIONAL_RING, CBRT2, GAUSS, ZETA5, HALF, ROOT5_32, NONINTEGRAL]
+
+
+def _norm_ring_and_vector():
+    small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    return st.sampled_from(NORM_RINGS).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.lists(st.one_of(small, _rationals), min_size=ring.degree, max_size=ring.degree),
+        )
+    )
+
+
+def _determinant(rows):
+    """Determinant of a square matrix of Fractions by Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    n, det = len(rows), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+@given(_norm_ring_and_vector())
+def test_inverse_by_norm_property(case):
+    ring, xc = case
+    x = ring.element(xc)
+    if x.is_zero:
+        return
+    # the norm is the determinant of multiplication by x, read column by column
+    basis = [ring.element([Fraction(int(i == j)) for i in range(ring.degree)]) for j in range(ring.degree)]
+    columns = [(x * b).coeffs for b in basis]
+    norm = _determinant(list(zip(*columns)))
+    if norm == 0:
+        with pytest.raises(ReducibleModulusError) as info:
+            x.inverse()
+        factor = info.value.factor
+        assert len(factor) > 1 and factor[-1] == 1
+        assert not polys.divmod_exact(ring.minpoly, factor)[1]
+        assert not polys.divmod_exact(xc, factor)[1]
+        return
+    adj, n = x.adjugate()
+    assert n == norm and x * adj == norm
+    inv = x.inverse()
+    _assert_canonical(inv)
+    assert x * inv == 1 and inv * x == 1
+
+
+def test_inverse_in_degree_two_and_up_runs_no_euclid(monkeypatch):
+    # the Euclid over the rationals only names the factor of a reducible
+    # modulus; an invertible element never reaches it
+    def no_euclid(*args):
+        raise AssertionError("polynomial gcd called for an invertible element")
+
+    monkeypatch.setattr("gapsums.polys.gcd", no_euclid)
+    rng = random.Random(5)
+    for ring in (CBRT2, GAUSS, ZETA5, GOLDEN, HALF, ROOT5_32, NONINTEGRAL):
+        for _ in range(30):
+            x = ring.element([Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(ring.degree)])
+            if not x.is_zero:
+                assert x * x.inverse() == 1
+    # theta - 1/2 is a zero divisor modulo x^5 - 1/32
+    with pytest.raises(AssertionError, match="polynomial gcd"):
+        ROOT5_32.element([Fraction(-1, 2), 1]).inverse()

@@ -1,6 +1,7 @@
 """Unit tests for the sieve oracle."""
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -246,3 +247,30 @@ def test_far_generators_stay_cheap(near, far):
         tracemalloc.stop()
     assert gs == oracle.gap_set(Generators(near))
     assert peak < 48 * gs.gaps[-1] + 4096
+
+
+def test_rational_modulus_costs_no_gcd_per_gap(monkeypatch):
+    # theta^2 = -1/2: the pass runs over theta' = 2 theta, whose modulus
+    # x^2 + 2 is integral, so no gap reduces a fraction; the result maps
+    # back with one reduction
+    calls = []
+
+    def counted_gcd(*args):
+        calls.append(len(args))
+        return math.gcd(*args)
+
+    spec = "elem(minpoly=[1/2,0,1];coeffs=[1/3,2])"
+    lam = LambdaSpec.parse(spec).element()
+    gens = Generators([201, 223, 247])
+    gs = oracle.gap_set(gens)
+    monkeypatch.setattr("gapsums.numberfield.gcd", counted_gcd)
+    value = oracle.weighted_sum(gs, 1, lam)
+    assert len(gs.gaps) > 2000 and len(calls) <= 4
+    monkeypatch.undo()
+    # the same sum over the original ring, reducing at every gap
+    want, power = lam.ring.zero, lam.ring.one
+    last = 0
+    for n in gs.gaps:
+        power = power * lam ** (n - last)
+        want, last = want + n * power, n
+    assert value == want
