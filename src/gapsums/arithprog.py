@@ -4,17 +4,17 @@ The residue table has a known row structure, defined once by
 :meth:`ArithProgression.rows`: with a-1 = q(k-1)+r, row s holds the entries
 s*a + j*d for a run of k-1 consecutive j (r in the last row).  The Frobenius
 number, the genus and the power sums are closed forms in q, k and the
-exponent, with no entry listed.  The weighted sums read the rows, one term per
-table entry (so O(a) time and memory, whatever the size of the entries), and
-split into three regimes, dispatched on the weight w:
+exponent, with no entry listed.  The weighted sums read the rows, one term
+per table entry (so O(a) time and memory, whatever the size of the entries),
+into moments M(0..top) that :func:`gapsums.sylvester.weighted_sum_from_moments`
+turns into sums in every regime of the weight w:
 
-* w^a != 1 and w^d != 1: generic regime; the a entries, in ascending order
-  (``_table_exponents``), feed the sparse moment kernel.
-* w^a != 1 and w^d  = 1: every entry of row s carries the weight w^{sa}, so
+* w^d != 1 ("general", and "unity-a" when w^a = 1, which reads one moment
+  more): the a entries, in ascending order (``_table_exponents``), feed the
+  sparse moment kernel.
+* w^d = 1 ("unity-d"): every entry of row s carries the weight w^{sa}, so
   each moment is a sum over the rows of w^{sa} times an integer power sum
   of the row (``weighted_moment_unity_d``).
-* w^a  = 1 and w^d != 1: the unity-weight engine with row-wise column sums
-  over the powers w^{jd}, j < a.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
@@ -29,7 +29,6 @@ from .numberfield import RingElement, as_element, is_power_unity
 from .sylvester import (
     WeightedSum,
     WeightedSums,
-    geometric_tails,
     require_weight,
     weighted_moments,
     weighted_sum_from_moments,
@@ -179,57 +178,10 @@ def weight_branch(ap: ArithProgression, lam) -> str:
     return "general"
 
 
-def _unity_a_sums(ap: ArithProgression, mus: list[int], lam: RingElement) -> dict[int, RingElement]:
-    """Weighted gap sums for every mu in ``mus`` when lam^a = 1 and lam^d != 1.
-
-    The residue pairing engine specializes row by row: with D_j = lam^{jd} j^l,
-
-        s_mu^(w) = (1/(mu+1)) sum_n C(mu+1, n) B_n a^{n-1}
-                     sum_l C(mu+1-n, l) d^l
-                       sum_s (sa)^{mu+1-n-l} sum_{j in row s} D_j
-                   + (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1},
-
-    over the rows s of :meth:`ArithProgression.rows`.
-    """
-    a, d = ap.a, ap.d
-    ld = lam ** d
-    ld_pow = [lam.ring.one]
-    for _ in range(a - 1):
-        ld_pow.append(ld_pow[-1] * ld)
-    # blocks[l][s-1] = sum_{j in row s} D_j; a block depends on l alone, so
-    # it is built once for every mu, n
-    rows = list(ap.rows())
-    zero = lam.ring.zero
-    blocks = [
-        [sum((ld_pow[j] * j ** l for j in js), zero) for _, js in rows]
-        for l in range(mus[-1] + 2)
-    ]
-    tails = geometric_tails(mus, lam)
-    out = {}
-    for mu in mus:
-        total = lam.ring.zero
-        for n in range(mu + 1):
-            b_n = bernoulli(n)
-            if not b_n:
-                continue
-            outer = lam.ring.zero
-            for l in range(mu + 2 - n):
-                e = mu + 1 - n - l
-                row_sum = lam.ring.zero
-                for (base, _), block in zip(rows, blocks[l]):
-                    row_sum = row_sum + block * base ** e
-                outer = outer + row_sum * (binomial(mu + 1 - n, l) * d ** l)
-            total = total + outer * (Fraction(binomial(mu + 1, n)) * b_n * Fraction(a) ** (n - 1))
-        tail, tail_den = tails[mu]
-        out[mu] = total * Fraction(1, mu + 1) + tail * Fraction(1, tail_den)
-    return out
-
-
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
     """Weighted gap sums for every mu in ``mus`` by closed form, dispatched on
-    the weight regime; each regime does its per-query work once for all of
-    them (the table exponents and one moment vector, the row sums of the
-    moments M(0..max mu), or the powers of lam^d).
+    the weight regime; each regime builds one moment vector M(0..top) for all
+    of them, from the table exponents or from the row sums.
 
     Equals the general residue-table engine on the same generators; weights 0
     and 1 are rejected (1 would be the plain power sum).
@@ -237,12 +189,11 @@ def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedS
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
     branch = weight_branch(ap, lam)
-    if branch == "unity-a":
-        return WeightedSums(_unity_a_sums(ap, mus, lam), branch)
+    top = mus[-1] + (branch == "unity-a")  # lam^a = 1 reads M(max mu + 1)
     if branch == "unity-d":
-        moments = _unity_d_moments(ap, mus[-1], lam)
+        moments = _unity_d_moments(ap, top, lam)
     else:
-        moments = weighted_moments(_table_exponents(ap), mus[-1], lam)
+        moments = weighted_moments(_table_exponents(ap), top, lam)
     return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), branch)
 
 

@@ -7,28 +7,25 @@ into a sum over the table:
 
 * Frobenius number:  g = max_i m_i - a
 * genus:             n = (1/a) sum m_i - (a-1)/2
-* power sums:        s_mu = (1/(mu+1)) sum_{k=0}^{mu} C(mu+1,k) B_k a^{k-1}
-                     sum_i m_i^{mu+1-k}  +  (B_{mu+1}/(mu+1)) (a^{mu+1} - 1)
+* power and weighted sums s_mu = sum w^n n^mu (w = 1: the power sums), from
+  the moments M(nu) = sum_i m_i^nu w^{m_i} by one series identity in every
+  regime, s_mu = mu! [t^mu] (1/(1 - w e^t) - sum_nu M(nu) t^nu/nu! / (1 - w^a e^{at}))
+  (:func:`weighted_sum_from_moments`).
 
-Weighted sums s_mu^(w) = sum w^n n^mu over the gaps split on whether w^a = 1:
-the general engine divides by (w^a - 1), the unity engine uses the residue
-pairing i = m_i mod a instead.  Both consume the weighted moments
-M(nu) = sum_i m_i^nu w^{m_i}: every M(0..top) a query needs comes from one
-call of :func:`weighted_moments`, which computes them along two independent
-routes over the sorted table entries and compares them exactly.  A weight
-with a denominator costs what an integer weight costs: both routes run on
-integer numerators, and their scaled values are compared before the one
-division by a power of the denominator.  A rational weight runs on Python
-ints, on which a product with a power of two is a shift.
-
-The recombination of the moments into sums (:func:`weighted_sum_from_moments`,
-:func:`geometric_tails` and both unity forms) runs on integer numerators
-too: the moments share one denominator, w = v/D, and the divisions by
-w^a - 1 and w - 1 become products with the adjugates of v^a - D^a and v - D
-over their integer norms, so each mu ends in a single reduction.
+The power sums read integer moments.  A weighted query takes every
+M(0..top) it needs from one call of :func:`weighted_moments`, which computes
+them along two independent routes over the sorted table entries and compares
+them exactly.  Both routes, and the recombination, run on integer numerators
+(w = v/D), so a weight with a denominator costs what an integer weight costs
+and each moment and each sum ends in one reduction; a rational weight runs on
+Python ints, on which a product with a power of two is a shift.  At w^a = 1
+and at w = 1 the series has a pole whose t^-1 coefficient must cancel, which
+is checked on every call, and at w^a = 1 the residue-difference form, read
+through the same pole coefficients, is compared with the series exactly.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, perm
@@ -40,7 +37,7 @@ from .apery import AperyTable, Generators, apery_general
 # bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
 from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
-from .numberfield import Rational, RingElement, as_element, is_power_unity
+from .numberfield import RingElement, as_element, is_power_unity
 
 __all__ = [
     "GapSummary",
@@ -48,7 +45,6 @@ __all__ = [
     "WeightedSums",
     "frobenius",
     "genus",
-    "geometric_tails",
     "moment_from_polynomial",
     "power_sum",
     "require_weight",
@@ -84,25 +80,20 @@ def power_sum(table: AperyTable, mu: int) -> int:
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     a = table.modulus
-    # sums[e] = sum_i m_i^e for e = 1..mu+1; each list of powers is one
-    # elementwise product away from the previous one, and the table is taken
-    # in chunks so that only two short lists are alive at a time
-    sums = [0] * (mu + 2)
+    # sums[e] = sum_i m_i^e for e = 0..mu+1, the moments at lam = 1; each list
+    # of powers is one elementwise product away from the previous one, and the
+    # table is taken in chunks so that only two short lists are alive at a time
+    sums = [a] + [0] * (mu + 1)  # m_0 = 0 counts at e = 0 alone
     for start in range(1, a, _POWER_CHUNK):
         chunk = powers = table.m[start:start + _POWER_CHUNK]
         sums[1] += sum(chunk)
         for e in range(2, mu + 2):
             powers = list(map(mul, powers, chunk))
             sums[e] += sum(powers)
-    total = Fraction(0)
-    for k in range(mu + 1):
-        b = bernoulli(k)
-        if b:
-            total += binomial(mu + 1, k) * b * Fraction(a) ** (k - 1) * sums[mu + 1 - k]
-    total = total / (mu + 1) + bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
-    if total.denominator != 1:
+    total = weighted_sum_from_moments(a, (mu,), as_element(1), list(map(as_element, sums)))[mu]
+    if total.den != 1:
         raise ArithmeticError("non-integral power sum: internal fault")
-    return int(total)
+    return total.num[0]
 
 
 def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> RingElement:
@@ -346,64 +337,75 @@ def _eulerian_form(n: int, x, y):
     return acc
 
 
-def geometric_tails(mus: Iterable[int], lam: RingElement) -> dict[int, tuple[RingElement, Rational]]:
-    """{mu: (num, den)} with num / den = (-1)^{mu+1} E_mu(lam) / (lam - 1)^{mu+1},
-    E_mu(x) = sum_{j=0}^{mu} <mu, mu-j> x^j: the part of every weighted gap
-    sum that the table does not enter.
+# G(t) = residue/t + sum_n coeffs[n] t^n / (n! p^(n+1)), with 1/p = adj/norm
+_Laurent = namedtuple("_Laurent", "residue p adj norm coeffs")
 
-    With lam = v/D it is (-1)^{mu+1} D E_mu(v, D) / (v - D)^{mu+1}, and the
-    division by v - D is a product with its adjugate over its norm, so num
-    is integral and den an integer (over an integral modulus) and nothing is
-    reduced; the caller reduces once.
+
+def _laurent(x_num: RingElement, x_den: int, c: int, top: int) -> _Laurent:
+    """G(x, c) = 1/(1 - x e^{ct}) for x = x_num / x_den, to order t^top.
+
+    For x != 1, sum_k k^n x^k = E_n(x) / (1 - x)^(n+1) gives p = x_den - x_num
+    and coeffs[n] = c^n x_den E_n(x_num, x_den), integral over an integral
+    modulus.  For x = 1, G = -1/(ct) - sum_n B_{n+1} c^n/(n+1) t^n/n!, and p,
+    the lcm of the c (n+1) den(B_{n+1}), makes every coeffs[n] an integer, and
+    the pole's p^(n+1) / (c (n+1)) too (see :func:`_series_product`).
     """
-    v, d = lam.numerator, lam.den
-    adj, norm = (v - d).adjugate()
-    return {
-        mu: ((-1) ** (mu + 1) * d * adj ** (mu + 1) * _eulerian_form(mu, v, d), norm ** (mu + 1))
-        for mu in mus
-    }
+    p = x_den - x_num
+    if not p.is_zero:
+        coeffs = [c ** n * x_den * _eulerian_form(n, x_num, x_den) for n in range(top + 1)]
+        return _Laurent(0, p, *p.adjugate(), coeffs)
+    bern = [bernoulli(n + 1).as_integer_ratio() for n in range(top + 1)]
+    p = lcm(*(c * (n + 1) * den for n, (_, den) in enumerate(bern)))
+    coeffs = [-num * (c * p) ** n * (p // (n + 1) // den) for n, (num, den) in enumerate(bern)]
+    return _Laurent(Fraction(-1, c), p, 1, p, coeffs)
+
+
+def _series_product(g: _Laurent, nums: Sequence, q: int, mus: Sequence[int]) -> dict[int, tuple]:
+    """{mu: (num, den)} with num / den = mu! [t^mu] A(t) G(t) for the series
+    G = ``g`` and A(t) = sum_nu (nums[nu] / q) t^nu / nu!: the sum
+
+        sum_n C(mu, n) coeffs[n] p^(mu-n) nums[mu-n] + residue p^(mu+1) nums[mu+1] / (mu+1)
+
+    over q p^(mu+1), and 1/p^(mu+1) = adj^(mu+1) / norm^(mu+1) reduces nothing.
+    """
+    powers = [g.p ** j for j in range(max(mus) + (2 if g.residue else 1))]
+    out = {}
+    for mu in mus:
+        total = sum(
+            binomial(mu, n) * g.coeffs[n] * powers[mu - n] * nums[mu - n] for n in range(mu + 1)
+        )
+        if g.residue:
+            total = total + int(g.residue * (powers[mu + 1] // (mu + 1))) * nums[mu + 1]
+        out[mu] = (g.adj ** (mu + 1) * total, q * g.norm ** (mu + 1))
+    return out
 
 
 def weighted_sum_from_moments(
     modulus: int, mus: Sequence[int], lam: RingElement, moments: Sequence[RingElement]
 ) -> dict[int, RingElement]:
-    """Weighted gap sums for lam^a != 1 (a = modulus) and every mu in ``mus``,
-    from the moments M(0..max mus).
+    """Gap sums s_mu = sum_n lam^n n^mu for every mu in ``mus`` from the
+    moments M(nu) = sum_i m_i^nu lam^{m_i} (m_0 = 0 adds 1 to M(0)), in every
+    regime by one identity: the gaps' generating series is
+    1/(1 - x) - sum_i x^{m_i} / (1 - x^a), a = modulus, so at x = lam e^t
 
-    With M(nu) = sum_i m_i^nu lam^{m_i} (the nu = 0 value including the unit
-    contribution of m_0), the sum telescopes to
+        s_mu = mu! [t^mu] (G(lam, 1) - A(t) G(lam^a, a)),  A(t) = sum_nu M(nu) t^nu / nu!,
 
-        sum_{n=0}^{mu} C(mu, n) F(n) M(mu - n)  +  geometric_tails(mu),
-        F(n) = (-a)^n / (lam^a - 1)^{n+1} * sum_{j=0}^{n} <n, n-j> lam^{ja}.
-
-    It runs on integer numerators.  The moments are brought to one common
-    denominator q, lam = v/D, and P = v^a - D^a = D^a (lam^a - 1), so
-    F(n) = (-a)^n D^a E_n(v^a, D^a) / P^{n+1} and the sum is
-
-        D^a sum_n C(mu, n) (-a)^n E_n(v^a, D^a) P^{mu-n} q M(mu-n) / (q P^{mu+1}),
-
-    with 1/P = adj(P)/N(P).  Over an integral modulus no sum or product
-    reduces a fraction, and each mu ends in exactly one reduction, after the
-    tail is added over the product of the two integer denominators.  The
-    n = mu term consumes M(0) directly, so no 0^0 convention is needed.
+    with G from :func:`_laurent`.  At lam^a = 1 (which reads M(max mu + 1)) and
+    at lam = 1 (the power sums) G has a pole, and the t^-1 coefficients must
+    cancel, which is checked: M(0) = 0 when only lam^a = 1, M(0) = a at lam = 1.
+    The terms run on integer numerators, and each mu ends in one reduction.
     """
     a, top = modulus, max(mus)
     nums, q = _numerators(moments)
     v, d = lam.numerator, lam.den
-    va, da = v ** a, d ** a
-    p = va - da
-    adj, norm = p.adjugate()
-    factors = [(-a) ** n * _eulerian_form(n, va, da) for n in range(top + 1)]
-    p_powers = [p ** j for j in range(top + 1)]
-    tails = geometric_tails(mus, lam)
+    own = _laurent(v, d, 1, top)  # G(lam, 1), times A = 1
+    table = _laurent(v ** a, d ** a, a, top)
+    if own.residue * q != table.residue * nums[0]:
+        raise ArithmeticError("the t^-1 coefficients do not cancel: the moments are not a table's")
     out = {}
-    for mu in mus:
-        head = sum(
-            binomial(mu, n) * factors[n] * p_powers[mu - n] * nums[mu - n] for n in range(mu + 1)
-        )
-        head, head_den = da * adj ** (mu + 1) * head, q * norm ** (mu + 1)
-        tail, tail_den = tails[mu]
-        out[mu] = (head * tail_den + tail * head_den) * Fraction(1, head_den * tail_den)
+    for mu, (y, y_den) in _series_product(table, nums, q, mus).items():
+        x, x_den = own.adj ** (mu + 1) * own.coeffs[mu], own.norm ** (mu + 1)
+        out[mu] = (x * y_den - y * x_den) * Fraction(1, x_den * y_den)
     return out
 
 
@@ -423,14 +425,9 @@ def require_weight(mus: Iterable[int], lam) -> RingElement:
     return lam
 
 
-def _general_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:
-    moments = weighted_moments(sorted(table.m), max(mus), lam)
-    return weighted_sum_from_moments(table.modulus, mus, lam, moments)
-
-
 def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
-    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 1..top (D(0) stays 0,
-    no sum reads it), in one ascending pass over the (m_i, i) pairs with its
+    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 1..top (D(0) = 0, as
+    m_i^0 = i^0), in one ascending pass over the (m_i, i) pairs with its
     own powers of lam, written lam = v/D and scaled like
     :func:`_ascending_moments`."""
     pairs = sorted(zip(table.m[1:], range(1, table.modulus)))
@@ -453,67 +450,35 @@ def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[
     return _lift(out, lam, pairs[-1][0])
 
 
-def _unity_a_sums(table: AperyTable, mus: Sequence[int], lam: RingElement) -> dict[int, RingElement]:
-    """Weighted gap sums when lam^a = 1 (lam != 1), e.g. alternating sums.
-
-    Two equivalent statements are evaluated and compared exactly:
-
-    * difference form, using the residue pairing i = m_i mod a:
-        (1/(mu+1)) sum_n C(mu+1, n) B_n a^{n-1}
-            sum_{i>=1} (m_i^{mu+1-n} - i^{mu+1-n}) lam^{m_i}
-    * moment form: the same outer sum over M(mu+1-n) alone, plus the
-      geometric tail (-1)^{mu+1}/(lam-1)^{mu+1} sum_j <mu, j> lam^{j+1}
-      (that is :func:`geometric_tails`, by the row symmetry <mu, j> = <mu, mu-1-j>).
-
-    Both run on integer numerators: the differences and the moments are
-    each brought to one common denominator, the rational outer coefficients
-    to integers over their lcm, and the forms are compared cross-multiplied,
-    so only the returned value is reduced, once per mu.
+def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, values) -> None:
+    """Hold the sums ``values`` for lam^a = 1 (lam != 1) exactly equal to the
+    residue-difference form, cross-multiplied.  With i = m_i mod a and
+    lam^a = 1, the differences D(t) = sum_e D(e) t^e/e! (:func:`_residue_differences`)
+    are A(t) - sum_{i<a} lam^i e^{it}, and sum_{i<a} lam^i e^{it} G(1, a) = G(lam, 1),
+    so s_mu = -mu! [t^mu] D(t) G(1, a), read through the same pole coefficients.
     """
-    a = table.modulus
-    top = max(mus) + 1
-    moments, moments_den = _numerators(weighted_moments(sorted(table.m), top, lam))
-    differences, differences_den = _numerators(_residue_differences(table, top, lam))
-    tails = geometric_tails(mus, lam)
-    out = {}
-    for mu in mus:
-        scales = {
-            n: binomial(mu + 1, n) * bernoulli(n) * Fraction(a) ** (n - 1) / (mu + 1)
-            for n in range(mu + 1)
-            if bernoulli(n)
-        }
-        k = lcm(*(c.denominator for c in scales.values()))
-        scales = {n: int(c * k) for n, c in scales.items()}
-        diff_form = sum(c * differences[mu + 1 - n] for n, c in scales.items())
-        moment_form = sum(c * moments[mu + 1 - n] for n, c in scales.items())
-        tail, tail_den = tails[mu]
-        # diff_form / (k differences_den) against
-        # (moment_form tail_den + tail k moments_den) / (k moments_den tail_den)
-        moment_form = moment_form * tail_den + tail * (k * moments_den)
-        if diff_form * (moments_den * tail_den) != moment_form * differences_den:
+    nums, q = _numerators(_residue_differences(table, mus[-1] + 1, lam))
+    pole = _laurent(lam.ring.one, 1, table.modulus, mus[-1])
+    for mu, (num, den) in _series_product(pole, nums, q, mus).items():
+        if values[mu].numerator * den != -num * values[mu].den:
             raise ArithmeticError("unity-weight forms disagree: internal fault")
-        out[mu] = diff_form * Fraction(1, k * differences_den)
-    return out
 
 
 def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a != 1, from the residue table."""
-    lam = require_weight((mu,), lam)
-    if is_power_unity(lam, table.modulus):
+    if is_power_unity(require_weight((mu,), lam), table.modulus):
         raise ValueError(
             "weight is a root of unity of the modulus order; use weighted_sum_unity_a"
         )
-    return _general_sums(table, (mu,), lam)[mu]
+    return weighted_sums(table, (mu,), lam).values[mu]
 
 
 def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums;
-    the difference and moment forms of the residue pairing are compared
-    exactly."""
-    lam = require_weight((mu,), lam)
-    if not is_power_unity(lam, table.modulus):
+    the series and residue-difference forms are compared exactly."""
+    if not is_power_unity(require_weight((mu,), lam), table.modulus):
         raise ValueError("weight is not a root of unity of the modulus order")
-    return _unity_a_sums(table, (mu,), lam)[mu]
+    return weighted_sums(table, (mu,), lam).values[mu]
 
 
 class WeightedSum(NamedTuple):
@@ -531,9 +496,12 @@ def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
     on whether lam^a = 1; all of them read one shared moment vector."""
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
-    if is_power_unity(lam, table.modulus):
-        return WeightedSums(_unity_a_sums(table, mus, lam), "unity-a")
-    return WeightedSums(_general_sums(table, mus, lam), "general")
+    unity_a = is_power_unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
+    moments = weighted_moments(sorted(table.m), mus[-1] + unity_a, lam)
+    values = weighted_sum_from_moments(table.modulus, mus, lam, moments)
+    if unity_a:
+        _check_differences(table, mus, lam, values)
+    return WeightedSums(values, "unity-a" if unity_a else "general")
 
 
 def weighted_sum(gens: Generators, mu: int, lam) -> WeightedSum:

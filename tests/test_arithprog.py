@@ -217,7 +217,7 @@ def test_weighted_sums_ap_match_one_mu_at_a_time_and_the_table(ap, weight, branc
     [(ArithProgression(15, 2, 4), "zeta(5)"), (ArithProgression(16, 3, 6), "-1")],
 )
 def test_unity_a_sums_for_consecutive_mus(ap, weight):
-    # the row blocks are built once per l and shared by every mu; r = 2 and r = 0
+    # one moment vector M(0..4) serves every mu; r = 2 and r = 0
     lam = LambdaSpec.parse(weight).element()
     values, branch = weighted_sums_ap(ap, (1, 2, 3), lam)
     assert branch == "unity-a" and list(values) == [1, 2, 3]
@@ -270,8 +270,10 @@ RECOMBINATION_WEIGHTS = {
     spec: LambdaSpec.parse(spec).element()
     for spec in (
         "2",
+        "-1",
         "-1/2",
         "2/3",
+        "zeta(3)",
         "root(3,2)",
         "zeta(5)",
         "elem(minpoly=[1,0,1];coeffs=[4,3])",  # 4 + 3i
@@ -293,6 +295,8 @@ def _weighted_progressions(draw):
 
 @given(_weighted_progressions())
 @example((ArithProgression(10, 3, 4), "zeta(5)", [1, 2, 3]))  # unity-a
+@example((ArithProgression(16, 3, 6), "-1", [1, 2, 3]))  # unity-a, r = 0, ring degree 1
+@example((ArithProgression(12, 5, 4), "zeta(3)", [1, 2, 3]))  # unity-a, r = 2, ring degree 2
 @example((ArithProgression(12, 5, 3), "zeta(5)", [1, 3]))  # unity-d
 @example((ArithProgression(40, 7, 6), "-1/2", [3]))
 @example((ArithProgression(25, 2, 2), "root(5,1/32)", [1, 2]))

@@ -24,7 +24,12 @@ from gapsums import (
 )
 from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
 from gapsums.numberfield import RingElement
-from gapsums.sylvester import moment_from_polynomial, weighted_moments, weighted_sums
+from gapsums.sylvester import (
+    moment_from_polynomial,
+    weighted_moments,
+    weighted_sum_from_moments,
+    weighted_sums,
+)
 
 GENS_13 = Generators([13, 16, 19, 22, 25])
 GENS_14 = Generators([14, 17, 20, 23, 26, 29])
@@ -359,6 +364,20 @@ def test_unity_difference_form_check_fires(monkeypatch):
     monkeypatch.setattr(sylvester, "_residue_differences", corrupted)
     with pytest.raises(ArithmeticError, match="unity-weight forms disagree"):
         weighted_sum_unity_a(table, 2, as_element(-1))
+
+
+@pytest.mark.parametrize("lam", [-1, 1], ids=["unity-a", "power-sums"])
+def test_pole_check_fires(lam):
+    # a = 14: both weights put a pole in G(lam^a, a), which cancels only for
+    # M(0) = 0 (lam = -1) and M(0) = a (lam = 1)
+    table = apery_general(GENS_14)
+    moments = weighted_moments(sorted(table.m), 3, lam)
+    values = weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), moments)
+    for mu, value in values.items():
+        assert value == (weighted_sum_unity_a(table, mu, lam) if lam == -1 else power_sum(table, mu))
+    moments[0] = moments[0] + 1
+    with pytest.raises(ArithmeticError, match="t\\^-1 coefficients do not cancel"):
+        weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), moments)
 
 
 def test_weighted_sums_share_one_table_and_moment_vector(monkeypatch):
