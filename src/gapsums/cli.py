@@ -116,10 +116,6 @@ def _numeric_embedding(args, spec: LambdaSpec | None) -> Embedding:
     return spec.embedding() if spec is not None else Embedding.at_index(0)
 
 
-def _numeric_json(value: complex) -> dict:
-    return {"re": value.real, "im": value.imag}
-
-
 def _emit(args, results: list[dict]) -> None:
     if args.format == "json":
         payload = results[0] if len(results) == 1 else results
@@ -179,8 +175,8 @@ def _run(args) -> int:
         query = {"command": command}
         if command == "power-sum":
             results = [
-                _result(f"s_{mu}", gens, {**query, "mu": mu}, str(path.power_sum(mu)), path.tag)
-                for mu in sorted(set(args.mu))
+                _result(f"s_{mu}", gens, {**query, "mu": mu}, str(value), path.tag)
+                for mu, value in path.power_sums(args.mu).items()
             ]
         elif command == "gaps":
             results = [_result(command, gens, query, list(oracle.gap_set(gens).gaps), "oracle")]
@@ -205,7 +201,8 @@ def _run_weighted(args, gens: Generators, spec: LambdaSpec, path) -> int:
         )
         entry["display"] = str(value)
         if args.numeric is not None:
-            entry["numeric"] = _numeric_json(numeric_eval(value, _numeric_embedding(args, spec)))
+            z = numeric_eval(value, _numeric_embedding(args, spec))
+            entry["numeric"] = {"re": z.real, "im": z.imag}
         results.append(entry)
     _emit(args, results)
     return 0
@@ -220,12 +217,12 @@ def _run_verify(args, gens: Generators, spec: LambdaSpec | None) -> int:
         labels.append(("apery-table", lambda p: p.apery()))
     checks = [(label, [(p.tag, value(p)) for p in every]) for label, value in labels]
     mus = sorted(set(args.mu or ()))
-    if spec is None:
-        checks += [(f"s_{mu}", [(p.tag, p.power_sum(mu)) for p in every]) for mu in mus]
-    elif mus:
+    if spec is None or not mus:  # one call per path; power sums of no mu cost nothing
+        sums, suffix = [(p.power_sums(mus), p.tag) for p in every], ""
+    else:
         lam = spec.element()
-        sums = [p.weighted_sums(mus, lam) for p in every]
-        checks += [(f"s_{mu}^({spec})", [(tag, values[mu]) for values, tag in sums]) for mu in mus]
+        sums, suffix = [p.weighted_sums(mus, lam) for p in every], f"^({spec})"
+    checks += [(f"s_{mu}{suffix}", [(tag, values[mu]) for values, tag in sums]) for mu in mus]
 
     failures = []
     for label, candidates in checks:

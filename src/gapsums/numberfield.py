@@ -307,6 +307,8 @@ class RingElement:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
+        if len(self.num) == 1:  # a rational: coprime powers stay in lowest terms
+            return _element(self.ring, (self.num[0] ** exponent,), self.den ** exponent)
         if not exponent:
             return self.ring.one
         base = self

@@ -1,9 +1,9 @@
 """The three evaluation paths behind one interface, and the rule that picks one.
 
 Every path answers the same questions about one generator set: ``frobenius()``,
-``genus()``, ``apery()`` (the residue table), ``power_sum(mu)`` and
-``weighted_sums(mus, lam)``, which returns the values by mu and the path's tag
-with its weight branch.  ``tag`` names the path in every result:
+``genus()``, ``apery()`` (the residue table), ``power_sums(mus)`` and
+``weighted_sums(mus, lam)``, the values by ascending mu (the weighted ones with
+the path's tag and its weight branch).  ``tag`` names the path in every result:
 
 * :class:`TablePath` ("general-apery"): the residue-table engine, any generators;
 * :class:`ClosedFormPath` ("ap-closed-form"): the closed forms, progressions only;
@@ -48,8 +48,8 @@ class TablePath:
     def apery(self) -> tuple[int, ...]:
         return self.table.m
 
-    def power_sum(self, mu: int) -> int:
-        return sylvester.power_sum(self.table, mu)
+    def power_sums(self, mus: Iterable[int]) -> dict[int, int]:
+        return sylvester.power_sums(self.table, mus)
 
     def weighted_sums(self, mus: Iterable[int], lam) -> tuple[dict[int, RingElement], str]:
         values, branch = sylvester.weighted_sums(self.table, mus, lam)
@@ -71,8 +71,8 @@ class ClosedFormPath:
     def apery(self) -> tuple[int, ...]:
         return apery.apery_arith(self.ap).m
 
-    def power_sum(self, mu: int) -> int:
-        return arithprog.power_sum_ap(self.ap, mu)
+    def power_sums(self, mus: Iterable[int]) -> dict[int, int]:
+        return {mu: arithprog.power_sum_ap(self.ap, mu) for mu in sorted(set(mus))}
 
     def weighted_sums(self, mus: Iterable[int], lam) -> tuple[dict[int, RingElement], str]:
         values, branch = arithprog.weighted_sums_ap(self.ap, mus, lam)
@@ -99,8 +99,8 @@ class OraclePath:
     def apery(self) -> tuple[int, ...]:
         return self.gapset.minima
 
-    def power_sum(self, mu: int) -> int:
-        return oracle.power_sum(self.gapset, mu)
+    def power_sums(self, mus: Iterable[int]) -> dict[int, int]:
+        return {mu: oracle.power_sum(self.gapset, mu) for mu in sorted(set(mus))}
 
     def weighted_sums(self, mus: Iterable[int], lam) -> tuple[dict[int, RingElement], str]:
         # oracle.weighted_sum, the ground truth, takes any mu and weight; the

@@ -47,6 +47,7 @@ __all__ = [
     "genus",
     "moment_from_polynomial",
     "power_sum",
+    "power_sums",
     "require_weight",
     "summarize",
     "weighted_moment",
@@ -72,28 +73,36 @@ def genus(table: AperyTable) -> int:
     return int(value)
 
 
-_POWER_CHUNK = 2048  # table entries per pass of power_sum
+_POWER_CHUNK = 2048  # table entries per pass of power_sums
+
+
+def power_sums(table: AperyTable, mus: Iterable[int]) -> dict[int, int]:
+    """{mu: mu-th power sum of the gaps} by ascending mu (mu = 0 gives the genus),
+    all read by one recombination from one table pass up to max mu + 1."""
+    mus = sorted(set(mus))
+    if not mus:
+        return {}
+    if mus[0] < 0:
+        raise ValueError("mu must be nonnegative")
+    a, top = table.modulus, mus[-1]
+    # sums[e] = sum_i m_i^e (e = 0..top+1), the moments at lam = 1: each list of powers is one
+    # elementwise product from the last, over chunks, so two short lists are alive at a time
+    sums = [a] + [0] * (top + 1)  # m_0 = 0 counts at e = 0 alone
+    for start in range(1, a, _POWER_CHUNK):
+        chunk = powers = table.m[start:start + _POWER_CHUNK]
+        sums[1] += sum(chunk)
+        for e in range(2, top + 2):
+            powers = list(map(mul, powers, chunk))
+            sums[e] += sum(powers)
+    totals = weighted_sum_from_moments(a, mus, as_element(1), list(map(as_element, sums)))
+    if any(total.den != 1 for total in totals.values()):
+        raise ArithmeticError("non-integral power sum: internal fault")
+    return {mu: total.num[0] for mu, total in totals.items()}
 
 
 def power_sum(table: AperyTable, mu: int) -> int:
     """mu-th power sum of the gaps; mu = 0 recovers the genus."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    a = table.modulus
-    # sums[e] = sum_i m_i^e for e = 0..mu+1, the moments at lam = 1; each list
-    # of powers is one elementwise product away from the previous one, and the
-    # table is taken in chunks so that only two short lists are alive at a time
-    sums = [a] + [0] * (mu + 1)  # m_0 = 0 counts at e = 0 alone
-    for start in range(1, a, _POWER_CHUNK):
-        chunk = powers = table.m[start:start + _POWER_CHUNK]
-        sums[1] += sum(chunk)
-        for e in range(2, mu + 2):
-            powers = list(map(mul, powers, chunk))
-            sums[e] += sum(powers)
-    total = weighted_sum_from_moments(a, (mu,), as_element(1), list(map(as_element, sums)))[mu]
-    if total.den != 1:
-        raise ArithmeticError("non-integral power sum: internal fault")
-    return total.num[0]
+    return power_sums(table, (mu,))[mu]
 
 
 def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> RingElement:
@@ -546,7 +555,7 @@ def summarize(
     if weighted_mus and weight is None:
         raise ValueError("weighted sums need a weight")
     path = paths.choose(gens, method)
-    power_sums = {mu: path.power_sum(mu) for mu in sorted(set(power_mus))}
+    power_sums = path.power_sums(power_mus)
     methods = {f"power_sum[{mu}]": path.tag for mu in power_sums}
     weighted: Mapping[int, RingElement] = {}
     if weight is not None and weighted_mus:

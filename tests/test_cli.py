@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gapsums
 from corpora import reference_weights
@@ -286,6 +286,30 @@ def test_one_residue_table_per_run(capsys, monkeypatch, argv):
         assert out.count("(method: general-apery/") == argv.count("--mu")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--gens", "14,17,21", "--mu", "2", "--mu", "5"],
+        ["power-sum", "--gens", "14,17,21", "--mu", "5", "--mu", "2", "--mu", "5"],
+    ],
+)
+def test_power_sums_make_one_recombination(capsys, monkeypatch, argv):
+    # every --mu is read from one table pass up to max mu + 1, M(0..6) here
+    expected = run_cli(capsys, *argv)
+    calls = []
+    honest = sylvester.weighted_sum_from_moments
+
+    def counted(modulus, mus, lam, moments):
+        calls.append((list(mus), len(moments)))
+        return honest(modulus, mus, lam, moments)
+
+    monkeypatch.setattr(sylvester, "weighted_sum_from_moments", counted)
+    assert run_cli(capsys, *argv) == expected
+    assert calls == [([2, 5], 7)]
+    if argv[0] == "verify":
+        assert expected == (0, "verify OK (4 checks: frobenius, genus, s_2, s_5)\n", "")
+
+
 def test_verify_detects_injected_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(arithprog, "frobenius_ap", lambda ap: 10 ** 9)
     code, _, err = run_cli(capsys, "verify", "--ap", "a=13,d=3,k=5")
@@ -434,6 +458,79 @@ def test_verify_property(argv):
         code = main(argv)
     assert (code, err.getvalue()) == (0, ""), argv
     assert out.getvalue().startswith("verify OK")
+
+
+# every subcommand and option: small valid values, and malformed or
+# out-of-range ones a sixth of the time; none is large enough to need a
+# resource limit
+_VALID = {
+    "--gens": ["5,7", "6,10,15", "13,16,19,22,25", "14,17,21", "1,4", "7, 5,5"],
+    "--ap": ["a=13,d=3,k=5", "a=7,d=2,k=2", "a=5, d=2, k=2", "a=2,d=1,k=2", "a=12,d=5,k=7"],
+    "--mu": ["0", "1", "3", "5"],
+    "--lambda": ["2", "-1/2", "-1", "1", "root(3,2)", "zeta(5)", "zeta(2)", "zeta(6)",
+                 "elem(minpoly=[1,0,1];coeffs=[4,3])", "elem(minpoly=[-2,0,1];coeffs=[1/2,-1])"],
+    "--method": ["auto", "apery", "closed-form", "oracle"],
+    "--format": ["text", "json"],
+    "--numeric": ["0", "1", "2"],
+}
+_INVALID = {
+    "--gens": ["4,6", "0,3", "-5,7", "7", "", "5,x", "5,,7", "3.5,7"],
+    "--ap": ["a=3,d=1,k=5", "a=6,d=3,k=3", "a=0,d=1,k=2", "a=5,d=0,k=2", "a=1,d=1,k=1",
+             "a=13,k=5", "a=-5,d=2,k=2", "nonsense", ""],
+    "--mu": ["-1", "x", "1.5", ""],
+    "--lambda": ["0", "1/0", "3/-2", "root(0,2)", "root(2,-4)", "zeta(1)", "zeta(0)", "zeta(-3)",
+                 "sqrt(2)", "4+3i", "elem(minpoly=[-1,0,1];coeffs=[0,1])", "elem(minpoly=[1];coeffs=[])",
+                 "elem(minpoly=[1,0,1];coeffs=[1])", ""],
+    "--method": ["bogus", ""],
+    "--format": ["xml", ""],
+    "--numeric": ["-1", "9", "x", ""],
+}
+_SUBCOMMANDS = ["apery", "frobenius", "genus", "gaps", "power-sum", "weighted-sum", "verify"]
+_TAKES = {"power-sum": {"--mu"}, "weighted-sum": {"--mu", "--lambda", "--numeric"},
+          "verify": {"--mu", "--lambda"}}
+
+
+@st.composite
+def _any_argv(draw):
+    """A subcommand with --gens or --ap (now and then both or neither), and
+    each further option mostly where the subcommand takes it and now and then
+    where it does not: one to three --mu, --numeric bare or with a value."""
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    takes = _TAKES.get(command, set()) | {"--method", "--format"}
+    argv = [command]
+
+    def option(name):
+        value = draw(st.sampled_from(_VALID[name] if draw(st.integers(0, 5)) else _INVALID[name]))
+        argv.extend([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+
+    def present(name):
+        return draw(st.integers(0, 7)) < (6 if name in takes else 1)
+
+    for name in draw(st.sampled_from([["--gens"]] * 9 + [["--ap"]] * 9 + [["--gens", "--ap"], []])):
+        option(name)
+    for _ in range(draw(st.integers(1, 3)) if present("--mu") else 0):
+        option("--mu")
+    for name in ("--lambda", "--method", "--format", "--numeric"):
+        if present(name):
+            if name == "--numeric" and draw(st.booleans()):
+                argv.append(name)
+            else:
+                option(name)
+    return argv
+
+
+@settings(max_examples=300)
+@given(_any_argv())
+def test_every_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's refusals
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    assert (out if code == 0 else err).getvalue().strip(), argv
 
 
 # --- golden output: the README examples, byte for byte ----------------------

@@ -340,10 +340,27 @@ def test_power_makes_no_product_with_one(monkeypatch):
         for n in range(1, 70):
             products.clear()
             x ** n
+            if ring.degree == 1:  # a rational powers its numerator and denominator
+                assert not products
+                continue
             # square-and-multiply: one squaring per bit below the top, one
             # product per further set bit
             assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1
             assert all(a != ring.one and b != ring.one for a, b in products)
+
+
+@pytest.mark.parametrize("lam", [-1, 2, Fraction(-1, 2), Fraction(2, 3)])
+def test_degree_one_powers_are_repeated_products_in_lowest_terms(lam):
+    x = RATIONAL_RING.from_rational(lam)
+    for e in range(-3, 21):
+        got = x ** e
+        want = RATIONAL_RING.one
+        for _ in range(abs(e)):
+            want = want * x
+        if e < 0:
+            want = want.inverse()
+        assert got == want and got.rational_value() == Fraction(lam) ** e
+        assert got.den > 0 and math.gcd(got.num[0], got.den) == 1
 
 
 # --- numeric previews -------------------------------------------------------

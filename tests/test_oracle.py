@@ -80,7 +80,7 @@ def test_residue_minima_are_read_out_on_demand(monkeypatch):
     monkeypatch.setattr(oracle, "_minima", counted)
     gens = Generators([13, 16, 19, 22, 25])
     path = paths.OraclePath(gens)
-    assert (path.frobenius(), path.genus(), path.power_sum(2)) == (62, 36, 33150)
+    assert (path.frobenius(), path.genus(), path.power_sums((2,))[2]) == (62, 36, 33150)
     path.weighted_sums((1,), 2)
     assert not calls
     assert path.apery() == path.apery() == apery_general(gens).m

@@ -8,7 +8,7 @@ from math import gcd, perm
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from corpora import random_generator_sets, reference_weights
+from corpora import random_generator_sets, random_progressions, reference_weights
 from gapsums import (
     Generators,
     LambdaSpec,
@@ -520,3 +520,39 @@ def test_summarize_checks_weighted_arguments_on_every_path(method, mu, weight):
     for gens in inputs:
         with pytest.raises(ValueError):
             summarize(gens, weight=weight, weighted_mus=(mu, 3), method=method)
+
+
+def test_every_path_answers_power_sums_for_an_exponent_set():
+    # unsorted, repeated and with 0: each path's one call equals its per-mu functions
+    from gapsums import arithprog, as_arith_progression, paths
+
+    rng = random.Random(1303)
+    corpus = random_generator_sets(20, seed=1303, max_a1=30)
+    corpus += [ap.generators() for ap in random_progressions(20, seed=1304, max_a=40)]
+    for gens in corpus:
+        mus = rng.sample(range(1, 9), 3) + [0]
+        mus += mus[1:3]
+        if mus == sorted(mus):
+            mus.reverse()
+        expected = sorted(set(mus))
+        table, gapset = apery_general(gens), oracle.gap_set(gens)
+        per_mu = {
+            "general-apery": lambda mu: power_sum(table, mu),
+            "oracle": lambda mu: oracle.power_sum(gapset, mu),
+            "ap-closed-form": lambda mu: arithprog.power_sum_ap(as_arith_progression(gens), mu),
+        }
+        every = paths.applicable(gens)
+        assert len(every) == 2 + (as_arith_progression(gens) is not None)
+        for path in every:
+            got = path.power_sums(iter(mus))
+            assert list(got.items()) == [(mu, per_mu[path.tag](mu)) for mu in expected], gens
+            assert path.power_sums(()) == {}
+
+
+def test_power_sums_of_no_exponent_make_no_pass(monkeypatch):
+    table = apery_general(GENS_13)
+    monkeypatch.setattr(sylvester, "weighted_sum_from_moments", None)  # a call would fail
+    monkeypatch.setattr(sylvester, "mul", None)  # so would a product of the pass
+    assert sylvester.power_sums(table, []) == {}
+    with pytest.raises(ValueError, match="nonnegative"):
+        sylvester.power_sums(table, [3, -1])
