@@ -6,32 +6,37 @@ s*a + j*d for a run of k-1 consecutive j (r in the last row).  The Frobenius
 number, the genus and the power sums are closed forms in q, k and the
 exponent, with no entry listed.  The weighted sums read the rows, one term
 per table entry (so O(a) time and memory, whatever the size of the entries),
-into moments M(0..top) that :func:`gapsums.sylvester.weighted_sum_from_moments`
-turns into sums in every regime of the weight w:
+in two regimes of the weight w:
 
-* w^d != 1 ("general", and "unity-a" when w^a = 1, which reads one moment
-  more): the a entries, in ascending order (``_table_exponents``), feed the
-  sparse moment kernel.
+* w^d != 1 ("general", and "unity-a" when w^a = 1): the closed-form table
+  (:func:`gapsums.apery.apery_arith`) goes to the residue-table engine,
+  :func:`gapsums.sylvester.weighted_sums`, with its moment kernel and, at
+  w^a = 1, its check against the residue-difference form.
 * w^d = 1 ("unity-d"): every entry of row s carries the weight w^{sa}, so
-  each moment is a sum over the rows of w^{sa} times an integer power sum
-  of the row (``weighted_moment_unity_d``).
+  each moment is a sum over the row classes sa mod d of w^{sa} times an
+  integer power sum of the class (``weighted_moment_unity_d``), and
+  :func:`gapsums.sylvester.weighted_sum_from_moments` turns the moments
+  into sums.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
-from .apery import ArithProgression
+from .apery import ArithProgression, apery_arith
 from .exact import bernoulli, binomial
 from .numberfield import RingElement, as_element, is_power_unity
 from .sylvester import (
     WeightedSum,
     WeightedSums,
+    _integer_power_sums,
     require_weight,
     weighted_moments,
     weighted_sum_from_moments,
+    weighted_sums,
 )
 # bench/tracing.py wraps arithprog.moment_from_polynomial, so the name stays importable
 from .sylvester import moment_from_polynomial  # noqa: F401
@@ -108,24 +113,14 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
     return int(total)
 
 
-def _table_exponents(ap: ArithProgression) -> list[int]:
-    """The a table entries in ascending order: 0, then the rows."""
-    d = ap.d
-    out = [0]
-    for base, js in ap.rows():
-        out.extend(range(base + js.start * d, base + js.stop * d, d))
-    return out
-
-
 def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} from the generated table entries.
-
-    Uses both routes of the sparse moment kernel; no division by ring
-    elements occurs, so the value is defined for every nonzero weight.
+    """sum_i m_i^nu lam^{m_i} over the closed-form table, along both routes
+    of the sparse moment kernel; no division by ring elements occurs, so the
+    value is defined for every nonzero weight.
     """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    return weighted_moments(_table_exponents(ap), nu, lam)[nu]
+    return weighted_moments(sorted(apery_arith(ap).m), nu, lam)[nu]
 
 
 def _unity_d_moments(ap: ArithProgression, top: int, lam: RingElement) -> list[RingElement]:
@@ -134,20 +129,18 @@ def _unity_d_moments(ap: ArithProgression, top: int, lam: RingElement) -> list[R
 
         M(nu) = [nu = 0] + sum_s lam^{sa} sum_{j in row s} (sa + jd)^nu,
 
-    with plain integer power sums inside.  lam^{sa} depends on sa mod d
-    alone, so the rows are summed per class before any ring product."""
+    with integer power sums inside
+    (:func:`gapsums.sylvester._integer_power_sums`).  lam^{sa} depends on
+    sa mod d alone, so the rows are chained per class, and each class is one
+    pass before its one ring product."""
     d = ap.d
-    classes: dict[int, list[int]] = {}
+    classes: dict[int, list[range]] = {}
     for base, js in ap.rows():
-        sums = classes.setdefault(base % d, [0] * (top + 1))
-        for m in range(base + js.start * d, base + js.stop * d, d):
-            power = 1
-            for nu in range(top + 1):
-                sums[nu] += power
-                power *= m
+        classes.setdefault(base % d, []).append(range(base + js.start * d, base + js.stop * d, d))
     moments = [lam.ring.one] + [lam.ring.zero] * top  # m_0 = 0 adds 1 to M(0)
-    for c, sums in classes.items():
+    for c, rows in classes.items():
         weight = lam ** c
+        sums = _integer_power_sums(chain.from_iterable(rows), top)
         moments = [x + weight * y for x, y in zip(moments, sums)]
     return moments
 
@@ -166,35 +159,33 @@ def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
 
 
 def weight_branch(ap: ArithProgression, lam) -> str:
-    """Which closed-form regime applies: "general", "unity-d" or "unity-a"."""
-    lam = as_element(lam)
-    unity_a = is_power_unity(lam, ap.a)
-    unity_d = is_power_unity(lam, ap.d)
-    assert not (unity_a and unity_d), "impossible for a weight other than 1"
-    if unity_a:
+    """Which closed-form regime applies: "general", "unity-d" or "unity-a".
+    Weights 0 and 1 are refused first, as by every weighted sum; any other
+    weight is in at most one of the unity regimes, as gcd(a, d) = 1."""
+    lam = require_weight((1,), lam)
+    if is_power_unity(lam, ap.a):
         return "unity-a"
-    if unity_d:
+    if is_power_unity(lam, ap.d):
         return "unity-d"
     return "general"
 
 
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
-    """Weighted gap sums for every mu in ``mus`` by closed form, dispatched on
-    the weight regime; each regime builds one moment vector M(0..top) for all
-    of them, from the table exponents or from the row sums.
+    """Weighted gap sums for every mu in ``mus`` by closed form.  When
+    lam^d = 1 they come from the row sums of :func:`_unity_d_moments`; in
+    the other regimes the closed-form table goes to the residue-table
+    engine, :func:`gapsums.sylvester.weighted_sums`, which also holds the
+    lam^a = 1 sums to the residue-difference form.
 
     Equals the general residue-table engine on the same generators; weights 0
     and 1 are rejected (1 would be the plain power sum).
     """
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
-    branch = weight_branch(ap, lam)
-    top = mus[-1] + (branch == "unity-a")  # lam^a = 1 reads M(max mu + 1)
-    if branch == "unity-d":
-        moments = _unity_d_moments(ap, top, lam)
-    else:
-        moments = weighted_moments(_table_exponents(ap), top, lam)
-    return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), branch)
+    if not is_power_unity(lam, ap.d):  # "general" or "unity-a"
+        return weighted_sums(apery_arith(ap), mus, lam)
+    moments = _unity_d_moments(ap, mus[-1], lam)
+    return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), "unity-d")
 
 
 def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSum:

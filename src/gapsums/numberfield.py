@@ -682,7 +682,7 @@ class LambdaSpec:
             ring = NumberRing(self.minpoly)
             elem = ring.element(self.coeffs)
             if ring.degree == 1:
-                return RATIONAL_RING.from_rational(polys.eval_at(elem.coeffs, -ring.minpoly[0]))
+                return RATIONAL_RING.from_rational(elem.coeffs[0])  # reduced to one coordinate
             if elem.is_zero:
                 raise ValueError("weight 0 is not allowed")
             if elem == ring.one:

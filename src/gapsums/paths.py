@@ -10,11 +10,13 @@ the path's tag and its weight branch).  ``tag`` names the path in every result:
 * :class:`OraclePath` ("oracle"): the brute-force sieve that certifies both.
 
 A path builds its table or sieve on first use and keeps it, so one query costs
-at most one of each.  The paths share no engine code: each calls its own
-module, through module attributes, so that a caller may wrap or replace them.
-They share one argument check for weighted sums,
-:func:`gapsums.sylvester.require_weight`, so every path refuses the same
-questions.
+at most one of each.  Each path calls its own module, through module
+attributes, so that a caller may wrap or replace them.  The oracle shares
+no engine code with the other two; the closed forms build their own table
+and rows, and hand them to the table engine's moment kernel and
+recombination (:mod:`gapsums.arithprog`).  All three share one argument
+check for weighted sums, :func:`gapsums.sylvester.require_weight`, so every
+path refuses the same questions.
 """
 from __future__ import annotations
 

@@ -12,7 +12,6 @@ from typing import Sequence
 __all__ = [
     "derivative",
     "divmod_exact",
-    "eval_at",
     "eval_sparse",
     "gcd",
     "trim",
@@ -32,14 +31,6 @@ def derivative(p: Sequence, times: int = 1) -> list:
     for _ in range(times):
         out = [i * c for i, c in enumerate(out)][1:]
     return trim(out)
-
-
-def eval_at(p: Sequence, x):
-    """Horner evaluation; the result type follows the coefficient/point types."""
-    acc = 0
-    for c in reversed(trim(p)):
-        acc = acc * x + c
-    return acc
 
 
 def eval_sparse(p: Sequence, x):

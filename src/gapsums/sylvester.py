@@ -12,7 +12,8 @@ into a sum over the table:
   regime, s_mu = mu! [t^mu] (1/(1 - w e^t) - sum_nu M(nu) t^nu/nu! / (1 - w^a e^{at}))
   (:func:`weighted_sum_from_moments`).
 
-The power sums read integer moments.  A weighted query takes every
+The power sums read integer moments from :func:`_integer_power_sums`, the
+one chunked pass for integer power sums.  A weighted query takes every
 M(0..top) it needs from one call of :func:`weighted_moments`, which computes
 them along two independent routes over the sorted table entries and compares
 them exactly.  Both routes, and the recombination, run on integer numerators
@@ -20,14 +21,19 @@ them exactly.  Both routes, and the recombination, run on integer numerators
 and each moment and each sum ends in one reduction; a rational weight runs on
 Python ints, on which a product with a power of two is a shift.  At w^a = 1
 and at w = 1 the series has a pole whose t^-1 coefficient must cancel, which
-is checked on every call, and at w^a = 1 the residue-difference form, read
-through the same pole coefficients, is compared with the series exactly.
+is checked on every call.  At w^a = 1 the residue-difference form is
+compared with the series exactly: it is read through the same pole
+coefficients, but its sums are integer power sums per class of i mod the
+order of w, with no power of w in common with the moment kernel.  The
+closed forms hand their general and w^a = 1 queries to :func:`weighted_sums`
+too, so both paths run this check.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm, perm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -73,28 +79,37 @@ def genus(table: AperyTable) -> int:
     return int(value)
 
 
-_POWER_CHUNK = 2048  # table entries per pass of power_sums
+_POWER_CHUNK = 2048  # entries per pass of _integer_power_sums
+
+
+def _integer_power_sums(values: Iterable[int], top: int) -> list[int]:
+    """[sum x^0, ..., sum x^top] over the integers ``values``: the one place
+    integer power sums are formed.  Each list of powers is one elementwise
+    product from the last, over chunks of the input, so two short lists are
+    alive at a time."""
+    sums = [0] * (top + 1)
+    values = iter(values)
+    while chunk := list(islice(values, _POWER_CHUNK)):
+        sums[0] += len(chunk)
+        powers = chunk
+        for e in range(1, top + 1):
+            sums[e] += sum(powers)
+            if e < top:
+                powers = list(map(mul, powers, chunk))
+    return sums
 
 
 def power_sums(table: AperyTable, mus: Iterable[int]) -> dict[int, int]:
     """{mu: mu-th power sum of the gaps} by ascending mu (mu = 0 gives the genus),
-    all read by one recombination from one table pass up to max mu + 1."""
+    all read by one recombination from the moments at lam = 1, the table's
+    integer power sums up to max mu + 1."""
     mus = sorted(set(mus))
     if not mus:
         return {}
     if mus[0] < 0:
         raise ValueError("mu must be nonnegative")
-    a, top = table.modulus, mus[-1]
-    # sums[e] = sum_i m_i^e (e = 0..top+1), the moments at lam = 1: each list of powers is one
-    # elementwise product from the last, over chunks, so two short lists are alive at a time
-    sums = [a] + [0] * (top + 1)  # m_0 = 0 counts at e = 0 alone
-    for start in range(1, a, _POWER_CHUNK):
-        chunk = powers = table.m[start:start + _POWER_CHUNK]
-        sums[1] += sum(chunk)
-        for e in range(2, top + 2):
-            powers = list(map(mul, powers, chunk))
-            sums[e] += sum(powers)
-    totals = weighted_sum_from_moments(a, mus, as_element(1), list(map(as_element, sums)))
+    moments = list(map(as_element, _integer_power_sums(table.m, mus[-1] + 1)))
+    totals = weighted_sum_from_moments(table.modulus, mus, as_element(1), moments)
     if any(total.den != 1 for total in totals.values()):
         raise ArithmeticError("non-integral power sum: internal fault")
     return {mu: total.num[0] for mu, total in totals.items()}
@@ -435,28 +450,21 @@ def require_weight(mus: Iterable[int], lam) -> RingElement:
 
 
 def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
-    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 1..top (D(0) = 0, as
-    m_i^0 = i^0), in one ascending pass over the (m_i, i) pairs with its
-    own powers of lam, written lam = v/D and scaled like
-    :func:`_ascending_moments`."""
-    pairs = sorted(zip(table.m[1:], range(1, table.modulus)))
-    gaps = _steps([m for m, _ in pairs])
-    v, scales, zero, one = _split(lam, gaps)
-    powers = _gap_powers(v, gaps)
-    out = [zero] * (top + 1)
-    power = None  # v^m, None while it equals one
-    for (m, i), gap in zip(pairs, gaps):
-        power = _times(power, powers[gap])
-        if scales:
-            scale = scales[gap]
-            out = [x * scale for x in out]
-        term = one if power is None else power
-        m_pow = i_pow = 1
-        for e in range(1, top + 1):
-            m_pow *= m
-            i_pow *= i
-            out[e] = out[e] + (m_pow - i_pow) * term
-    return _lift(out, lam, pairs[-1][0])
+    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 0..top (D(0) = 0, as
+    m_i^0 = i^0) when lam^a = 1.  Then m_i = i mod a gives lam^{m_i} =
+    lam^r for r = i mod c, c the order of lam, so D(e) is a sum over the c
+    classes of lam^r times integer power sums (:func:`_integer_power_sums`)
+    of the class's m_i and i.  No power of lam is shared with the moment
+    kernel."""
+    a = table.modulus
+    c = next(c for c in range(1, a + 1) if a % c == 0 and is_power_unity(lam, c))
+    out = [lam.ring.zero] * (top + 1)
+    for r in range(c):
+        weight = lam ** r
+        entries = _integer_power_sums(islice(table.m, r, None, c), top)
+        indices = _integer_power_sums(range(r, a, c), top)
+        out = [x + weight * (m - i) for x, m, i in zip(out, entries, indices)]
+    return out
 
 
 def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, values) -> None:

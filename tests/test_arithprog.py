@@ -30,7 +30,6 @@ from gapsums import (
     weighted_sums_ap,
 )
 from gapsums import apery_general, oracle, summarize, weighted_sums
-from gapsums.arithprog import _table_exponents
 
 AP_13 = ArithProgression(13, 3, 5)
 AP_14 = ArithProgression(14, 3, 6)
@@ -84,7 +83,7 @@ def test_closed_forms_match_table_and_oracle_randomized():
 
 def test_table_polynomial_structure():
     for ap in (AP_13, AP_14, AP_12, ArithProgression(2, 1, 2)):
-        exponents = _table_exponents(ap)
+        exponents = [0, *(base + j * ap.d for base, js in ap.rows() for j in js)]
         assert all(x < y for x, y in zip(exponents, exponents[1:]))  # strictly ascending
         assert exponents == sorted(apery_arith(ap).m)  # one entry per residue
 
@@ -182,6 +181,13 @@ def test_weight_branch_classification():
     assert weight_branch(AP_12, z5) == "unity-d"
     assert weight_branch(ArithProgression(15, 2, 4), z5) == "unity-a"
     assert weight_branch(AP_14, as_element(7)) == "general"
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_weight_branch_refuses_weights_0_and_1(lam):
+    # require_weight raises it, not an assert, so python -O keeps the check
+    with pytest.raises(ValueError, match=f"weight {lam} is not allowed"):
+        weight_branch(AP_14, lam)
 
 
 def test_weighted_closed_form_rejects_degenerate_weights():

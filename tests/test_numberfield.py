@@ -411,6 +411,8 @@ def test_parse_normalizes_degree_one_inputs():
     assert LambdaSpec.parse("zeta(2)").element() == as_element(-1)
     assert LambdaSpec.parse("root(1, 5/3)").element() == Fraction(5, 3)
     assert LambdaSpec.parse("elem(minpoly=[-3,1];coeffs=[5])").element() == 5
+    # 1 + 2*3 + 5*3^2: the coordinates are reduced modulo x - 3
+    assert LambdaSpec.parse("elem(minpoly=[-3,1];coeffs=[1,2,5])").element() == 52
 
 
 def test_parse_rejects_degenerate_weights():

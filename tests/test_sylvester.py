@@ -10,17 +10,20 @@ from hypothesis import assume, example, given, strategies as st
 
 from corpora import random_generator_sets, random_progressions, reference_weights
 from gapsums import (
+    ArithProgression,
     Generators,
     LambdaSpec,
     apery_general,
     as_element,
     frobenius,
     genus,
+    is_power_unity,
     power_sum,
     weighted_moment,
     weighted_sum,
     weighted_sum_general,
     weighted_sum_unity_a,
+    weighted_sums_ap,
 )
 from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
 from gapsums.numberfield import RingElement
@@ -352,8 +355,7 @@ def test_int_path_matches_the_ring_path(gens, lam):
         assert values[mu] == oracle.weighted_sum(gs, mu, lam)
 
 
-def test_unity_difference_form_check_fires(monkeypatch):
-    table = apery_general(GENS_14)
+def _corrupt_differences(monkeypatch):
     honest = sylvester._residue_differences
 
     def corrupted(table, top, lam):
@@ -362,8 +364,74 @@ def test_unity_difference_form_check_fires(monkeypatch):
         return out
 
     monkeypatch.setattr(sylvester, "_residue_differences", corrupted)
+
+
+def _corrupt_moments(monkeypatch):
+    # M(0) stays, so the pole check passes and only the difference form can see it
+    honest = sylvester.weighted_moments
+
+    def corrupted(exponents, top, lam):
+        out = honest(exponents, top, lam)
+        out[1] = out[1] + 1
+        return out
+
+    monkeypatch.setattr(sylvester, "weighted_moments", corrupted)
+
+
+UNITY_A_QUERIES = {
+    "table": lambda: weighted_sum_unity_a(apery_general(GENS_14), 2, as_element(-1)),
+    "closed-form": lambda: weighted_sums_ap(ArithProgression(14, 3, 6), (2,), -1),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_corrupt_differences, _corrupt_moments], ids=["differences", "moments"]
+)
+@pytest.mark.parametrize("query", UNITY_A_QUERIES.values(), ids=UNITY_A_QUERIES.keys())
+def test_unity_difference_form_check_fires(monkeypatch, query, corrupt):
+    corrupt(monkeypatch)
     with pytest.raises(ArithmeticError, match="unity-weight forms disagree"):
-        weighted_sum_unity_a(table, 2, as_element(-1))
+        query()
+
+
+def _termwise_differences(table, top, lam):
+    """sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 0..top, one term at a time."""
+    return [
+        sum(((m ** e - i ** e) * lam ** m for i, m in enumerate(table.m) if i), lam.ring.zero)
+        for e in range(top + 1)
+    ]
+
+
+@st.composite
+def _unity_a_tables(draw):
+    """A residue table and a weight with lam^a = 1: -1, zeta(3..6), or zeta(a)."""
+    order = draw(st.integers(2, 6))
+    a = order * draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(a + 1, 3 * a + 2), min_size=1, max_size=3))
+    assume(gcd(a, *rest) == 1)
+    if draw(st.booleans()):
+        order = a  # a weight whose order is the modulus
+    return apery_general(Generators([a, *rest])), LambdaSpec.zeta(order).element()
+
+
+@given(_unity_a_tables(), st.integers(0, 4))
+@example((apery_general(GENS_14), as_element(-1)), 3)
+@example((apery_general(Generators([12, 17, 19])), LambdaSpec.zeta(12).element()), 4)
+def test_class_sums_match_termwise_differences(case, top):
+    table, lam = case
+    assert is_power_unity(lam, table.modulus)
+    assert sylvester._residue_differences(table, top, lam) == _termwise_differences(table, top, lam)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], range(7, 300, 11), range(5000), [-3, 0, 5, 2 ** 70, -(2 ** 40)] * 900],
+    ids=["empty", "range", "range-three-chunks", "signed-three-chunks"],
+)
+def test_power_sum_pass(values):
+    expected = [sum(x ** e for x in values) for e in range(6)]
+    assert sylvester._integer_power_sums(values, 5) == expected
+    assert sylvester._integer_power_sums(values, 0) == [len(values)]
 
 
 @pytest.mark.parametrize("lam", [-1, 1], ids=["unity-a", "power-sums"])
