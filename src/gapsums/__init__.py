@@ -20,7 +20,6 @@ from .arithprog import (
     frobenius_ap,
     genus_ap,
     power_sum_ap,
-    weight_branch,
     weighted_moment_ap,
     weighted_moment_unity_d,
     weighted_sum_ap,
@@ -28,7 +27,6 @@ from .arithprog import (
 )
 from .exact import bernoulli, binomial, eulerian, stirling2
 from .numberfield import (
-    Embedding,
     LambdaSpec,
     NumberRing,
     RATIONAL_RING,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AperyTable",
     "ArithProgression",
-    "Embedding",
     "GapSummary",
     "Generators",
     "LambdaSpec",
@@ -87,7 +84,6 @@ __all__ = [
     "power_sum_ap",
     "stirling2",
     "summarize",
-    "weight_branch",
     "weighted_moment",
     "weighted_moment_ap",
     "weighted_moment_unity_d",

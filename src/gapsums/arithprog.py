@@ -45,7 +45,6 @@ __all__ = [
     "frobenius_ap",
     "genus_ap",
     "power_sum_ap",
-    "weight_branch",
     "weighted_moment_ap",
     "weighted_moment_unity_d",
     "weighted_sum_ap",
@@ -156,18 +155,6 @@ def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
     if not is_power_unity(lam, ap.d):
         raise ValueError("this route requires the weight to satisfy lam^d = 1")
     return _unity_d_moments(ap, nu, lam)[nu]
-
-
-def weight_branch(ap: ArithProgression, lam) -> str:
-    """Which closed-form regime applies: "general", "unity-d" or "unity-a".
-    Weights 0 and 1 are refused first, as by every weighted sum; any other
-    weight is in at most one of the unity regimes, as gcd(a, d) = 1."""
-    lam = require_weight((1,), lam)
-    if is_power_unity(lam, ap.a):
-        return "unity-a"
-    if is_power_unity(lam, ap.d):
-        return "unity-d"
-    return "general"
 
 
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:

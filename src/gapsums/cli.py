@@ -29,13 +29,7 @@ from . import oracle, paths
 from .apery import ArithProgression, Generators, as_arith_progression
 # bench/tracing.py wraps cli.apery_general and cli.apery_arith, so the names stay importable
 from .apery import apery_arith, apery_general  # noqa: F401
-from .numberfield import (
-    Embedding,
-    LambdaSpec,
-    ReducibleModulusError,
-    element_to_json,
-    numeric_eval,
-)
+from .numberfield import LambdaSpec, ReducibleModulusError, element_to_json, numeric_eval
 
 __all__ = ["console_main", "main"]
 
@@ -108,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     for action in sub.choices.values():
         action._negative_number_matcher = matcher
     return parser
-
-
-def _numeric_embedding(args, spec: LambdaSpec | None) -> Embedding:
-    if args.numeric != "auto":
-        return Embedding.at_index(int(args.numeric))
-    return spec.embedding() if spec is not None else Embedding.at_index(0)
 
 
 def _emit(args, results: list[dict]) -> None:
@@ -201,7 +189,7 @@ def _run_weighted(args, gens: Generators, spec: LambdaSpec, path) -> int:
         )
         entry["display"] = str(value)
         if args.numeric is not None:
-            z = numeric_eval(value, _numeric_embedding(args, spec))
+            z = numeric_eval(value, spec.preview if args.numeric == "auto" else int(args.numeric))
             entry["numeric"] = {"re": z.real, "im": z.imag}
         results.append(entry)
     _emit(args, results)

@@ -38,7 +38,6 @@ from typing import Iterable, Sequence
 from . import polys
 
 __all__ = [
-    "Embedding",
     "LambdaSpec",
     "NumberRing",
     "RATIONAL_RING",
@@ -499,28 +498,6 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 # numeric preview
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Selects one complex root of the ring modulus for numeric previews."""
-
-    kind: str  # "index" | "zeta" | "principal"
-    order: int = 1
-    radicand: Fraction = Fraction(0)
-    index: int = 0
-
-    @classmethod
-    def at_index(cls, index: int) -> "Embedding":
-        return cls(kind="index", index=index)
-
-    @classmethod
-    def zeta(cls, order: int) -> "Embedding":
-        return cls(kind="zeta", order=order)
-
-    @classmethod
-    def principal(cls, order: int, radicand: Rational) -> "Embedding":
-        return cls(kind="principal", order=order, radicand=Fraction(radicand))
-
-
 @lru_cache(maxsize=None)
 def _ring_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
     import mpmath  # loaded only for numeric previews of degree >= 2 rings
@@ -539,42 +516,27 @@ def _ring_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
     return tuple(found)
 
 
-def _select_root(roots: tuple[complex, ...], embedding: Embedding) -> complex:
-    if embedding.kind == "index":
-        if not 0 <= embedding.index < len(roots):
-            raise ValueError(f"root index {embedding.index} out of range")
-        return roots[embedding.index]
-    if embedding.kind == "zeta":
-        target = cmath.exp(2j * cmath.pi / embedding.order)
-    elif embedding.kind == "principal":
-        r = float(embedding.radicand)
-        if r > 0:
-            target = complex(r ** (1.0 / embedding.order))
-        else:
-            target = abs(r) ** (1.0 / embedding.order) * cmath.exp(1j * cmath.pi / embedding.order)
-    else:
-        raise ValueError(f"unknown embedding kind {embedding.kind!r}")
-    return min(roots, key=lambda z: abs(z - target))
+def numeric_eval(x: RingElement, root: int | complex = 0) -> complex:
+    """Approximate complex value of x at one root of the modulus.
 
-
-def numeric_eval(x: RingElement, embedding: Embedding | int | None = None) -> complex:
-    """Approximate complex value of x under the chosen root of the modulus.
-
-    Diagnostic only; the result never feeds back into exact arithmetic.  An
-    integer is accepted as shorthand for ``Embedding.at_index``; the default
-    is root index 0 (roots ordered by real part, then imaginary part).
+    Diagnostic only; the result never feeds back into exact arithmetic.
+    ``root`` is an index into the roots, ordered by real part, then imaginary
+    part, or a point whose nearest root is taken (a weight's
+    :attr:`LambdaSpec.preview` is either).  A rational is its own value.
     """
     x = as_element(x)
     if x.ring.degree == 1:
         return complex(float(x.coeffs[0]), 0.0)
-    if embedding is None:
-        embedding = Embedding.at_index(0)
-    elif isinstance(embedding, int):
-        embedding = Embedding.at_index(embedding)
-    root = _select_root(_ring_roots(x.ring.minpoly), embedding)
+    roots = _ring_roots(x.ring.minpoly)
+    if not isinstance(root, int):
+        at = min(roots, key=lambda z: abs(z - root))
+    elif 0 <= root < len(roots):
+        at = roots[root]
+    else:
+        raise ValueError(f"root index {root} out of range")
     acc = 0j
     for c in reversed(x.coeffs):
-        acc = acc * root + float(c)
+        acc = acc * at + float(c)
     return acc
 
 
@@ -587,34 +549,45 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 
 @dataclass(frozen=True)
 class LambdaSpec:
-    """A description of a weight value.
+    """A weight value, described once: its canonical ``text`` (``str(spec)``),
+    its exact element ``elem`` (:meth:`element`; a ring of degree 1 collapses
+    to the rationals), and the ``preview`` root at which :func:`numeric_eval`
+    shows values of its ring, a root index or a point.
 
-    One of:
+    Built by one of four constructors:
 
-    * ``rational``: the value itself;
-    * ``root``: theta with theta^order = value (ring x^order - value);
-    * ``zeta``: a primitive order-th root of unity (cyclotomic modulus);
-    * ``custom``: explicit power-basis coordinates over an explicit modulus.
+    * :meth:`rational`: the value itself;
+    * :meth:`root`: theta with theta^order = value (ring x^order - value),
+      previewed at the principal root: the real one, or |value|^(1/order)
+      e^{i pi/order} for a negative value;
+    * :meth:`zeta`: a primitive order-th root of unity (cyclotomic modulus),
+      previewed at e^{2 pi i/order};
+    * :meth:`custom`: explicit power-basis coordinates over an explicit
+      modulus, previewed at root index 0.
 
     The text grammar accepted by :meth:`parse` (whitespace-insensitive,
     exact rational literals only)::
 
         p/q | root(n, p/q) | zeta(n) | elem(minpoly=[c0, ..., 1]; coeffs=[b0, ...])
 
-    Weights of 0 and 1 are rejected outright where detectable at build time.
+    A weight whose element is 0 or 1 is refused when it is built, and so is
+    root(n, 0), whose theta is nilpotent rather than zero.
     """
 
-    kind: str
-    value: Fraction = Fraction(0)
-    order: int = 0
-    minpoly: tuple[Fraction, ...] = ()
-    coeffs: tuple[Fraction, ...] = ()
+    text: str
+    elem: RingElement
+    preview: int | complex = 0
+
+    def __post_init__(self):
+        if self.elem.is_zero:
+            raise ValueError("weight 0 is not allowed")
+        if self.elem == self.elem.ring.one:
+            raise ValueError("weight 1 is not allowed (it degenerates to the unweighted sum)")
 
     @classmethod
     def rational(cls, value: Rational) -> "LambdaSpec":
         value = Fraction(value)
-        _check_weight_value(value)
-        return cls(kind="rational", value=value)
+        return cls(str(value), RATIONAL_RING.from_rational(value))
 
     @classmethod
     def root(cls, order: int, value: Rational) -> "LambdaSpec":
@@ -623,29 +596,24 @@ class LambdaSpec:
             raise ValueError("root order must be positive")
         if value == 0:
             raise ValueError("weight 0 is not allowed")
-        if order == 1:
-            _check_weight_value(value)
-        return cls(kind="root", order=order, value=value)
+        # the ray of the principal root picks it at every distance from 0, and
+        # its length |value|^(1/order) may lie beyond float range
+        point = cmath.exp(1j * cmath.pi / order) if value < 0 else complex(1)
+        ring = NumberRing([-value] + [0] * (order - 1) + [1])
+        return cls(f"root({order},{value})", _weight_element(ring, [0, 1]), point)
 
     @classmethod
     def zeta(cls, order: int) -> "LambdaSpec":
         if order < 1:
             raise ValueError("zeta order must be positive")
-        if order == 1:
-            raise ValueError("weight 1 is not allowed")
-        return cls(kind="zeta", order=order)
+        elem = _weight_element(NumberRing(cyclotomic(order)), [0, 1])
+        return cls(f"zeta({order})", elem, cmath.exp(2j * cmath.pi / order))
 
     @classmethod
     def custom(cls, minpoly: Iterable[Rational], coeffs: Iterable[Rational]) -> "LambdaSpec":
-        spec = cls(
-            kind="custom",
-            minpoly=tuple(Fraction(c) for c in minpoly),
-            coeffs=tuple(Fraction(c) for c in coeffs),
-        )
-        elem = spec.element()  # validates modulus and the 0/1 exclusion
-        if elem.is_rational:
-            _check_weight_value(elem.rational_value())
-        return spec
+        minpoly, coeffs = [Fraction(c) for c in minpoly], [Fraction(c) for c in coeffs]
+        text = f"elem(minpoly=[{','.join(map(str, minpoly))}];coeffs=[{','.join(map(str, coeffs))}])"
+        return cls(text, _weight_element(NumberRing(minpoly), coeffs))
 
     @classmethod
     def parse(cls, text: str) -> "LambdaSpec":
@@ -665,55 +633,18 @@ class LambdaSpec:
         raise ValueError(f"cannot parse weight specification {text!r}")
 
     def element(self) -> RingElement:
-        """The weight as an exact ring element (degree-1 rings collapse to Q)."""
-        if self.kind == "rational":
-            return RATIONAL_RING.from_rational(self.value)
-        if self.kind == "root":
-            if self.order == 1:
-                return RATIONAL_RING.from_rational(self.value)
-            ring = NumberRing([-self.value] + [0] * (self.order - 1) + [1])
-            return ring.generator
-        if self.kind == "zeta":
-            modulus = cyclotomic(self.order)
-            if len(modulus) == 2:
-                return RATIONAL_RING.from_rational(-Fraction(modulus[0]))
-            return NumberRing(modulus).generator
-        if self.kind == "custom":
-            ring = NumberRing(self.minpoly)
-            elem = ring.element(self.coeffs)
-            if ring.degree == 1:
-                return RATIONAL_RING.from_rational(elem.coeffs[0])  # reduced to one coordinate
-            if elem.is_zero:
-                raise ValueError("weight 0 is not allowed")
-            if elem == ring.one:
-                raise ValueError("weight 1 is not allowed")
-            return elem
-        raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def embedding(self) -> Embedding:
-        if self.kind == "root":
-            return Embedding.principal(self.order, self.value)
-        if self.kind == "zeta":
-            return Embedding.zeta(self.order)
-        return Embedding.at_index(0)
+        """The weight as an exact ring element."""
+        return self.elem
 
     def __str__(self) -> str:
-        if self.kind == "rational":
-            return str(self.value)
-        if self.kind == "root":
-            return f"root({self.order},{self.value})"
-        if self.kind == "zeta":
-            return f"zeta({self.order})"
-        minpoly = ",".join(str(c) for c in self.minpoly)
-        coeffs = ",".join(str(c) for c in self.coeffs)
-        return f"elem(minpoly=[{minpoly}];coeffs=[{coeffs}])"
+        return self.text
 
 
-def _check_weight_value(value: Fraction) -> None:
-    if value == 0:
-        raise ValueError("weight 0 is not allowed")
-    if value == 1:
-        raise ValueError("weight 1 is not allowed (it degenerates to the unweighted sum)")
+def _weight_element(ring: NumberRing, coeffs: Sequence[Rational]) -> RingElement:
+    """The element with power-basis coordinates ``coeffs``, in the rationals
+    when ``ring`` has degree 1."""
+    elem = ring.element(coeffs)
+    return RATIONAL_RING.from_rational(elem.coeffs[0]) if ring.degree == 1 else elem
 
 
 def _parse_rational(text: str) -> Fraction:

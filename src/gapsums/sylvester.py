@@ -15,18 +15,19 @@ into a sum over the table:
 The power sums read integer moments from :func:`_integer_power_sums`, the
 one chunked pass for integer power sums.  A weighted query takes every
 M(0..top) it needs from one call of :func:`weighted_moments`, which computes
-them along two independent routes over the sorted table entries and compares
-them exactly.  Both routes, and the recombination, run on integer numerators
-(w = v/D), so a weight with a denominator costs what an integer weight costs
-and each moment and each sum ends in one reduction; a rational weight runs on
-Python ints, on which a product with a power of two is a shift.  At w^a = 1
-and at w = 1 the series has a pole whose t^-1 coefficient must cancel, which
-is checked on every call.  At w^a = 1 the residue-difference form is
-compared with the series exactly: it is read through the same pole
-coefficients, but its sums are integer power sums per class of i mod the
-order of w, with no power of w in common with the moment kernel.  The
-closed forms hand their general and w^a = 1 queries to :func:`weighted_sums`
-too, so both paths run this check.
+them along two routes over the sorted table entries and compares them
+exactly; the routes share one table of powers of the weight, which an
+exponentiation of its own checks.  Both routes, and the recombination, run
+on integer numerators (w = v/D), so a weight with a denominator costs what an
+integer weight costs and each moment and each sum ends in one reduction; a
+rational weight runs on Python ints, on which a product with a power of two
+is a shift.  At w^a = 1 and at w = 1 the series has a pole whose t^-1
+coefficient must cancel, which is checked on every call.  At w^a = 1 the
+residue-difference form is compared with the series exactly: it is read
+through the same pole coefficients, but its sums are integer power sums per
+class of i mod the order of w, with no power of w in common with the moment
+kernel.  The closed forms hand their general and w^a = 1 queries to
+:func:`weighted_sums` too, so both paths run this check.
 """
 from __future__ import annotations
 
@@ -180,11 +181,28 @@ class _Shift:
     def __pow__(self, n: int) -> _Shift:
         return _Shift(self.odd ** n, self.shift * n)
 
+    def __eq__(self, other):  # compared by parts: no power of two is materialized
+        if type(other) is _Shift:
+            return self.odd == other.odd and self.shift == other.shift
+        return NotImplemented
+
 
 def _binary(x: int):
     """x as odd * 2**k: x itself when it is odd, else a :class:`_Shift`."""
     k = (x & -x).bit_length() - 1
     return _Shift(x >> k, k) if k else x
+
+
+def _power(lam, e: int):
+    """lam^e by square-and-multiply on :func:`_times` (None when it equals one)."""
+    power, base = None, None if _is_one(lam) else lam
+    while e:
+        if e & 1:
+            power = _times(power, base)
+        e >>= 1
+        if e:
+            base = _times(base, base)
+    return power
 
 
 def _gap_powers(lam, gaps: Iterable[int]) -> dict:
@@ -194,23 +212,13 @@ def _gap_powers(lam, gaps: Iterable[int]) -> dict:
     The deltas are taken in ascending order and each power is the previous
     one times lam^(difference), so gaps that lie close together cost one
     multiplication each; a difference met for the first time is raised by
-    square-and-multiply.
+    :func:`_power`.
     """
     powers: dict[int, RingElement | None] = {0: None}
-    first = None if _is_one(lam) else lam
     last = 0
     for delta in sorted(set(gaps) - {0}):
         step = delta - last
-        if step in powers:
-            power = powers[step]
-        else:
-            power, base = None, first
-            while step:
-                if step & 1:
-                    power = _times(power, base)
-                step >>= 1
-                if step:
-                    base = _times(base, base)
+        power = powers[step] if step in powers else _power(lam, step)
         powers[delta] = _times(powers[last], power)
         last = delta
     return powers
@@ -240,6 +248,16 @@ def _split(lam: RingElement, gaps: Sequence[int]) -> tuple:
     return v, scales, zero, one
 
 
+def _power_table(lam: RingElement, exponents: Sequence[int]) -> tuple:
+    """(v, scales, zero, one, powers): :func:`_split` of lam over the steps
+    between the ascending ``exponents`` (the first taken from 0), and
+    powers = {step: v^step} (:func:`_gap_powers`).  Both routes of
+    :func:`weighted_moments` read this one table."""
+    steps = _steps(exponents)
+    v, *rest = _split(lam, steps)
+    return (v, *rest, _gap_powers(v, steps))
+
+
 def _lift(values: list, lam: RingElement, top_exponent: int) -> list[RingElement]:
     """values / D^E in lam's ring, E = ``top_exponent``: the one reduction
     of an integral pass."""
@@ -249,18 +267,20 @@ def _lift(values: list, lam: RingElement, top_exponent: int) -> list[RingElement
     return [x * scale for x in values]
 
 
-def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list:
-    """D^E M(0..top) in one ascending pass on lam = v/D: v^e is stepped by
-    v^(e - previous e), and every sum takes its e^nu v^e term from the same
-    power.  Before each term the sums are multiplied by D^(e - previous e), a
-    Horner scheme in D, so the top exponent E leaves
-    sum_e e^nu D^(E-e) v^e = D^E M(nu) behind."""
-    gaps = _steps(exponents)
-    v, scales, zero, one = _split(lam, gaps)
-    powers = _gap_powers(v, gaps)
+def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list:
+    """D^E M(0..top) in one ascending pass on lam = v/D over the
+    :func:`_power_table`: v^e is stepped by v^(e - previous e), and every sum
+    takes its e^nu v^e term from the same power.  Before each term the sums
+    are multiplied by D^(e - previous e), a Horner scheme in D, so the top
+    exponent E leaves sum_e e^nu D^(E-e) v^e = D^E M(nu) behind.
+
+    The chained v^E is a product of every cached power, so it is compared
+    with v^E by an exponentiation of its own: the falling-factorial route
+    reads the same powers, and only this check can see a wrong one."""
+    v, scales, zero, one, powers = table
     sums = [zero] * (top + 1)
     power = None  # v^e, None while it equals one
-    for e, gap in zip(exponents, gaps):
+    for e, gap in zip(exponents, _steps(exponents)):
         if gap:
             power = _times(power, powers[gap])
             if scales:
@@ -271,23 +291,23 @@ def _ascending_moments(exponents: Sequence[int], top: int, lam: RingElement) -> 
         for nu in range(top + 1):
             sums[nu] = sums[nu] + weight * term  # 0**0 == 1 covers e = 0
             weight *= e
+    if power != _power(v, exponents[-1]):
+        raise ArithmeticError("cached powers of the weight are wrong: internal fault")
     return sums
 
 
-def _falling_factorial_moments(exponents: Sequence[int], top: int, lam: RingElement) -> list:
+def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple) -> list:
     """D^E M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
     M(nu) = sum_h S(nu, h) F(h) since e^nu = sum_h S(nu, h) (e)_h.
 
-    The F(h) are descending Horner passes on lam = v/D, run side by side
-    over the exponents with powers of their own:
+    The F(h) are descending Horner passes on lam = v/D over the
+    :func:`_power_table`, run side by side over the exponents:
     acc_h <- acc_h * v^(previous e - e) + (e)_h D^(E - e), with the integer
     scale D^(E - e) stepped up once per exponent for all of them.  The
     falling factorial (e)_h vanishes for e < h, so those exponents add
     nothing.  The passes end at D^E F(h), recombined into D^E M(nu).
     """
-    gaps = [high - low for low, high in zip(exponents, exponents[1:])]
-    v, scales, zero, _ = _split(lam, gaps)
-    powers = _gap_powers(v, gaps + [exponents[0]])
+    _, scales, zero, _, powers = table
     falling = [0] * (top + 1)  # ints until the first power: no product with one
     scale = scales[0] if scales else 1  # D^(E - e); (e)_h * scale is a shift for even D
     last = exponents[-1]
@@ -314,13 +334,15 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
     ascending ``exponents`` (the table entries, m_0 = 0 included, which adds
     1 to M(0) and nothing else).
 
-    Computed along two routes that share no power of lam, the ascending power
-    pass and the falling-factorial Horner passes; they must agree exactly.
-    Each route writes lam = v/D (D = lam.den) and runs on v with integer
-    scales D^(E-e), E the top exponent, so over an integral modulus no sum
-    or product in the passes reduces a fraction.  The routes' D^E M(nu) are
-    compared, then divided by D^E once.  A weight of ring degree 1 runs both
-    routes on Python ints (see :func:`_split`).
+    Computed along two routes, the ascending power pass and the
+    falling-factorial Horner passes; they must agree exactly.  Both write
+    lam = v/D (D = lam.den) and run on v with integer scales D^(E-e), E the
+    top exponent, so over an integral modulus no sum or product in the passes
+    reduces a fraction.  They share one table of powers of v
+    (:func:`_power_table`), which the ascending pass checks against an
+    exponentiation of its own.  The routes' D^E M(nu) are compared, then
+    divided by D^E once.  A weight of ring degree 1 runs both routes on
+    Python ints (see :func:`_split`).
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
@@ -331,8 +353,9 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
         x >= y for x, y in zip(exponents, exponents[1:])
     ):
         raise ValueError("exponents must be nonnegative and strictly ascending")
-    scaled = _ascending_moments(exponents, top, lam)
-    if scaled != _falling_factorial_moments(exponents, top, lam):
+    table = _power_table(lam, exponents)
+    scaled = _ascending_moments(exponents, top, table)
+    if scaled != _falling_factorial_moments(exponents, top, table):
         raise ArithmeticError("weighted moment routes disagree: internal fault")
     return _lift(scaled, lam, exponents[-1])
 

@@ -21,7 +21,6 @@ from gapsums import (
     is_power_unity,
     power_sum,
     power_sum_ap,
-    weight_branch,
     weighted_moment,
     weighted_moment_ap,
     weighted_moment_unity_d,
@@ -173,21 +172,25 @@ def test_weighted_closed_form_reference_values():
     assert value == -6380
 
 
+def _branch(ap, lam) -> str:
+    return weighted_sums_ap(ap, (1,), lam).branch
+
+
 def test_weight_branch_classification():
-    assert weight_branch(AP_14, as_element(-1)) == "unity-a"
-    assert weight_branch(AP_13, as_element(-1)) == "general"  # 13 odd, 3 odd
-    assert weight_branch(ArithProgression(13, 2, 5), as_element(-1)) == "unity-d"
+    assert _branch(AP_14, as_element(-1)) == "unity-a"
+    assert _branch(AP_13, as_element(-1)) == "general"  # 13 odd, 3 odd
+    assert _branch(ArithProgression(13, 2, 5), as_element(-1)) == "unity-d"
     z5 = LambdaSpec.zeta(5).element()
-    assert weight_branch(AP_12, z5) == "unity-d"
-    assert weight_branch(ArithProgression(15, 2, 4), z5) == "unity-a"
-    assert weight_branch(AP_14, as_element(7)) == "general"
+    assert _branch(AP_12, z5) == "unity-d"
+    assert _branch(ArithProgression(15, 2, 4), z5) == "unity-a"
+    assert _branch(AP_14, as_element(7)) == "general"
 
 
 @pytest.mark.parametrize("lam", [0, 1])
 def test_weight_branch_refuses_weights_0_and_1(lam):
     # require_weight raises it, not an assert, so python -O keeps the check
     with pytest.raises(ValueError, match=f"weight {lam} is not allowed"):
-        weight_branch(AP_14, lam)
+        weighted_sums_ap(AP_14, (1,), lam)
 
 
 def test_weighted_closed_form_rejects_degenerate_weights():

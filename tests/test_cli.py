@@ -215,8 +215,8 @@ def test_input_keeps_the_digit_cap(capsys):
 def test_internal_route_disagreement_exits_3(capsys, monkeypatch):
     honest = sylvester._falling_factorial_moments
 
-    def corrupted(exponents, top, lam):
-        out = honest(exponents, top, lam)
+    def corrupted(exponents, top, table):
+        out = honest(exponents, top, table)
         out[0] = out[0] + 1
         return out
 

@@ -7,10 +7,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gapsums import (
-    Embedding,
     LambdaSpec,
     NumberRing,
     RATIONAL_RING,
@@ -367,22 +366,22 @@ def test_degree_one_powers_are_repeated_products_in_lowest_terms(lam):
 
 
 def test_numeric_eval_principal_real_root():
-    value = numeric_eval(CBRT2.generator, Embedding.principal(3, 2))
+    value = numeric_eval(CBRT2.generator, complex(2 ** (1 / 3)))
     assert abs(value - 2 ** (1 / 3)) < 1e-12
 
 
 def test_numeric_eval_zeta():
-    value = numeric_eval(ZETA5.generator, Embedding.zeta(5))
+    value = numeric_eval(ZETA5.generator, cmath.exp(2j * cmath.pi / 5))
     assert abs(value - cmath.exp(2j * cmath.pi / 5)) < 1e-12
 
 
 def test_numeric_eval_root_index():
     # roots of x^2 + 1 ordered by (re, im): index 0 is -i, index 1 is +i
     w = GAUSS.element([4, 3])
-    assert abs(numeric_eval(w, Embedding.at_index(1)) - (4 + 3j)) < 1e-12
+    assert abs(numeric_eval(w, 1) - (4 + 3j)) < 1e-12
     assert abs(numeric_eval(w, 0) - (4 - 3j)) < 1e-12
     with pytest.raises(ValueError):
-        numeric_eval(w, Embedding.at_index(2))
+        numeric_eval(w, 2)
 
 
 def test_numeric_eval_rational_is_exact_float():
@@ -437,9 +436,74 @@ def test_spec_text_roundtrip():
 
 
 def test_embeddings_from_specs():
-    assert LambdaSpec.parse("root(3,2)").embedding() == Embedding.principal(3, 2)
-    assert LambdaSpec.parse("zeta(5)").embedding() == Embedding.zeta(5)
-    assert LambdaSpec.parse("7").embedding() == Embedding.at_index(0)
+    # root(n, r) previews on the ray of its principal root, zeta(n) at e^{2 pi i/n}
+    assert LambdaSpec.parse("root(3,2)").preview == 1
+    assert LambdaSpec.parse("root(2,-3)").preview == cmath.exp(1j * cmath.pi / 2)
+    assert LambdaSpec.parse("zeta(5)").preview == cmath.exp(2j * cmath.pi / 5)
+    assert LambdaSpec.parse("7").preview == 0
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _weights(draw):
+    """(text, element, root) for a weight of any of the four kinds: the
+    element built without LambdaSpec (None for root(n, 0), whose theta is
+    not zero but which is refused), and the root that a preview must pick
+    (None where the element is rational or the preview is root index 0)."""
+    kind = draw(st.sampled_from(["rational", "root", "zeta", "elem"]))
+    if kind == "zeta":
+        n = draw(st.integers(1, 12))
+        modulus = cyclotomic(n)
+        if len(modulus) == 2:
+            return f"zeta({n})", as_element(-modulus[0]), None
+        return f"zeta({n})", NumberRing(modulus).generator, cmath.exp(2j * cmath.pi / n)
+    if kind == "elem":
+        minpoly = draw(st.lists(_SMALL_RATIONALS, min_size=1, max_size=3)) + [1]
+        coeffs = draw(st.lists(_SMALL_RATIONALS, max_size=4))
+        elem = NumberRing(minpoly).element(coeffs)
+        if elem.ring.degree == 1:
+            elem = as_element(elem.coeffs[0])
+        listed = [",".join(map(str, minpoly)), ", ".join(map(str, coeffs))]
+        return "elem(minpoly=[{}]; coeffs=[{}])".format(*listed), elem, None
+    p, q = draw(st.integers(-9, 9)), draw(st.integers(1, 4))  # text not in lowest terms
+    r = Fraction(p, q)
+    if kind == "rational":
+        return f" {p}/{q}", as_element(r), None
+    n = draw(st.integers(1, 6))
+    text = f"root({n}, {p}/{q})"
+    if r == 0:
+        return text, None, None
+    if n == 1:
+        return text, as_element(r), None
+    principal = abs(r) ** (1 / n) * (1 if r > 0 else cmath.exp(1j * cmath.pi / n))
+    return text, NumberRing([-r] + [0] * (n - 1) + [1]).generator, principal
+
+
+@given(_weights())
+@example(("root(3,2)", CBRT2.generator, 2 ** (1 / 3)))
+@example(("root(2,-3)", NumberRing([3, 0, 1]).generator, 3 ** 0.5 * 1j))
+@example(("zeta(5)", ZETA5.generator, cmath.exp(2j * cmath.pi / 5)))
+@example(("zeta(1)", as_element(1), None))
+@example(("root(4,0)", None, None))
+@example(("elem(minpoly=[1,0,1];coeffs=[1,0])", GAUSS.one, None))
+@example(("elem(minpoly=[-1,1];coeffs=[0,1])", as_element(1), None))  # theta = 1
+def test_weight_description_is_built_once(weight):
+    text, elem, root = weight
+    if elem is None or elem.is_zero or elem == elem.ring.one:
+        refused = 1 if elem is not None and not elem.is_zero else 0
+        with pytest.raises(ValueError, match=f"^weight {refused} is not allowed"):
+            LambdaSpec.parse(text)
+        return
+    spec = LambdaSpec.parse(text)
+    assert spec.element() == elem  # a ring of degree 1 collapses to the rationals
+    again = LambdaSpec.parse(str(spec))
+    assert (str(again), again.element(), again.preview) == (str(spec), elem, spec.preview)
+    if root is None:
+        assert spec.preview == 0 or elem.ring.degree == 1
+    else:  # the principal root of root(n, r), e^{2 pi i/n} for zeta(n)
+        assert abs(numeric_eval(elem, spec.preview) - root) < 1e-9 * max(1, abs(root))
 
 
 def test_element_json_roundtrip():

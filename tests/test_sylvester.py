@@ -231,6 +231,27 @@ def test_moment_route_check_fires(monkeypatch):
         weighted_sum(GENS_14, 2, as_element(3))
 
 
+@pytest.mark.parametrize("spec", ["2", "-1/2", "root(3,2)", "zeta(5)"])
+def test_a_wrong_cached_power_is_caught(monkeypatch, spec):
+    # both routes read one table of powers of v, so the route comparison
+    # cannot see a wrong entry; the chained v^E against an exponentiation
+    # of its own can
+    table = apery_general(Generators([53, 67, 88]))
+    lam = LambdaSpec.parse(spec).element()
+    assert weighted_sums(table, (1, 2), lam).branch == "general"
+    honest = sylvester._gap_powers
+
+    def corrupted(v, gaps):
+        powers = honest(v, gaps)
+        delta = max(d for d, power in powers.items() if power is not None)
+        powers[delta] = powers[delta] * 3
+        return powers
+
+    monkeypatch.setattr(sylvester, "_gap_powers", corrupted)
+    with pytest.raises(ArithmeticError, match="cached powers of the weight are wrong"):
+        weighted_sums(table, (1, 2), lam)
+
+
 def _per_operation_moments(exponents, top, lam):
     """M(0..top) on lam itself, one reduced ring operation at a time, along
     the kernel's two routes as they ran before they were scaled to integer
@@ -286,7 +307,7 @@ def test_moment_kernel_matches_per_operation_routes(spec):
         assert weighted_moments(exponents, 4, lam) == expected, exponents
         for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
             # a route returns D^E M(nu); the kernel divides once, after comparing
-            scaled = route(exponents, 4, lam)
+            scaled = route(exponents, 4, sylvester._power_table(lam, exponents))
             assert sylvester._lift(scaled, lam, exponents[-1]) == expected, (route.__name__, exponents)
 
 
