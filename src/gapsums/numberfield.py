@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import exp, gcd, lcm, log
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -596,9 +596,11 @@ class LambdaSpec:
             raise ValueError("root order must be positive")
         if value == 0:
             raise ValueError("weight 0 is not allowed")
-        # the ray of the principal root picks it at every distance from 0, and
-        # its length |value|^(1/order) may lie beyond float range
-        point = cmath.exp(1j * cmath.pi / order) if value < 0 else complex(1)
+        # the principal root's length |value|^(1/order) is taken by logarithms,
+        # since value may lie beyond float range; past e^709, the float limit,
+        # the roots preview as inf whichever is picked
+        log_length = (log(abs(value.numerator)) - log(value.denominator)) / order
+        point = exp(min(log_length, 709.0)) * cmath.exp(1j * cmath.pi / order if value < 0 else 0)
         ring = NumberRing([-value] + [0] * (order - 1) + [1])
         return cls(f"root({order},{value})", _weight_element(ring, [0, 1]), point)
 

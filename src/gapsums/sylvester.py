@@ -16,8 +16,8 @@ The power sums read integer moments from :func:`_integer_power_sums`, the
 one chunked pass for integer power sums.  A weighted query takes every
 M(0..top) it needs from one call of :func:`weighted_moments`, which computes
 them along two routes over the sorted table entries and compares them
-exactly; the routes share one table of powers of the weight, which an
-exponentiation of its own checks.  Both routes, and the recombination, run
+exactly; the routes share one table of powers of the weight, which the
+weight's own power operator checks.  Both routes, and the recombination, run
 on integer numerators (w = v/D), so a weight with a denominator costs what an
 integer weight costs and each moment and each sum ends in one reduction; a
 rational weight runs on Python ints, on which a product with a power of two
@@ -275,8 +275,10 @@ def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list
     exponent E leaves sum_e e^nu D^(E-e) v^e = D^E M(nu) behind.
 
     The chained v^E is a product of every cached power, so it is compared
-    with v^E by an exponentiation of its own: the falling-factorial route
-    reads the same powers, and only this check can see a wrong one."""
+    with ``v ** E``, the power operator of v's own type (int, :class:`_Shift`
+    or :class:`RingElement`), which shares no code with :func:`_power` and
+    :func:`_gap_powers`: the falling-factorial route reads the same powers,
+    and only this check can see a wrong one."""
     v, scales, zero, one, powers = table
     sums = [zero] * (top + 1)
     power = None  # v^e, None while it equals one
@@ -291,7 +293,7 @@ def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list
         for nu in range(top + 1):
             sums[nu] = sums[nu] + weight * term  # 0**0 == 1 covers e = 0
             weight *= e
-    if power != _power(v, exponents[-1]):
+    if exponents[-1] and term != v ** exponents[-1]:  # at E = 0 no power was taken
         raise ArithmeticError("cached powers of the weight are wrong: internal fault")
     return sums
 
@@ -339,8 +341,8 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
     lam = v/D (D = lam.den) and run on v with integer scales D^(E-e), E the
     top exponent, so over an integral modulus no sum or product in the passes
     reduces a fraction.  They share one table of powers of v
-    (:func:`_power_table`), which the ascending pass checks against an
-    exponentiation of its own.  The routes' D^E M(nu) are compared, then
+    (:func:`_power_table`), which the ascending pass checks against the
+    power operator of v's type.  The routes' D^E M(nu) are compared, then
     divided by D^E once.  A weight of ring degree 1 runs both routes on
     Python ints (see :func:`_split`).
     """

@@ -436,9 +436,9 @@ def test_spec_text_roundtrip():
 
 
 def test_embeddings_from_specs():
-    # root(n, r) previews on the ray of its principal root, zeta(n) at e^{2 pi i/n}
-    assert LambdaSpec.parse("root(3,2)").preview == 1
-    assert LambdaSpec.parse("root(2,-3)").preview == cmath.exp(1j * cmath.pi / 2)
+    # root(n, r) previews at its principal root, zeta(n) at e^{2 pi i/n}
+    assert LambdaSpec.parse("root(3,2)").preview == pytest.approx(2 ** (1 / 3))
+    assert LambdaSpec.parse("root(2,-3)").preview == pytest.approx(3 ** 0.5 * 1j)
     assert LambdaSpec.parse("zeta(5)").preview == cmath.exp(2j * cmath.pi / 5)
     assert LambdaSpec.parse("7").preview == 0
 
@@ -468,9 +468,11 @@ def _weights(draw):
         listed = [",".join(map(str, minpoly)), ", ".join(map(str, coeffs))]
         return "elem(minpoly=[{}]; coeffs=[{}])".format(*listed), elem, None
     p, q = draw(st.integers(-9, 9)), draw(st.integers(1, 4))  # text not in lowest terms
-    r = Fraction(p, q)
     if kind == "rational":
-        return f" {p}/{q}", as_element(r), None
+        return f" {p}/{q}", as_element(Fraction(p, q)), None
+    scale = draw(st.integers(-45, 65))  # roots far from 1 in both directions
+    p, q = p * 10 ** max(scale, 0), q * 10 ** max(-scale, 0)
+    r = Fraction(p, q)
     n = draw(st.integers(1, 6))
     text = f"root({n}, {p}/{q})"
     if r == 0:
@@ -485,6 +487,10 @@ def _weights(draw):
 @example(("root(3,2)", CBRT2.generator, 2 ** (1 / 3)))
 @example(("root(2,-3)", NumberRing([3, 0, 1]).generator, 3 ** 0.5 * 1j))
 @example(("zeta(5)", ZETA5.generator, cmath.exp(2j * cmath.pi / 5)))
+@example((f"root(2,{10 ** 33})", NumberRing([-10 ** 33, 0, 1]).generator, 10 ** 16.5))
+@example((f"root(3,{-10 ** 60})", NumberRing([10 ** 60, 0, 0, 1]).generator,
+          1e20 * cmath.exp(1j * cmath.pi / 3)))
+@example((f"root(2,1/{10 ** 40})", NumberRing([Fraction(-1, 10 ** 40), 0, 1]).generator, 1e-20))
 @example(("zeta(1)", as_element(1), None))
 @example(("root(4,0)", None, None))
 @example(("elem(minpoly=[1,0,1];coeffs=[1,0])", GAUSS.one, None))
@@ -503,7 +509,7 @@ def test_weight_description_is_built_once(weight):
     if root is None:
         assert spec.preview == 0 or elem.ring.degree == 1
     else:  # the principal root of root(n, r), e^{2 pi i/n} for zeta(n)
-        assert abs(numeric_eval(elem, spec.preview) - root) < 1e-9 * max(1, abs(root))
+        assert abs(numeric_eval(elem, spec.preview) - root) < 1e-9 * abs(root)
 
 
 def test_element_json_roundtrip():

@@ -162,6 +162,9 @@ class _RecordedPower:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):  # the kernel's check of the chained top power
+        return _RecordedPower(self.value ** n, self.log)
+
     def __eq__(self, other):
         return self.value == other
 
