@@ -10,29 +10,26 @@ in two regimes of the weight w:
 
 * w^d != 1 ("general", and "unity-a" when w^a = 1): the closed-form table
   (:func:`gapsums.apery.apery_arith`) goes to the residue-table engine,
-  :func:`gapsums.sylvester.weighted_sums`, with its moment kernel and, at
-  w^a = 1, its check against the residue-difference form.
+  :func:`gapsums.sylvester.weighted_sums`.
 * w^d = 1 ("unity-d"): every entry of row s carries the weight w^{sa}, so
-  each moment is a sum over the row classes sa mod d of w^{sa} times an
-  integer power sum of the class (``weighted_moment_unity_d``), and
-  :func:`gapsums.sylvester.weighted_sum_from_moments` turns the moments
-  into sums.
+  the moments are class sums over the rows (``_unity_d_moments``), turned
+  into sums by :func:`gapsums.sylvester.weighted_sum_from_moments`.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 from .apery import ArithProgression, apery_arith
 from .exact import bernoulli, binomial
-from .numberfield import RingElement, as_element, is_power_unity
+from .numberfield import RingElement, as_element, order
 from .sylvester import (
     WeightedSum,
     WeightedSums,
-    _integer_power_sums,
+    _class_moments,
+    _unity,
     require_weight,
     weighted_moments,
     weighted_sum_from_moments,
@@ -114,62 +111,42 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
 
 def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
     """sum_i m_i^nu lam^{m_i} over the closed-form table, along both routes
-    of the sparse moment kernel; no division by ring elements occurs, so the
-    value is defined for every nonzero weight.
-    """
+    of :func:`gapsums.sylvester.weighted_moments`, for every nonzero weight."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     return weighted_moments(sorted(apery_arith(ap).m), nu, lam)[nu]
 
 
 def _unity_d_moments(ap: ArithProgression, top: int, lam: RingElement) -> list[RingElement]:
-    """[M(0), ..., M(top)] when lam^d = 1: every entry of row s carries
-    lam^{sa}, so
-
-        M(nu) = [nu = 0] + sum_s lam^{sa} sum_{j in row s} (sa + jd)^nu,
-
-    with integer power sums inside
-    (:func:`gapsums.sylvester._integer_power_sums`).  lam^{sa} depends on
-    sa mod d alone, so the rows are chained per class, and each class is one
-    pass before its one ring product."""
-    d = ap.d
-    classes: dict[int, list[range]] = {}
+    """[M(0), ..., M(top)] when lam^d = 1: row s carries lam^{sa} = lam^(sa mod c),
+    c the order of lam, so the moments are one
+    :func:`gapsums.sylvester._class_moments` over the rows' classes sa mod c."""
+    d, c = ap.d, order(lam)
+    classes: dict[int, list] = {0: [(0,)]}  # m_0 = 0 adds 1 to M(0)
     for base, js in ap.rows():
-        classes.setdefault(base % d, []).append(range(base + js.start * d, base + js.stop * d, d))
-    moments = [lam.ring.one] + [lam.ring.zero] * top  # m_0 = 0 adds 1 to M(0)
-    for c, rows in classes.items():
-        weight = lam ** c
-        sums = _integer_power_sums(chain.from_iterable(rows), top)
-        moments = [x + weight * y for x, y in zip(moments, sums)]
-    return moments
+        classes.setdefault(base % c, []).append(range(base + js.start * d, base + js.stop * d, d))
+    return _class_moments(classes, top, lam)
 
 
 def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} when lam^d = 1, from the row sums of
-    :func:`_unity_d_moments`; the nu = 0 value includes the unit
-    contribution of the zero residue, matching :func:`weighted_moment_ap`.
-    """
+    """sum_i m_i^nu lam^{m_i} when lam^d = 1, from :func:`_unity_d_moments`;
+    at nu = 0 it counts m_0 = 0, as :func:`weighted_moment_ap` does."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     lam = as_element(lam)
-    if not is_power_unity(lam, ap.d):
+    if not _unity(lam, ap.d):
         raise ValueError("this route requires the weight to satisfy lam^d = 1")
     return _unity_d_moments(ap, nu, lam)[nu]
 
 
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
-    """Weighted gap sums for every mu in ``mus`` by closed form.  When
-    lam^d = 1 they come from the row sums of :func:`_unity_d_moments`; in
-    the other regimes the closed-form table goes to the residue-table
-    engine, :func:`gapsums.sylvester.weighted_sums`, which also holds the
-    lam^a = 1 sums to the residue-difference form.
-
-    Equals the general residue-table engine on the same generators; weights 0
-    and 1 are rejected (1 would be the plain power sum).
-    """
+    """Weighted gap sums for every mu in ``mus`` by closed form: from
+    :func:`_unity_d_moments` when lam^d = 1, else from the closed-form table
+    through :func:`gapsums.sylvester.weighted_sums`.  Equals the residue-table
+    engine on the same generators; weights 0 and 1 are rejected."""
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
-    if not is_power_unity(lam, ap.d):  # "general" or "unity-a"
+    if not _unity(lam, ap.d):  # "general" or "unity-a"
         return weighted_sums(apery_arith(ap), mus, lam)
     moments = _unity_d_moments(ap, mus[-1], lam)
     return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), "unity-d")

@@ -177,6 +177,8 @@ def _run(args) -> int:
 
 
 def _run_weighted(args, gens: Generators, spec: LambdaSpec, path) -> int:
+    if args.numeric not in (None, "auto") and not re.fullmatch(r"[+-]?\d+", args.numeric):
+        raise ValueError(f"root index {args.numeric!r} is not an integer")
     values, method = path.weighted_sums(args.mu, spec.element())
     results = []
     for mu, value in values.items():

@@ -30,8 +30,9 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import exp, gcd, lcm, log
+from functools import lru_cache, reduce
+from itertools import count
+from math import exp, gcd, isqrt, lcm, log, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -50,6 +51,7 @@ __all__ = [
     "element_to_json",
     "is_power_unity",
     "numeric_eval",
+    "order",
 ]
 
 Rational = int | Fraction
@@ -475,6 +477,38 @@ def is_power_unity(x: RingElement, e: int) -> bool:
     return x ** e == x.ring.one
 
 
+@lru_cache(maxsize=256)
+def order(x) -> int | None:
+    """The least c >= 1 with x^c = 1, or None when no power of x is one.
+
+    x^c = 1 makes the minimal polynomial of x a product of distinct Phi_m with
+    sum phi(m) <= n, the ring's degree, so c divides N_n = lcm{m : phi(m) <= n}:
+    x^(N_n) = 1 decides, and dropping primes of N_n while it stays one finds c.
+    Such an x has norm +-1 and its powers integer traces of size <= n (sums of
+    n roots of unity), so the raising to N_n stops early for most others."""
+    x = as_element(x)
+    n, traces = x.ring.degree, _traces(x.ring.minpoly)
+    try:
+        if abs(x.adjugate()[1]) != 1:
+            return None
+    except (ZeroDivisionError, ReducibleModulusError):  # 0 and zero divisors
+        return None
+    primes = []  # of N_n, with multiplicity: p^e divides N_n while phi(p^e) <= n
+    for p in (p for p in range(2, n + 2) if all(p % q for q in range(2, isqrt(p) + 1))):
+        primes += [p] * next(e for e in count(1) if p ** e * (p - 1) > n)
+    power = x
+    for p in primes:
+        power = power ** p
+        if abs(_trace_step(power, traces, 1)) not in range(n + 1):  # an integer, at most n
+            return None
+    if power != 1:
+        return None
+    c = prod(primes)
+    for p in primes:
+        c //= p if x ** (c // p) == 1 else 1
+    return c
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the n-th cyclotomic polynomial.
@@ -522,22 +556,20 @@ def numeric_eval(x: RingElement, root: int | complex = 0) -> complex:
     Diagnostic only; the result never feeds back into exact arithmetic.
     ``root`` is an index into the roots, ordered by real part, then imaginary
     part, or a point whose nearest root is taken (a weight's
-    :attr:`LambdaSpec.preview` is either).  A rational is its own value.
+    :attr:`LambdaSpec.preview` is either).  A rational is its own value, at
+    its one root, index 0.  Raises ValueError past the roots or the floats.
     """
     x = as_element(x)
-    if x.ring.degree == 1:
-        return complex(float(x.coeffs[0]), 0.0)
-    roots = _ring_roots(x.ring.minpoly)
-    if not isinstance(root, int):
-        at = min(roots, key=lambda z: abs(z - root))
-    elif 0 <= root < len(roots):
-        at = roots[root]
-    else:
+    if isinstance(root, int) and not 0 <= root < x.ring.degree:
         raise ValueError(f"root index {root} out of range")
-    acc = 0j
-    for c in reversed(x.coeffs):
-        acc = acc * at + float(c)
-    return acc
+    try:
+        if x.ring.degree == 1:
+            return complex(float(x.coeffs[0]), 0.0)
+        roots = _ring_roots(x.ring.minpoly)
+        at = roots[root] if isinstance(root, int) else min(roots, key=lambda z: abs(z - root))
+        return reduce(lambda acc, c: acc * at + float(c), reversed(x.coeffs), 0j)  # Horner
+    except OverflowError:
+        raise ValueError("numeric preview out of floating-point range") from None
 
 
 # ---------------------------------------------------------------------------

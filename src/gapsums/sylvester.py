@@ -14,29 +14,24 @@ into a sum over the table:
 
 The power sums read integer moments from :func:`_integer_power_sums`, the
 one chunked pass for integer power sums.  A weighted query takes every
-M(0..top) it needs from one call of :func:`weighted_moments`, which computes
-them along two routes over the sorted table entries and compares them
-exactly; the routes share one table of powers of the weight, which the
-weight's own power operator checks.  Both routes, and the recombination, run
-on integer numerators (w = v/D), so a weight with a denominator costs what an
-integer weight costs and each moment and each sum ends in one reduction; a
-rational weight runs on Python ints, on which a product with a power of two
-is a shift.  At w^a = 1 and at w = 1 the series has a pole whose t^-1
-coefficient must cancel, which is checked on every call.  At w^a = 1 the
-residue-difference form is compared with the series exactly: it is read
-through the same pole coefficients, but its sums are integer power sums per
-class of i mod the order of w, with no power of w in common with the moment
-kernel.  The closed forms hand their general and w^a = 1 queries to
-:func:`weighted_sums` too, so both paths run this check.
+M(0..top) it needs from one call of :func:`weighted_moments`, along two
+routes compared exactly: integer class sums for a weight of finite order
+(:func:`_class_moments`), else the moment kernel, which runs on integer
+numerators (w = v/D) so that each moment and each sum ends in one reduction.
+At w^a = 1 and at w = 1 the series has a pole whose t^-1 coefficient must
+cancel, which is checked on every call; at w^a = 1 the residue-difference
+form, class sums over i mod the order of w, is compared with the series
+exactly, on the table and on the closed forms, which hand their general and
+w^a = 1 queries to :func:`weighted_sums`.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import lcm, perm
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
@@ -44,7 +39,7 @@ from .apery import AperyTable, Generators, apery_general
 # bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
 from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
-from .numberfield import RingElement, as_element, is_power_unity
+from .numberfield import RingElement, as_element, order
 
 __all__ = [
     "GapSummary",
@@ -207,12 +202,9 @@ def _power(lam, e: int):
 
 def _gap_powers(lam, gaps: Iterable[int]) -> dict:
     """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0), with
-    None for a power that equals one (see :func:`_times`).
-
-    The deltas are taken in ascending order and each power is the previous
-    one times lam^(difference), so gaps that lie close together cost one
-    multiplication each; a difference met for the first time is raised by
-    :func:`_power`.
+    None for a power that equals one (see :func:`_times`).  Each power is the
+    previous one, in ascending order, times lam^(difference), so close gaps
+    cost one product each; a difference met first is raised by :func:`_power`.
     """
     powers: dict[int, RingElement | None] = {0: None}
     last = 0
@@ -233,11 +225,9 @@ def _split(lam: RingElement, gaps: Sequence[int]) -> tuple:
     """lam = v / D with D = lam.den, so v has integer coordinates and, over
     an integral modulus, so has every product of powers of v.  Returns v,
     the integer scales {delta: D^delta} for 0 and the distinct ``gaps``
-    (none when D = 1), and the zero and one of the pass.
-
-    A weight of ring degree 1 takes the int path: v is a Python int, and v
-    and D are kept as odd * 2**k (:func:`_binary`), so that a product with
-    a power of two is a shift.
+    (none when D = 1), and the zero and one of the pass.  A weight of ring
+    degree 1 takes the int path: v and D are Python ints kept as odd * 2**k
+    (:func:`_binary`), so that a product with a power of two is a shift.
     """
     den = lam.den
     if lam.ring.degree == 1:
@@ -331,30 +321,53 @@ def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple)
     ]
 
 
+def _class_moments(classes: Mapping[int, Sequence], top: int, lam: RingElement) -> list:
+    """M(0..top), M(nu) = sum_r lam^r sum_{x in class r} x^nu, for ``classes``
+    mapping r to runs (lists or ranges) of the integers of weight lam^r, along
+    two routes compared exactly: integer power sums (:func:`_integer_power_sums`)
+    with lam^r chained by :func:`_power`, and falling-factorial sums
+    sum_x (x)_h recombined by Stirling numbers, with lam^r from lam's own
+    power operator.  The ring work is a few products per class."""
+    direct, falling = [lam.ring.zero] * (top + 1), [lam.ring.zero] * (top + 1)
+    weight, last = None, 0  # lam^last, None while it equals one
+    for r in sorted(classes):
+        weight, last = _times(weight, _power(lam, r - last)), r
+        sums = _integer_power_sums(chain.from_iterable(classes[r]), top)
+        direct = [x + (y if weight is None else weight * y) for x, y in zip(direct, sums)]
+        ff = [sum(map(perm, chain.from_iterable(classes[r]), repeat(h))) for h in range(top + 1)]
+        power = lam ** r
+        for nu in range(top + 1):
+            falling[nu] += power * sum(stirling2(nu, h) * ff[h] for h in range(nu + 1))
+    if direct != falling:
+        raise ArithmeticError("class-sum routes disagree: internal fault")
+    return direct
+
+
 def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElement]:
     """[M(0), ..., M(top)] with M(nu) = sum_e e^nu lam^e over the strictly
     ascending ``exponents`` (the table entries, m_0 = 0 included, which adds
-    1 to M(0) and nothing else).
+    1 to M(0) and nothing else), along two routes that must agree exactly.
 
-    Computed along two routes, the ascending power pass and the
-    falling-factorial Horner passes; they must agree exactly.  Both write
-    lam = v/D (D = lam.den) and run on v with integer scales D^(E-e), E the
-    top exponent, so over an integral modulus no sum or product in the passes
-    reduces a fraction.  They share one table of powers of v
-    (:func:`_power_table`), which the ascending pass checks against the
-    power operator of v's type.  The routes' D^E M(nu) are compared, then
-    divided by D^E once.  A weight of ring degree 1 runs both routes on
-    Python ints (see :func:`_split`).
+    A weight of finite order c has lam^e = lam^(e mod c): the moments are
+    :func:`_class_moments` over the classes e mod c.  Any other weight runs
+    the kernel, :func:`_ascending_moments` against
+    :func:`_falling_factorial_moments` over one :func:`_power_table`, on
+    lam = v/D (D = lam.den) with integer scales, so that no step reduces a
+    fraction; their D^E M(nu) are compared, then divided by D^E once.
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
     lam = as_element(lam)
     if lam.is_zero:
         raise ValueError("weight 0 is not allowed")
-    if not exponents or exponents[0] < 0 or any(
-        x >= y for x, y in zip(exponents, exponents[1:])
-    ):
+    if not exponents or exponents[0] < 0 or not all(map(lt, exponents, exponents[1:])):
         raise ValueError("exponents must be nonnegative and strictly ascending")
+    c = order(lam)
+    if c is not None:
+        classes: list[list[int]] = [[] for _ in range(c)]
+        for e in exponents:
+            classes[e % c].append(e)
+        return _class_moments({r: [xs] for r, xs in enumerate(classes) if xs}, top, lam)
     table = _power_table(lam, exponents)
     scaled = _ascending_moments(exponents, top, table)
     if scaled != _falling_factorial_moments(exponents, top, table):
@@ -475,21 +488,19 @@ def require_weight(mus: Iterable[int], lam) -> RingElement:
 
 
 def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[RingElement]:
-    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 0..top (D(0) = 0, as
-    m_i^0 = i^0) when lam^a = 1.  Then m_i = i mod a gives lam^{m_i} =
-    lam^r for r = i mod c, c the order of lam, so D(e) is a sum over the c
-    classes of lam^r times integer power sums (:func:`_integer_power_sums`)
-    of the class's m_i and i.  No power of lam is shared with the moment
-    kernel."""
-    a = table.modulus
-    c = next(c for c in range(1, a + 1) if a % c == 0 and is_power_unity(lam, c))
-    out = [lam.ring.zero] * (top + 1)
-    for r in range(c):
-        weight = lam ** r
-        entries = _integer_power_sums(islice(table.m, r, None, c), top)
-        indices = _integer_power_sums(range(r, a, c), top)
-        out = [x + weight * (m - i) for x, m, i in zip(out, entries, indices)]
-    return out
+    """D(e) = sum_{i>=1} (m_i^e - i^e) lam^{m_i} for e = 0..top (D(0) = 0) when
+    lam^a = 1: m_i = i mod a gives lam^{m_i} = lam^(i mod c), c the order of
+    lam, so D is two :func:`_class_moments` over the classes i mod c."""
+    a, c = table.modulus, order(lam)
+    entries = _class_moments({r: [table.m[r::c]] for r in range(c)}, top, lam)
+    indices = _class_moments({r: [range(r, a, c)] for r in range(c)}, top, lam)
+    return [m - i for m, i in zip(entries, indices)]
+
+
+def _unity(lam: RingElement, n: int) -> bool:
+    """lam^n = 1, read from the order of lam."""
+    c = order(lam)
+    return c is not None and n % c == 0
 
 
 def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, values) -> None:
@@ -508,17 +519,15 @@ def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, 
 
 def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a != 1, from the residue table."""
-    if is_power_unity(require_weight((mu,), lam), table.modulus):
-        raise ValueError(
-            "weight is a root of unity of the modulus order; use weighted_sum_unity_a"
-        )
+    if _unity(require_weight((mu,), lam), table.modulus):
+        raise ValueError("weight is a root of unity of the modulus order; use weighted_sum_unity_a")
     return weighted_sums(table, (mu,), lam).values[mu]
 
 
 def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums;
     the series and residue-difference forms are compared exactly."""
-    if not is_power_unity(require_weight((mu,), lam), table.modulus):
+    if not _unity(require_weight((mu,), lam), table.modulus):
         raise ValueError("weight is not a root of unity of the modulus order")
     return weighted_sums(table, (mu,), lam).values[mu]
 
@@ -535,10 +544,10 @@ class WeightedSums(NamedTuple):
 
 def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
     """Weighted gap sums for every mu in ``mus`` from one table, dispatching
-    on whether lam^a = 1; all of them read one shared moment vector."""
+    on whether the order of lam divides a; all read one moment vector."""
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
-    unity_a = is_power_unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
+    unity_a = _unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
     moments = weighted_moments(sorted(table.m), mus[-1] + unity_a, lam)
     values = weighted_sum_from_moments(table.modulus, mus, lam, moments)
     if unity_a:

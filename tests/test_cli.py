@@ -11,7 +11,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import gapsums
 from corpora import reference_weights
@@ -163,6 +163,28 @@ def test_reducible_weight_ring_exits_2(capsys):
     assert not out
     assert err.startswith("error: modulus is reducible")
     assert "Traceback" not in err
+
+
+# root(2, R) with R = 10^33 written out: the sums' coordinates pass the float range
+HUGE_ROOT = f"root(2,{10 ** 33})"
+
+
+@pytest.mark.parametrize(
+    "lam, numeric, message",
+    [
+        ("-1/2", "9", "root index 9 out of range"),  # a rational has one root, index 0
+        ("-1/2", "-1", "root index -1 out of range"),
+        ("-1", "1", "root index 1 out of range"),
+        ("root(2,-3)", "2", "root index 2 out of range"),
+        ("-1/2", "x", "root index 'x' is not an integer"),
+        (HUGE_ROOT, None, "numeric preview out of floating-point range"),
+    ],
+    ids=["rational-9", "rational-minus-1", "unity-1", "root-2", "not-an-integer", "past-floats"],
+)
+def test_numeric_preview_refusals_exit_2(capsys, lam, numeric, message):
+    argv = ["weighted-sum", "--gens", "5,7", "--mu", "1", "--mu", "2", f"--lambda={lam}"]
+    code, out, err = run_cli(capsys, *argv, "--numeric", *([numeric] if numeric else []))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @contextlib.contextmanager
@@ -468,7 +490,8 @@ _VALID = {
     "--ap": ["a=13,d=3,k=5", "a=7,d=2,k=2", "a=5, d=2, k=2", "a=2,d=1,k=2", "a=12,d=5,k=7"],
     "--mu": ["0", "1", "3", "5"],
     "--lambda": ["2", "-1/2", "-1", "1", "root(3,2)", "zeta(5)", "zeta(2)", "zeta(6)",
-                 "elem(minpoly=[1,0,1];coeffs=[4,3])", "elem(minpoly=[-2,0,1];coeffs=[1/2,-1])"],
+                 "elem(minpoly=[1,0,1];coeffs=[4,3])", "elem(minpoly=[-2,0,1];coeffs=[1/2,-1])",
+                 HUGE_ROOT],
     "--method": ["auto", "apery", "closed-form", "oracle"],
     "--format": ["text", "json"],
     "--numeric": ["0", "1", "2"],
@@ -521,6 +544,9 @@ def _any_argv(draw):
 
 @settings(max_examples=300)
 @given(_any_argv())
+@example(["weighted-sum", "--gens", "5,7", "--mu", "1", "--mu", "2", f"--lambda={HUGE_ROOT}",
+          "--numeric"])
+@example(["weighted-sum", "--gens", "5,7", "--mu", "1", "--lambda=-1/2", "--numeric", "9"])
 def test_every_argv_ends_in_a_documented_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -21,7 +21,7 @@ from gapsums import (
     numeric_eval,
 )
 from gapsums import polys
-from gapsums.numberfield import element_from_json, element_to_json
+from gapsums.numberfield import element_from_json, element_to_json, order
 
 CBRT2 = NumberRing([-2, 0, 0, 1])  # theta^3 = 2
 GAUSS = NumberRing([1, 0, 1])  # theta^2 = -1
@@ -139,6 +139,91 @@ def test_unity_detection_in_cyclotomic_rings(order):
     z = NumberRing(cyclotomic(order)).generator
     for m in range(1, 4 * order + 1):
         assert is_power_unity(z, m) == (m % order == 0)
+
+
+def _brute_order(x, limit: int = 400):
+    """The least c <= limit with x^c = 1, one product at a time, or None."""
+    power = x
+    for c in range(1, limit + 1):
+        if power == 1:
+            return c
+        power = power * x
+    return None
+
+
+def _product_ring(*moduli):
+    """Q[theta]/(f g ...): a reducible modulus, the product of ``moduli``."""
+    poly = [1]
+    for f in moduli:
+        out = [0] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    return NumberRing(poly)
+
+
+ORDER_CASES = {
+    "2": None,
+    "-1": 2,
+    "-1/2": None,
+    "root(3,2)": None,
+    "zeta(5)": 5,
+    "elem(minpoly=[1,0,1];coeffs=[4,3])": None,
+    "zeta(3)": 3,
+    "zeta(12)": 12,
+    "elem(minpoly=[1,1,1];coeffs=[0,1])": 3,
+    "elem(minpoly=[1,0,1];coeffs=[0,1])": 4,
+    "elem(minpoly=[1,1,1];coeffs=[0,-1])": 6,  # -zeta(3)
+    "elem(minpoly=[4,0,1];coeffs=[0,1/2])": 4,  # i as theta/2, with a denominator
+    "elem(minpoly=[1,1,1,1,1];coeffs=[2,1])": None,  # 2 + zeta(5)
+    "elem(minpoly=[-1,-1,1];coeffs=[0,1])": None,  # the golden ratio: a unit, norm -1
+    "elem(minpoly=[0,0,1];coeffs=[1,1])": None,  # 1 + nilpotent: norm 1, trace 2
+    "root(2,1)": 2,  # theta^2 = 1 is reducible, and theta is not -1
+    "root(4,-1)": 8,
+    "elem(minpoly=[-1,0,1];coeffs=[-1,1])": None,  # theta - 1, a zero divisor
+}
+
+
+@pytest.mark.parametrize("spec", ORDER_CASES)
+def test_order_against_brute_force(spec):
+    x = LambdaSpec.parse(spec).element()
+    assert order(x) == _brute_order(x) == ORDER_CASES[spec]
+    assert order(-x) == _brute_order(-x)
+    if order(x) is not None:
+        assert [m for m in range(1, 3 * order(x) + 1) if is_power_unity(x, m)] == list(
+            range(order(x), 3 * order(x) + 1, order(x))
+        )
+
+
+def test_order_in_a_reducible_product_ring():
+    # (zeta5, zeta7) in Q[theta]/(Phi_5 Phi_7), degree 10: phi(35) = 24 > 10
+    theta = _product_ring(cyclotomic(5), cyclotomic(7)).generator
+    assert theta.ring.degree == 10
+    assert order(theta) == _brute_order(theta) == 35
+    assert order(theta ** 5) == 7 and order(theta ** 7) == 5
+
+
+@pytest.mark.parametrize("degree", [30, 60])
+def test_order_refuses_infinite_order_before_the_powers_grow(degree):
+    # N_n has about 1.4 n bits: theta^(N_n) would hold 2^(N_n / n) for
+    # root(n, 2), refused by its norm, and about as many bits for the unit
+    # theta^n = theta + 1, whose largest root is about 2^(1/n), refused by a
+    # trace on the way
+    assert order(LambdaSpec.root(degree, 2).element()) is None
+    assert order(NumberRing([-1, -1] + [0] * (degree - 2) + [1]).generator) is None
+
+
+@given(st.integers(1, 30), st.integers(0, 29), st.booleans())
+def test_order_of_signed_cyclotomic_powers(m, k, negate):
+    x = NumberRing(cyclotomic(m)).generator ** (k % m)
+    assert order(-x if negate else x) == _brute_order(-x if negate else x)
+
+
+@given(st.sampled_from(TEST_RINGS), st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+def test_order_of_small_elements(ring, coeffs):
+    x = ring.element(coeffs[: ring.degree])
+    assert order(x) == _brute_order(x)  # None for 0 too
 
 
 def _random_element(rng: random.Random, ring: NumberRing):
@@ -386,6 +471,18 @@ def test_numeric_eval_root_index():
 
 def test_numeric_eval_rational_is_exact_float():
     assert numeric_eval(as_element(Fraction(-1, 2))) == complex(-0.5, 0)
+
+
+def test_numeric_eval_refuses_what_it_cannot_show():
+    # a rational has one root, index 0, as a ring of degree n has n
+    for x in (as_element(Fraction(-1, 2)), GAUSS.element([4, 3])):
+        for index in (-1, x.ring.degree, 9):
+            with pytest.raises(ValueError, match=f"root index {index} out of range"):
+                numeric_eval(x, index)
+    assert numeric_eval(as_element(Fraction(-1, 2)), 0) == complex(-0.5, 0)
+    for x in (as_element(10 ** 400), GAUSS.element([1, Fraction(-(10 ** 400), 3)])):
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            numeric_eval(x, 0)
 
 
 # --- weight specifications --------------------------------------------------

@@ -25,8 +25,8 @@ from gapsums import (
     weighted_sum_unity_a,
     weighted_sums_ap,
 )
-from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
-from gapsums.numberfield import RingElement
+from gapsums import apery_polynomial, arithprog, oracle, stirling2, summarize, sylvester
+from gapsums.numberfield import RingElement, order
 from gapsums.sylvester import (
     moment_from_polynomial,
     weighted_moments,
@@ -36,6 +36,9 @@ from gapsums.sylvester import (
 
 GENS_13 = Generators([13, 16, 19, 22, 25])
 GENS_14 = Generators([14, 17, 20, 23, 26, 29])
+# 2 + theta in Q[theta]/Phi_5: a ring element of infinite order, which the
+# kernel reaches (weights of finite order take the class sums instead)
+TWO_PLUS_ZETA5 = "elem(minpoly=[1,1,1,1,1];coeffs=[2,1])"
 
 POWER_SUMS_13 = {
     1: 894,
@@ -187,7 +190,7 @@ def test_moment_kernel_makes_no_product_with_one(monkeypatch):
     monkeypatch.setattr(RingElement, "__mul__", counted)
     monkeypatch.setattr(sylvester, "_split", recorded)
     weights = {
-        "ring": (LambdaSpec.root(3, 2).element(), LambdaSpec.zeta(5).element()),
+        "ring": (LambdaSpec.root(3, 2).element(), LambdaSpec.parse(TWO_PLUS_ZETA5).element()),
         "int": (as_element(2), as_element(Fraction(-1, 2)), as_element(-6)),
     }
     for path, kinds in (("ring", {"ring"}), ("int", {"power", "accumulator"})):
@@ -234,7 +237,9 @@ def test_moment_route_check_fires(monkeypatch):
         weighted_sum(GENS_14, 2, as_element(3))
 
 
-@pytest.mark.parametrize("spec", ["2", "-1/2", "root(3,2)", "zeta(5)"])
+@pytest.mark.parametrize(
+    "spec", ["2", "-1/2", "root(3,2)", pytest.param(TWO_PLUS_ZETA5, id="2+zeta(5)")]
+)
 def test_a_wrong_cached_power_is_caught(monkeypatch, spec):
     # both routes read one table of powers of v, so the route comparison
     # cannot see a wrong entry; the chained v^E against an exponentiation
@@ -445,6 +450,98 @@ def test_class_sums_match_termwise_differences(case, top):
     table, lam = case
     assert is_power_unity(lam, table.modulus)
     assert sylvester._residue_differences(table, top, lam) == _termwise_differences(table, top, lam)
+
+
+# weights of finite order, each with its order: rationals, roots of unity of
+# several rings, -zeta(3), and i written as theta/2 over theta^2 = -4
+FINITE_ORDER = {
+    "-1": 2,
+    "zeta(3)": 3,
+    "zeta(4)": 4,
+    "zeta(5)": 5,
+    "zeta(6)": 6,
+    "elem(minpoly=[1,1,1];coeffs=[0,-1])": 6,
+    "elem(minpoly=[1,0,1];coeffs=[0,-1])": 4,
+    "elem(minpoly=[4,0,1];coeffs=[0,1/2])": 4,
+}
+
+
+@st.composite
+def _finite_order_cases(draw):
+    """(branch, generators, progression or None, weight spec): a weight of
+    finite order c with a residue table in each branch, c | a ("unity-a"),
+    neither ("general"), or a progression with c | d ("unity-d")."""
+    spec = draw(st.sampled_from(sorted(FINITE_ORDER)))
+    c = FINITE_ORDER[spec]
+    branch = draw(st.sampled_from(["general", "unity-a", "unity-d"]))
+    if branch == "unity-d":
+        d = c * draw(st.integers(1, 3))
+        a = draw(st.integers(2, 30).filter(lambda a: gcd(a, d) == 1))
+        ap = ArithProgression(a, d, draw(st.integers(2, min(a, 6))))
+        return branch, ap.generators(), ap, spec
+    if branch == "unity-a":
+        a = c * draw(st.integers(1, 8))
+    else:
+        a = draw(st.integers(2, 40).filter(lambda a: a % c))
+    rest = draw(st.lists(st.integers(a + 1, 3 * a + 2), min_size=1, max_size=3))
+    assume(gcd(a, *rest) == 1)
+    return branch, Generators([a, *rest]), None, spec
+
+
+@given(_finite_order_cases(), st.integers(1, 3))
+@example(("general", Generators([53, 67, 88]), None, "zeta(5)"), 2)
+@example(("unity-d", Generators(range(12, 43, 5)), ArithProgression(12, 5, 7), "zeta(5)"), 2)
+def test_class_sums_match_the_kernel_and_the_oracle(case, top_mu):
+    branch, gens, ap, spec = case
+    lam = LambdaSpec.parse(spec).element()
+    assert order(lam) == FINITE_ORDER[spec]
+    table = apery_general(gens)
+    exponents, top = sorted(table.m), top_mu + 1
+    moments = weighted_moments(exponents, top, lam)  # the class sums
+    power_table = sylvester._power_table(lam, exponents)
+    for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
+        assert sylvester._lift(route(exponents, top, power_table), lam, exponents[-1]) == moments
+    mus = range(1, top_mu + 1)
+    if ap is None:
+        values, got = weighted_sums(table, mus, lam)
+    else:
+        assert arithprog._unity_d_moments(ap, top, lam) == moments
+        values, got = weighted_sums_ap(ap, mus, lam)
+    assert got == branch
+    gs = oracle.gap_set(gens)
+    assert values == {mu: oracle.weighted_sum(gs, mu, lam) for mu in mus}
+
+
+def _zeta(n):
+    return LambdaSpec.zeta(n).element()
+
+
+def _wrong_class_weight(monkeypatch):
+    # route A chains lam^r by _power: lam^(e+1) in place of lam^e
+    honest = sylvester._power
+    monkeypatch.setattr(sylvester, "_power", lambda lam, e: honest(lam, e + (e > 0)))
+
+
+def _wrong_class_sum(monkeypatch):
+    # route B sums falling factorials by math.perm: (x)_2 + x in place of (x)_2
+    monkeypatch.setattr(sylvester, "perm", lambda x, h: perm(x, h) + (h == 2) * x)
+
+
+CLASS_SUM_QUERIES = {
+    "moments": lambda: weighted_moments(sorted(apery_general(GENS_14).m), 2, _zeta(3)),
+    "general": lambda: weighted_sums(apery_general(Generators([53, 67, 88])), (2,), _zeta(5)),
+    "unity-a": lambda: weighted_sums(apery_general(GENS_14), (2,), -1),
+    "unity-d": lambda: weighted_sums_ap(ArithProgression(12, 5, 7), (2,), _zeta(5)),
+}
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_class_weight, _wrong_class_sum], ids=["weight", "sum"])
+@pytest.mark.parametrize("query", CLASS_SUM_QUERIES.values(), ids=CLASS_SUM_QUERIES.keys())
+def test_a_wrong_class_route_is_caught(monkeypatch, query, corrupt):
+    query()  # the honest routes agree
+    corrupt(monkeypatch)
+    with pytest.raises(ArithmeticError, match="class-sum routes disagree"):
+        query()
 
 
 @pytest.mark.parametrize(
