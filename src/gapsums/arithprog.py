@@ -4,16 +4,13 @@ The residue table has a known row structure, defined once by
 :meth:`ArithProgression.rows`: with a-1 = q(k-1)+r, row s holds the entries
 s*a + j*d for a run of k-1 consecutive j (r in the last row).  The Frobenius
 number, the genus and the power sums are closed forms in q, k and the
-exponent, with no entry listed.  The weighted sums read the rows, one term
-per table entry (so O(a) time and memory, whatever the size of the entries),
-in two regimes of the weight w:
-
-* w^d != 1 ("general", and "unity-a" when w^a = 1): the closed-form table
-  (:func:`gapsums.apery.apery_arith`) goes to the residue-table engine,
-  :func:`gapsums.sylvester.weighted_sums`.
-* w^d = 1 ("unity-d"): every entry of row s carries the weight w^{sa}, so
-  the moments are class sums over the rows (``_unity_d_moments``), turned
-  into sums by :func:`gapsums.sylvester.weighted_sum_from_moments`.
+exponent, with no entry listed.  The weighted sums read the closed-form table
+(:func:`gapsums.apery.apery_arith`), one term per table entry (so O(a) time
+and memory, whatever the size of the entries), through the residue-table
+engine, :func:`gapsums.sylvester.weighted_sums`, in all three regimes of the
+weight w: "general", "unity-a" when w^a = 1, and "unity-d" when w^d = 1, a
+tag only: there, as for any weight of finite order, the moments are class
+sums.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
@@ -24,19 +21,11 @@ from typing import Iterable
 
 from .apery import ArithProgression, apery_arith
 from .exact import bernoulli, binomial
-from .numberfield import RingElement, as_element, order
-from .sylvester import (
-    WeightedSum,
-    WeightedSums,
-    _class_moments,
-    _unity,
-    require_weight,
-    weighted_moments,
-    weighted_sum_from_moments,
-    weighted_sums,
-)
-# bench/tracing.py wraps arithprog.moment_from_polynomial, so the name stays importable
-from .sylvester import moment_from_polynomial  # noqa: F401
+from .numberfield import RingElement, as_element
+from .sylvester import WeightedSum, WeightedSums, _unity, weighted_moments, weighted_sums
+# bench/tracing.py wraps arithprog.moment_from_polynomial and
+# arithprog.weighted_sum_from_moments, so the names stay importable
+from .sylvester import moment_from_polynomial, weighted_sum_from_moments  # noqa: F401
 
 __all__ = [
     "frobenius_ap",
@@ -117,39 +106,20 @@ def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
     return weighted_moments(sorted(apery_arith(ap).m), nu, lam)[nu]
 
 
-def _unity_d_moments(ap: ArithProgression, top: int, lam: RingElement) -> list[RingElement]:
-    """[M(0), ..., M(top)] when lam^d = 1: row s carries lam^{sa} = lam^(sa mod c),
-    c the order of lam, so the moments are one
-    :func:`gapsums.sylvester._class_moments` over the rows' classes sa mod c."""
-    d, c = ap.d, order(lam)
-    classes: dict[int, list] = {0: [(0,)]}  # m_0 = 0 adds 1 to M(0)
-    for base, js in ap.rows():
-        classes.setdefault(base % c, []).append(range(base + js.start * d, base + js.stop * d, d))
-    return _class_moments(classes, top, lam)
-
-
 def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} when lam^d = 1, from :func:`_unity_d_moments`;
-    at nu = 0 it counts m_0 = 0, as :func:`weighted_moment_ap` does."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    lam = as_element(lam)
-    if not _unity(lam, ap.d):
+    """:func:`weighted_moment_ap` for a weight with lam^d = 1, refused otherwise."""
+    if not _unity(as_element(lam), ap.d):
         raise ValueError("this route requires the weight to satisfy lam^d = 1")
-    return _unity_d_moments(ap, nu, lam)[nu]
+    return weighted_moment_ap(ap, nu, lam)
 
 
 def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedSums:
-    """Weighted gap sums for every mu in ``mus`` by closed form: from
-    :func:`_unity_d_moments` when lam^d = 1, else from the closed-form table
-    through :func:`gapsums.sylvester.weighted_sums`.  Equals the residue-table
-    engine on the same generators; weights 0 and 1 are rejected."""
-    mus = sorted(set(mus))
-    lam = require_weight(mus, lam)
-    if not _unity(lam, ap.d):  # "general" or "unity-a"
-        return weighted_sums(apery_arith(ap), mus, lam)
-    moments = _unity_d_moments(ap, mus[-1], lam)
-    return WeightedSums(weighted_sum_from_moments(ap.a, mus, lam, moments), "unity-d")
+    """Weighted gap sums for every mu in ``mus`` by closed form: the
+    closed-form table through :func:`gapsums.sylvester.weighted_sums`, with
+    the branch "unity-d" when lam^d = 1.  Equals the residue-table engine on
+    the same generators; weights 0 and 1 are rejected."""
+    values, branch = weighted_sums(apery_arith(ap), mus, lam)
+    return WeightedSums(values, "unity-d" if _unity(as_element(lam), ap.d) else branch)
 
 
 def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSum:

@@ -421,9 +421,10 @@ def _traces(minpoly: tuple[Fraction, ...]) -> tuple[Rational, ...]:
     """Tr(theta^j) for j < n: the power sums of the roots of the modulus, by
     Newton's identities; ints for an integral modulus."""
     n = len(minpoly) - 1
-    sums = [Fraction(n)]
+    coeffs = [int(c) if c.denominator == 1 else c for c in minpoly]  # int products are fast
+    sums = [n]
     for k in range(1, n):
-        sums.append(-k * minpoly[n - k] - sum(minpoly[n - i] * sums[k - i] for i in range(1, k)))
+        sums.append(-k * coeffs[n - k] - sum(coeffs[n - i] * sums[k - i] for i in range(1, k)))
     return tuple(int(s) if s.denominator == 1 else s for s in sums)
 
 
@@ -483,7 +484,7 @@ def order(x) -> int | None:
 
     x^c = 1 makes the minimal polynomial of x a product of distinct Phi_m with
     sum phi(m) <= n, the ring's degree, so c divides N_n = lcm{m : phi(m) <= n}:
-    x^(N_n) = 1 decides, and dropping primes of N_n while it stays one finds c.
+    x^(N_n) = 1 decides, and :func:`_order_dividing` splits N_n to find c.
     Such an x has norm +-1 and its powers integer traces of size <= n (sums of
     n roots of unity), so the raising to N_n stops early for most others."""
     x = as_element(x)
@@ -493,20 +494,36 @@ def order(x) -> int | None:
             return None
     except (ZeroDivisionError, ReducibleModulusError):  # 0 and zero divisors
         return None
-    primes = []  # of N_n, with multiplicity: p^e divides N_n while phi(p^e) <= n
+    parts = []  # (p, e) for N_n: p^e divides N_n while phi(p^e) <= n
     for p in (p for p in range(2, n + 2) if all(p % q for q in range(2, isqrt(p) + 1))):
-        primes += [p] * next(e for e in count(1) if p ** e * (p - 1) > n)
+        parts.append((p, next(e for e in count(1) if p ** e * (p - 1) > n)))
     power = x
-    for p in primes:
-        power = power ** p
-        if abs(_trace_step(power, traces, 1)) not in range(n + 1):  # an integer, at most n
-            return None
+    for p, e in parts:
+        for _ in range(e):
+            power = power ** p
+            if abs(_trace_step(power, traces, 1)) not in range(n + 1):  # an integer, at most n
+                return None
     if power != 1:
         return None
-    c = prod(primes)
-    for p in primes:
-        c //= p if x ** (c // p) == 1 else 1
-    return c
+    return _order_dividing(x, parts)
+
+
+def _order_dividing(x: RingElement, parts: Sequence[tuple[int, int]]) -> int:
+    """The order of x when x^N = 1, N the product of p^e over ``parts``, pairs
+    (p, e) of distinct primes p: each half of the parts is found from x raised
+    by the other half's product, down to one prime, whose power is raised by
+    p until it is one."""
+    if x == 1:
+        return 1
+    if len(parts) == 1:
+        (p, _), c = parts[0], 1
+        while x != 1:
+            x, c = x ** p, c * p
+        return c
+    low, high = parts[: len(parts) // 2], parts[len(parts) // 2 :]
+    return _order_dividing(x ** prod(p ** e for p, e in high), low) * _order_dividing(
+        x ** prod(p ** e for p, e in low), high
+    )
 
 
 @lru_cache(maxsize=None)

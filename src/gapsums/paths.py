@@ -13,10 +13,10 @@ A path builds its table or sieve on first use and keeps it, so one query costs
 at most one of each.  Each path calls its own module, through module
 attributes, so that a caller may wrap or replace them.  The oracle shares
 no engine code with the other two; the closed forms build their own table
-and rows, and hand them to the table engine's moment kernel and
-recombination (:mod:`gapsums.arithprog`).  All three share one argument
-check for weighted sums, :func:`gapsums.sylvester.require_weight`, so every
-path refuses the same questions.
+and hand it to the table engine's weighted sums (:mod:`gapsums.arithprog`).
+All three share one argument check for weighted sums,
+:func:`gapsums.sylvester.require_weight`, so every path refuses the same
+questions.
 """
 from __future__ import annotations
 

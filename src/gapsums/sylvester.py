@@ -21,15 +21,15 @@ numerators (w = v/D) so that each moment and each sum ends in one reduction.
 At w^a = 1 and at w = 1 the series has a pole whose t^-1 coefficient must
 cancel, which is checked on every call; at w^a = 1 the residue-difference
 form, class sums over i mod the order of w, is compared with the series
-exactly, on the table and on the closed forms, which hand their general and
-w^a = 1 queries to :func:`weighted_sums`.
+exactly, on the table and on the closed forms, which hand every weighted
+query to :func:`weighted_sums`.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from math import lcm, perm
 from operator import lt, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -321,9 +321,9 @@ def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple)
     ]
 
 
-def _class_moments(classes: Mapping[int, Sequence], top: int, lam: RingElement) -> list:
+def _class_moments(classes: Mapping[int, Sequence[int]], top: int, lam: RingElement) -> list:
     """M(0..top), M(nu) = sum_r lam^r sum_{x in class r} x^nu, for ``classes``
-    mapping r to runs (lists or ranges) of the integers of weight lam^r, along
+    mapping r to the integers of weight lam^r (a list, slice or range), along
     two routes compared exactly: integer power sums (:func:`_integer_power_sums`)
     with lam^r chained by :func:`_power`, and falling-factorial sums
     sum_x (x)_h recombined by Stirling numbers, with lam^r from lam's own
@@ -332,9 +332,9 @@ def _class_moments(classes: Mapping[int, Sequence], top: int, lam: RingElement) 
     weight, last = None, 0  # lam^last, None while it equals one
     for r in sorted(classes):
         weight, last = _times(weight, _power(lam, r - last)), r
-        sums = _integer_power_sums(chain.from_iterable(classes[r]), top)
+        sums = _integer_power_sums(classes[r], top)
         direct = [x + (y if weight is None else weight * y) for x, y in zip(direct, sums)]
-        ff = [sum(map(perm, chain.from_iterable(classes[r]), repeat(h))) for h in range(top + 1)]
+        ff = [sum(map(perm, classes[r], repeat(h))) for h in range(top + 1)]
         power = lam ** r
         for nu in range(top + 1):
             falling[nu] += power * sum(stirling2(nu, h) * ff[h] for h in range(nu + 1))
@@ -367,7 +367,7 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
         classes: list[list[int]] = [[] for _ in range(c)]
         for e in exponents:
             classes[e % c].append(e)
-        return _class_moments({r: [xs] for r, xs in enumerate(classes) if xs}, top, lam)
+        return _class_moments({r: xs for r, xs in enumerate(classes) if xs}, top, lam)
     table = _power_table(lam, exponents)
     scaled = _ascending_moments(exponents, top, table)
     if scaled != _falling_factorial_moments(exponents, top, table):
@@ -492,8 +492,8 @@ def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[
     lam^a = 1: m_i = i mod a gives lam^{m_i} = lam^(i mod c), c the order of
     lam, so D is two :func:`_class_moments` over the classes i mod c."""
     a, c = table.modulus, order(lam)
-    entries = _class_moments({r: [table.m[r::c]] for r in range(c)}, top, lam)
-    indices = _class_moments({r: [range(r, a, c)] for r in range(c)}, top, lam)
+    entries = _class_moments({r: table.m[r::c] for r in range(c)}, top, lam)
+    indices = _class_moments({r: range(r, a, c) for r in range(c)}, top, lam)
     return [m - i for m, i in zip(entries, indices)]
 
 
@@ -534,12 +534,12 @@ def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
 
 class WeightedSum(NamedTuple):
     value: RingElement
-    branch: str  # "general" | "unity-a", or "unity-d" from the closed forms
+    branch: str  # "general" | "unity-a", or the closed forms' tag "unity-d" for lam^d = 1
 
 
 class WeightedSums(NamedTuple):
     values: dict[int, RingElement]  # mu -> weighted gap sum
-    branch: str  # "general" | "unity-a", or "unity-d" from the closed forms
+    branch: str  # "general" | "unity-a", or the closed forms' tag "unity-d" for lam^d = 1
 
 
 def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:

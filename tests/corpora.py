@@ -1,5 +1,5 @@
-"""Seeded random corpora of generator sets and progressions, and the weight
-panel, shared by the test modules."""
+"""Seeded random corpora of generator sets and progressions, the weight
+panel and weights of finite order, shared by the test modules."""
 from __future__ import annotations
 
 import random
@@ -50,3 +50,17 @@ def reference_weights() -> list[LambdaSpec]:
         LambdaSpec.zeta(5),
         LambdaSpec.custom((1, 0, 1), (4, 3)),
     ]
+
+
+# weights of finite order, each with its order: rationals, roots of unity of
+# several rings, -zeta(3), and i written as theta/2 over theta^2 = -4
+FINITE_ORDER = {
+    "-1": 2,
+    "zeta(3)": 3,
+    "zeta(4)": 4,
+    "zeta(5)": 5,
+    "zeta(6)": 6,
+    "elem(minpoly=[1,1,1];coeffs=[0,-1])": 6,
+    "elem(minpoly=[1,0,1];coeffs=[0,-1])": 4,
+    "elem(minpoly=[4,0,1];coeffs=[0,1/2])": 4,
+}

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from corpora import FINITE_ORDER
 from gapsums import (
     LambdaSpec,
     NumberRing,
@@ -194,6 +195,19 @@ def test_order_against_brute_force(spec):
         assert [m for m in range(1, 3 * order(x) + 1) if is_power_unity(x, m)] == list(
             range(order(x), 3 * order(x) + 1, order(x))
         )
+
+
+def _prime_factors(c: int) -> list[int]:
+    return [p for p in range(2, c + 1) if c % p == 0 and all(p % q for q in range(2, p))]
+
+
+@pytest.mark.parametrize("spec, c", {"zeta(97)": 97, "zeta(360)": 360, **FINITE_ORDER}.items())
+def test_order_is_the_least_power_to_one(spec, c):
+    # x^c = 1, and no x^(c/p) for a prime p | c: no proper divisor of c is an order
+    x = LambdaSpec.parse(spec).element()
+    assert order(x) == c
+    assert is_power_unity(x, c)
+    assert not any(is_power_unity(x, c // p) for p in _prime_factors(c))
 
 
 def test_order_in_a_reducible_product_ring():

@@ -8,7 +8,7 @@ from math import gcd, perm
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from corpora import random_generator_sets, random_progressions, reference_weights
+from corpora import FINITE_ORDER, random_generator_sets, random_progressions, reference_weights
 from gapsums import (
     ArithProgression,
     Generators,
@@ -20,12 +20,13 @@ from gapsums import (
     is_power_unity,
     power_sum,
     weighted_moment,
+    weighted_moment_unity_d,
     weighted_sum,
     weighted_sum_general,
     weighted_sum_unity_a,
     weighted_sums_ap,
 )
-from gapsums import apery_polynomial, arithprog, oracle, stirling2, summarize, sylvester
+from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
 from gapsums.numberfield import RingElement, order
 from gapsums.sylvester import (
     moment_from_polynomial,
@@ -452,20 +453,6 @@ def test_class_sums_match_termwise_differences(case, top):
     assert sylvester._residue_differences(table, top, lam) == _termwise_differences(table, top, lam)
 
 
-# weights of finite order, each with its order: rationals, roots of unity of
-# several rings, -zeta(3), and i written as theta/2 over theta^2 = -4
-FINITE_ORDER = {
-    "-1": 2,
-    "zeta(3)": 3,
-    "zeta(4)": 4,
-    "zeta(5)": 5,
-    "zeta(6)": 6,
-    "elem(minpoly=[1,1,1];coeffs=[0,-1])": 6,
-    "elem(minpoly=[1,0,1];coeffs=[0,-1])": 4,
-    "elem(minpoly=[4,0,1];coeffs=[0,1/2])": 4,
-}
-
-
 @st.composite
 def _finite_order_cases(draw):
     """(branch, generators, progression or None, weight spec): a weight of
@@ -505,7 +492,7 @@ def test_class_sums_match_the_kernel_and_the_oracle(case, top_mu):
     if ap is None:
         values, got = weighted_sums(table, mus, lam)
     else:
-        assert arithprog._unity_d_moments(ap, top, lam) == moments
+        assert [weighted_moment_unity_d(ap, nu, lam) for nu in range(top + 1)] == moments
         values, got = weighted_sums_ap(ap, mus, lam)
     assert got == branch
     gs = oracle.gap_set(gens)
