@@ -22,7 +22,7 @@ from typing import Iterable
 from .apery import ArithProgression, apery_arith
 from .exact import bernoulli, binomial
 from .numberfield import RingElement, as_element
-from .sylvester import WeightedSum, WeightedSums, _unity, weighted_moments, weighted_sums
+from .sylvester import WeightedSum, WeightedSums, _unity, weighted_moment, weighted_sums
 # bench/tracing.py wraps arithprog.moment_from_polynomial and
 # arithprog.weighted_sum_from_moments, so the names stay importable
 from .sylvester import moment_from_polynomial, weighted_sum_from_moments  # noqa: F401
@@ -99,11 +99,9 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
 
 
 def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
-    """sum_i m_i^nu lam^{m_i} over the closed-form table, along both routes
-    of :func:`gapsums.sylvester.weighted_moments`, for every nonzero weight."""
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    return weighted_moments(sorted(apery_arith(ap).m), nu, lam)[nu]
+    """sum_i m_i^nu lam^{m_i} over the closed-form table: its
+    :func:`gapsums.sylvester.weighted_moment`, for every nonzero weight."""
+    return weighted_moment(apery_arith(ap), nu, lam)
 
 
 def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:

@@ -416,7 +416,7 @@ class RingElement:
         return _format_poly(self.coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _traces(minpoly: tuple[Fraction, ...]) -> tuple[Rational, ...]:
     """Tr(theta^j) for j < n: the power sums of the roots of the modulus, by
     Newton's identities; ints for an integral modulus."""
@@ -526,7 +526,7 @@ def _order_dividing(x: RingElement, parts: Sequence[tuple[int, int]]) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Ascending integer coefficients of the n-th cyclotomic polynomial.
 
@@ -549,7 +549,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 # numeric preview
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ring_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
     import mpmath  # loaded only for numeric previews of degree >= 2 rings
 

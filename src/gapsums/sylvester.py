@@ -17,7 +17,8 @@ one chunked pass for integer power sums.  A weighted query takes every
 M(0..top) it needs from one call of :func:`weighted_moments`, along two
 routes compared exactly: integer class sums for a weight of finite order
 (:func:`_class_moments`), else the moment kernel, which runs on integer
-numerators (w = v/D) so that each moment and each sum ends in one reduction.
+numerators (w = v/D) and hands D^E M(nu) on over D^E unreduced, so that
+each sum ends in one reduction.
 At w^a = 1 and at w = 1 the series has a pole whose t^-1 coefficient must
 cancel, which is checked on every call; at w^a = 1 the residue-difference
 form, class sums over i mod the order of w, is compared with the series
@@ -104,11 +105,11 @@ def power_sums(table: AperyTable, mus: Iterable[int]) -> dict[int, int]:
         return {}
     if mus[0] < 0:
         raise ValueError("mu must be nonnegative")
-    moments = list(map(as_element, _integer_power_sums(table.m, mus[-1] + 1)))
-    totals = weighted_sum_from_moments(table.modulus, mus, as_element(1), moments)
-    if any(total.den != 1 for total in totals.values()):
+    sums = _integer_power_sums(table.m, mus[-1] + 1)
+    totals = weighted_sum_from_moments(table.modulus, mus, as_element(1), sums, 1)
+    if any(total.denominator != 1 for total in totals.values()):
         raise ArithmeticError("non-integral power sum: internal fault")
-    return {mu: total.num[0] for mu, total in totals.items()}
+    return {mu: total.numerator for mu, total in totals.items()}
 
 
 def power_sum(table: AperyTable, mu: int) -> int:
@@ -248,15 +249,6 @@ def _power_table(lam: RingElement, exponents: Sequence[int]) -> tuple:
     return (v, *rest, _gap_powers(v, steps))
 
 
-def _lift(values: list, lam: RingElement, top_exponent: int) -> list[RingElement]:
-    """values / D^E in lam's ring, E = ``top_exponent``: the one reduction
-    of an integral pass."""
-    scale = Fraction(1, lam.den ** top_exponent)
-    if lam.ring.degree == 1:
-        return [lam.ring.from_rational(x * scale) for x in values]
-    return [x * scale for x in values]
-
-
 def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list:
     """D^E M(0..top) in one ascending pass on lam = v/D over the
     :func:`_power_table`: v^e is stepped by v^(e - previous e), and every sum
@@ -343,17 +335,25 @@ def _class_moments(classes: Mapping[int, Sequence[int]], top: int, lam: RingElem
     return direct
 
 
-def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElement]:
-    """[M(0), ..., M(top)] with M(nu) = sum_e e^nu lam^e over the strictly
-    ascending ``exponents`` (the table entries, m_0 = 0 included, which adds
-    1 to M(0) and nothing else), along two routes that must agree exactly.
+def _numerators(values: Sequence[RingElement]) -> tuple[list[RingElement], int]:
+    """Integral numerators over one positive integer: values[i] = nums[i] / q."""
+    q = lcm(*(x.den for x in values))
+    return [x.numerator * (q // x.den) for x in values], q
+
+
+def weighted_moments(exponents: Sequence[int], top: int, lam) -> tuple[list, int]:
+    """(nums, q) with nums[nu] / q = M(nu) = sum_e e^nu lam^e for nu = 0..top,
+    over the strictly ascending ``exponents`` (the table entries, m_0 = 0
+    included, which adds 1 to M(0) and nothing else), along two routes that
+    must agree exactly.
 
     A weight of finite order c has lam^e = lam^(e mod c): the moments are
-    :func:`_class_moments` over the classes e mod c.  Any other weight runs
-    the kernel, :func:`_ascending_moments` against
+    :func:`_class_moments` over the classes e mod c, over one denominator.
+    Any other weight runs the kernel, :func:`_ascending_moments` against
     :func:`_falling_factorial_moments` over one :func:`_power_table`, on
     lam = v/D (D = lam.den) with integer scales, so that no step reduces a
-    fraction; their D^E M(nu) are compared, then divided by D^E once.
+    fraction; their D^E M(nu) are compared and handed on unreduced over
+    q = D^E (ints for a rational weight).
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
@@ -367,27 +367,22 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> list[RingElemen
         classes: list[list[int]] = [[] for _ in range(c)]
         for e in exponents:
             classes[e % c].append(e)
-        return _class_moments({r: xs for r, xs in enumerate(classes) if xs}, top, lam)
+        return _numerators(_class_moments({r: xs for r, xs in enumerate(classes) if xs}, top, lam))
     table = _power_table(lam, exponents)
     scaled = _ascending_moments(exponents, top, table)
     if scaled != _falling_factorial_moments(exponents, top, table):
         raise ArithmeticError("weighted moment routes disagree: internal fault")
-    return _lift(scaled, lam, exponents[-1])
+    return scaled, lam.den ** exponents[-1]
 
 
 def weighted_moment(table: AperyTable, nu: int, lam) -> RingElement:
     """sum_i m_i^nu lam^{m_i} over the whole table (the m_0 = 0 entry
     contributes 1 when nu = 0 and nothing otherwise), checked along both
-    routes of :func:`weighted_moments`."""
+    routes of :func:`weighted_moments` and divided once in lam's ring."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
-    return weighted_moments(sorted(table.m), nu, lam)[nu]
-
-
-def _numerators(values: Sequence[RingElement]) -> tuple[list[RingElement], int]:
-    """Integral numerators over one positive integer: values[i] = nums[i] / q."""
-    q = lcm(*(x.den for x in values))
-    return [x.numerator * (q // x.den) for x in values], q
+    nums, q = weighted_moments(sorted(table.m), nu, lam)
+    return as_element(lam).ring.one * nums[nu] / q
 
 
 def _eulerian_form(n: int, x, y):
@@ -443,10 +438,11 @@ def _series_product(g: _Laurent, nums: Sequence, q: int, mus: Sequence[int]) -> 
 
 
 def weighted_sum_from_moments(
-    modulus: int, mus: Sequence[int], lam: RingElement, moments: Sequence[RingElement]
+    modulus: int, mus: Sequence[int], lam: RingElement, nums: Sequence, q: int
 ) -> dict[int, RingElement]:
     """Gap sums s_mu = sum_n lam^n n^mu for every mu in ``mus`` from the
-    moments M(nu) = sum_i m_i^nu lam^{m_i} (m_0 = 0 adds 1 to M(0)), in every
+    moments M(nu) = sum_i m_i^nu lam^{m_i} = nums[nu] / q as
+    :func:`weighted_moments` leaves them (m_0 = 0 adds 1 to M(0)), in every
     regime by one identity: the gaps' generating series is
     1/(1 - x) - sum_i x^{m_i} / (1 - x^a), a = modulus, so at x = lam e^t
 
@@ -455,10 +451,10 @@ def weighted_sum_from_moments(
     with G from :func:`_laurent`.  At lam^a = 1 (which reads M(max mu + 1)) and
     at lam = 1 (the power sums) G has a pole, and the t^-1 coefficients must
     cancel, which is checked: M(0) = 0 when only lam^a = 1, M(0) = a at lam = 1.
-    The terms run on integer numerators, and each mu ends in one reduction.
+    The terms run on the numerators, and each mu ends in one reduction (to a
+    Fraction at lam = 1 on int numerators, where every term is an integer).
     """
     a, top = modulus, max(mus)
-    nums, q = _numerators(moments)
     v, d = lam.numerator, lam.den
     own = _laurent(v, d, 1, top)  # G(lam, 1), times A = 1
     table = _laurent(v ** a, d ** a, a, top)
@@ -548,8 +544,8 @@ def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
     unity_a = _unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
-    moments = weighted_moments(sorted(table.m), mus[-1] + unity_a, lam)
-    values = weighted_sum_from_moments(table.modulus, mus, lam, moments)
+    nums, q = weighted_moments(sorted(table.m), mus[-1] + unity_a, lam)
+    values = weighted_sum_from_moments(table.modulus, mus, lam, nums, q)
     if unity_a:
         _check_differences(table, mus, lam, values)
     return WeightedSums(values, "unity-a" if unity_a else "general")

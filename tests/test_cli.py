@@ -321,9 +321,9 @@ def test_power_sums_make_one_recombination(capsys, monkeypatch, argv):
     calls = []
     honest = sylvester.weighted_sum_from_moments
 
-    def counted(modulus, mus, lam, moments):
-        calls.append((list(mus), len(moments)))
-        return honest(modulus, mus, lam, moments)
+    def counted(modulus, mus, lam, nums, q):
+        calls.append((list(mus), len(nums)))
+        return honest(modulus, mus, lam, nums, q)
 
     monkeypatch.setattr(sylvester, "weighted_sum_from_moments", counted)
     assert run_cli(capsys, *argv) == expected

@@ -21,8 +21,9 @@ from gapsums import (
     is_power_unity,
     numeric_eval,
 )
-from gapsums import polys
-from gapsums.numberfield import element_from_json, element_to_json, order
+from gapsums import Generators, apery_general, polys
+from gapsums.numberfield import _ring_roots, _traces, element_from_json, element_to_json, order
+from gapsums.sylvester import weighted_sums
 
 CBRT2 = NumberRing([-2, 0, 0, 1])  # theta^3 = 2
 GAUSS = NumberRing([1, 0, 1])  # theta^2 = -1
@@ -462,6 +463,28 @@ def test_degree_one_powers_are_repeated_products_in_lowest_terms(lam):
 
 
 # --- numeric previews -------------------------------------------------------
+
+
+def test_per_ring_caches_stay_bounded():
+    # a long-running process meets ever new weight rings: each per-ring
+    # cache keeps 256 of them, and a ring pushed out computes the same again
+    table = apery_general(Generators([5, 7]))
+
+    def quadratic(k):  # theta^2 = -k, a ring of its own for every k
+        return LambdaSpec.parse(f"elem(minpoly=[{k},0,1];coeffs=[0,1])").element()
+
+    def answers(lam):
+        return weighted_sums(table, (1, 2), lam), numeric_eval(lam)
+
+    first = [quadratic(2), quadratic(3), LambdaSpec.zeta(7).element()]
+    before = [answers(lam) for lam in first]
+    for k in range(2, 302):
+        answers(quadratic(k))
+    for n in range(2, 259):  # Q[theta]/Phi_n
+        LambdaSpec.zeta(n)
+    for cache in (_traces, _ring_roots, cyclotomic):
+        assert cache.cache_info().currsize <= 256, cache
+    assert [answers(lam) for lam in first] == before
 
 
 def test_numeric_eval_principal_real_root():

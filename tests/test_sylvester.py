@@ -1,6 +1,7 @@
 """Unit tests for the general-generator engines (table-driven sums)."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from math import gcd, perm
@@ -26,7 +27,7 @@ from gapsums import (
     weighted_sum_unity_a,
     weighted_sums_ap,
 )
-from gapsums import apery_polynomial, oracle, stirling2, summarize, sylvester
+from gapsums import apery_polynomial, numberfield, oracle, stirling2, summarize, sylvester
 from gapsums.numberfield import RingElement, order
 from gapsums.sylvester import (
     moment_from_polynomial,
@@ -142,10 +143,10 @@ def test_moment_kernel_matches_dense_derivative_route():
     for gens in (GENS_13, GENS_14, Generators([2, 3]), Generators([7, 10, 13, 19])):
         table = apery_general(gens)
         for lam in weights:
-            moments = weighted_moments(sorted(table.m), 4, lam)
+            nums, q = weighted_moments(sorted(table.m), 4, lam)
             for nu in range(5):
-                assert moments[nu] == moment_from_polynomial(apery_polynomial(table), nu, lam)
-                assert moments[nu] == weighted_moment(table, nu, lam)
+                assert nums[nu] == q * moment_from_polynomial(apery_polynomial(table), nu, lam)
+                assert nums[nu] == q * weighted_moment(table, nu, lam)
 
 
 class _RecordedPower:
@@ -199,10 +200,11 @@ def test_moment_kernel_makes_no_product_with_one(monkeypatch):
             for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19])):
                 exponents = sorted(apery_general(gens).m)
                 log.clear()
-                moments = weighted_moments(exponents, 3, lam)
+                nums, q = weighted_moments(exponents, 3, lam)
                 assert {kind for kind, *_ in log} == kinds, (lam, gens)
                 assert all(x != 1 for _, *factors in log for x in factors), (lam, gens)
-                assert moments == _per_operation_moments(exponents, 3, lam)
+                # after the log is read: these products are the test's own
+                assert nums == [q * x for x in _per_operation_moments(exponents, 3, lam)]
 
 
 @pytest.mark.parametrize("chunk", [3, 2048])
@@ -312,12 +314,36 @@ def test_moment_kernel_matches_per_operation_routes(spec):
     cases = [sorted(apery_general(gens).m) for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19]))]
     cases += [[0], [0, 3], [2], [1, 4, 5, 11]]  # top past every exponent; no exponent 0
     for exponents in cases:
-        expected = _per_operation_moments(exponents, 4, lam)
-        assert weighted_moments(exponents, 4, lam) == expected, exponents
+        nums, q = weighted_moments(exponents, 4, lam)
+        assert q == lam.den ** exponents[-1], exponents
+        assert nums == [q * x for x in _per_operation_moments(exponents, 4, lam)], exponents
         for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
-            # a route returns D^E M(nu); the kernel divides once, after comparing
+            # a route returns D^E M(nu), which the kernel hands on as it is
             scaled = route(exponents, 4, sylvester._power_table(lam, exponents))
-            assert sylvester._lift(scaled, lam, exponents[-1]) == expected, (route.__name__, exponents)
+            assert scaled == nums, (route.__name__, exponents)
+
+
+def test_no_moment_is_reduced_before_the_recombination(monkeypatch):
+    # the kernel's D^E M(nu) reach the recombination undivided: of the gcds
+    # of two operands past 2^16 bits, only each mu's final reduction is left
+    gens, lam = Generators([1001, 1008, 1014]), Fraction(-1, 2)
+    table = apery_general(gens)
+    big = []
+
+    def counted(honest):
+        def gcd(*args):
+            if len(args) > 1 and min(abs(x).bit_length() for x in args[:2]) > 1 << 16:
+                big.append(len(args))
+            return honest(*args)
+
+        return gcd
+
+    monkeypatch.setattr(math, "gcd", counted(math.gcd))  # fractions looks it up at call time
+    monkeypatch.setattr(numberfield, "gcd", counted(numberfield.gcd))
+    values, branch = weighted_sums(table, (1, 2, 3), lam)
+    monkeypatch.undo()
+    assert branch == "general" and len(big) <= len(values) == 3
+    assert values[3] == oracle.weighted_sum(oracle.gap_set(gens), 3, lam)
 
 
 @st.composite
@@ -373,8 +399,10 @@ def test_int_path_matches_the_ring_path(gens, lam):
     ring_lam = _lifted(lam)
     table = apery_general(gens)
     exponents = sorted(table.m)
-    for x, y in zip(weighted_moments(exponents, 3, lam), weighted_moments(exponents, 3, ring_lam)):
-        assert _same_number(x, y)
+    (nums, q), (ring_nums, ring_q) = (weighted_moments(exponents, 3, w) for w in (lam, ring_lam))
+    assert q == ring_q and len(nums) == len(ring_nums) == 4
+    for x, y in zip(nums, ring_nums):
+        assert _same_number(as_element(x), y)
     values, branch = weighted_sums(table, (1, 2, 3), lam)
     ring_values, ring_branch = weighted_sums(table, (1, 2, 3), ring_lam)
     assert branch == ring_branch == ("unity-a" if lam ** table.modulus == 1 else "general")
@@ -401,9 +429,9 @@ def _corrupt_moments(monkeypatch):
     honest = sylvester.weighted_moments
 
     def corrupted(exponents, top, lam):
-        out = honest(exponents, top, lam)
-        out[1] = out[1] + 1
-        return out
+        nums, q = honest(exponents, top, lam)
+        nums[1] += q  # M(1) + 1
+        return nums, q
 
     monkeypatch.setattr(sylvester, "weighted_moments", corrupted)
 
@@ -484,10 +512,12 @@ def test_class_sums_match_the_kernel_and_the_oracle(case, top_mu):
     assert order(lam) == FINITE_ORDER[spec]
     table = apery_general(gens)
     exponents, top = sorted(table.m), top_mu + 1
-    moments = weighted_moments(exponents, top, lam)  # the class sums
-    power_table = sylvester._power_table(lam, exponents)
+    nums, q = weighted_moments(exponents, top, lam)  # the class sums
+    power_table, scale = sylvester._power_table(lam, exponents), lam.den ** exponents[-1]
     for route in (sylvester._ascending_moments, sylvester._falling_factorial_moments):
-        assert sylvester._lift(route(exponents, top, power_table), lam, exponents[-1]) == moments
+        # a route returns D^E M(nu): cross-multiplied with the class sums' q
+        assert [x * q for x in route(exponents, top, power_table)] == [y * scale for y in nums]
+    moments = [x / q for x in nums]
     mus = range(1, top_mu + 1)
     if ap is None:
         values, got = weighted_sums(table, mus, lam)
@@ -547,13 +577,13 @@ def test_pole_check_fires(lam):
     # a = 14: both weights put a pole in G(lam^a, a), which cancels only for
     # M(0) = 0 (lam = -1) and M(0) = a (lam = 1)
     table = apery_general(GENS_14)
-    moments = weighted_moments(sorted(table.m), 3, lam)
-    values = weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), moments)
+    nums, q = weighted_moments(sorted(table.m), 3, lam)
+    values = weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), nums, q)
     for mu, value in values.items():
         assert value == (weighted_sum_unity_a(table, mu, lam) if lam == -1 else power_sum(table, mu))
-    moments[0] = moments[0] + 1
+    nums[0] += q  # M(0) + 1
     with pytest.raises(ArithmeticError, match="t\\^-1 coefficients do not cancel"):
-        weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), moments)
+        weighted_sum_from_moments(table.modulus, (1, 2), as_element(lam), nums, q)
 
 
 def test_weighted_sums_share_one_table_and_moment_vector(monkeypatch):
