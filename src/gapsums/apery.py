@@ -3,21 +3,22 @@
 For coprime generators a_1 < ... < a_k, every residue class i mod a_1 has a
 least representable member m_i (with m_0 = 0).  The table (m_0, ..., m_{a-1})
 drives every formula downstream: the Frobenius number, the genus, and all
-power and weighted sums.  For arbitrary generators the table comes from a
-bit-parallel sieve over blocks of a_1 integers, which hands tables deeper
-than a fixed number of blocks to a shortest-path search over the residues;
-when the generators form an arithmetic progression it comes from a
-closed-form fill.
+power and weighted sums.  It is stored as its levels L_i = (m_i - i)/a_1, so
+m_i = L_i*a_1 + i lies in residue i by construction.  For arbitrary generators
+the levels come from a bit-parallel sieve over blocks of a_1 integers, which
+hands tables deeper than a fixed number of blocks to a shortest-path search
+over the residues; for an arithmetic progression, from a closed-form fill.
 """
 from __future__ import annotations
 
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from math import factorial, gcd, prod
-from operator import add, mul
-from typing import Iterable, Iterator
+from operator import add, floordiv, mul
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "AperyTable",
@@ -115,21 +116,39 @@ class ArithProgression:
             yield s * self.a, range((s - 1) * k1 + 1, min(s * k1, self.a - 1) + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AperyTable:
-    """m[i] = least representable integer congruent to i mod `modulus`; m[0] = 0."""
+    """m[i] = levels[i]*modulus + i, the least member of residue i mod modulus = len(levels),
+    and depth = max(levels).  Levels below 256 are bytes from every builder."""
 
-    modulus: int
-    m: tuple[int, ...]
+    levels: bytes | tuple[int, ...]
+    depth: int
 
     def __post_init__(self) -> None:
-        if len(self.m) != self.modulus:
-            raise ValueError("table length must equal the modulus")
-        if self.m[0] != 0:
+        if not self.levels or self.levels[0] != 0:
             raise ValueError("the zero residue entry must be 0")
-        for i, mi in enumerate(self.m):
-            if mi < 0 or mi % self.modulus != i:
+        if self.depth < 256:  # the sieve's bytes pass as they are
+            object.__setattr__(self, "levels", bytes(self.levels))
+
+    @classmethod
+    def from_entries(cls, modulus: int, m: Sequence[int]) -> AperyTable:
+        """The table of entries ``m``, each checked against its residue."""
+        if len(m) != modulus:
+            raise ValueError("table length must equal the modulus")
+        if m[0] != 0:
+            raise ValueError("the zero residue entry must be 0")
+        for i, mi in enumerate(m):
+            if mi < 0 or mi % modulus != i:
                 raise ValueError(f"entry {mi} does not represent residue {i}")
+        return cls(levels=tuple(mi // modulus for mi in m), depth=max(m) // modulus)
+
+    @property
+    def modulus(self) -> int:
+        return len(self.levels)
+
+    @cached_property
+    def m(self) -> tuple[int, ...]:
+        return tuple(map(add, map(mul, self.levels, repeat(self.modulus)), range(self.modulus)))
 
 
 # The sieve hands a table over to Dijkstra after this many blocks of a_1
@@ -138,8 +157,8 @@ class AperyTable:
 # the depth at which both cost the same at 219 blocks or more for every set
 # with a_1 >= 1000 (0.03*a_1 to 0.5*a_1 blocks from a_1 = 5000 on) and at
 # 102-167 blocks at a_1 = 500; a block costs no more when a_k is far above
-# a_1.  255 is also the most blocks that one byte per residue holds when
-# they are read out.
+# a_1.  255 is also the largest level that the sieve's table holds in one
+# byte per residue.
 LEVEL_BUDGET = 255
 
 
@@ -155,10 +174,10 @@ def apery_general(gens: Generators) -> AperyTable:
     all a_1 - 1 nonzero residues are found, after max(m_i) / a_1 blocks; each
     block costs O(k * a_1 / 64) machine-word operations, done inside the int
     routines, however large the generators are.  It keeps only the blocks
-    that the generators below the budget reach back to, and the block that
-    found each residue in eight bit planes read out once at the end, so the
-    working memory is a few bytes per integer of min(a_k, 256 * a_1),
-    whatever the Frobenius number.
+    that the generators below the budget reach back to, and the level that
+    found each residue in eight bit planes, read out once at the end as one
+    byte per residue, so the working memory is a few bytes per integer of
+    min(a_k, 256 * a_1), whatever the Frobenius number.
 
     Deep tables (two generators, near-progressions, most three-generator
     sets at a_1 >= 2*10^4) need hundreds to thousands of blocks, where the
@@ -170,13 +189,11 @@ def apery_general(gens: Generators) -> AperyTable:
     """
     a1 = gens.modulus
     steps = [g for g in gens.values[1:] if g % a1 != 0]
-    m = _level_sieve(a1, steps)
-    if m is None:
-        m = _dijkstra(a1, steps)
-    return AperyTable(a1, tuple(m))
+    table = _level_sieve(a1, steps)
+    return _dijkstra(a1, steps) if table is None else table
 
 
-def _level_sieve(a1: int, steps: list[int]) -> list[int] | None:
+def _level_sieve(a1: int, steps: list[int]) -> AperyTable | None:
     """The table of :func:`apery_general` by blocks of a_1 integers (``steps``
     are the generators other than multiples of a_1, all above a_1), or None
     when it is not complete within the level budget."""
@@ -213,19 +230,18 @@ def _level_sieve(a1: int, steps: list[int]) -> list[int] | None:
                 block |= pair >> shift
         block &= mask
         new = block ^ below
-        if new:
-            for b in range(level.bit_length()):
-                if level >> b & 1:
-                    planes[b] |= new
+        for b in range(level.bit_length()):
+            if level >> b & 1:
+                planes[b] |= new
         if block == mask:
             break
         blocks.append(block)
     else:
         return None
-    # byte t of levels is the block of residue t: the planes, spread to one
-    # byte per residue, add without carries since LEVEL_BUDGET < 256
-    levels = sum(_spread(plane, a1) << b for b, plane in enumerate(planes))
-    return list(map(add, map(mul, levels.to_bytes(a1, "little"), repeat(a1)), range(a1)))
+    # byte t of levels is the block of residue t: the planes that hold a bit,
+    # spread to one byte per residue, add without carries (LEVEL_BUDGET < 256)
+    levels = sum(_spread(plane, a1) << b for b, plane in enumerate(planes) if plane)
+    return AperyTable(levels=levels.to_bytes(a1, "little"), depth=level if a1 > 1 else 0)
 
 
 # maps the digits of format(x, "b") to the byte values 0 and 1
@@ -237,12 +253,12 @@ def _spread(bits: int, n: int) -> int:
     return int.from_bytes(format(bits, f"0{n}b").encode().translate(_BINARY_DIGITS), "big")
 
 
-def _dijkstra(a1: int, steps: list[int]) -> list[int]:
+def _dijkstra(a1: int, steps: list[int]) -> AperyTable:
     """The table of :func:`apery_general` as shortest paths over the a_1
-    residue classes: an arc i -> (i + g) mod a_1 of weight g extends a
-    representable value by one generator, so the distances from residue 0
-    are exactly the m_i.  Costs O(k * a_1 * log a_1) steps in the
-    interpreter, independent of the depth of the table."""
+    residue classes: an arc i -> (i + g) mod a_1 of weight g extends a value
+    by one generator and its residue by g, so the distances from residue 0 are
+    exactly the m_i, each in its residue.  Costs O(k * a_1 * log a_1) steps in
+    the interpreter, independent of the depth of the table."""
     dist: list[int | None] = [None] * a1
     dist[0] = 0
     heap: list[tuple[int, int]] = [(0, 0)]
@@ -256,21 +272,21 @@ def _dijkstra(a1: int, steps: list[int]) -> list[int]:
             if dist[w] is None or nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
-    return dist  # type: ignore[return-value]
+    return AperyTable(levels=tuple(map(floordiv, dist, repeat(a1))), depth=max(dist) // a1)
 
 
 def apery_arith(ap: ArithProgression) -> AperyTable:
-    """Closed-form residue table for an arithmetic progression, filled from
-    its rows (:meth:`ArithProgression.rows`).  Agrees with
-    :func:`apery_general` on the same generators.
-    """
+    """Closed-form residue table for an arithmetic progression, filled from its
+    rows (:meth:`ArithProgression.rows`), which must fill every residue.
+    Agrees with :func:`apery_general` on the same generators."""
     a, d = ap.a, ap.d
-    m = [0] * a
+    levels = [0] + [-1] * (a - 1)  # -1: not filled
     for base, js in ap.rows():
-        for j in js:
-            value = base + j * d
-            m[value % a] = value
-    return AperyTable(a, tuple(m))
+        for value in range(base + js.start * d, base + js.stop * d, d):
+            levels[value % a] = value // a
+    if -1 in levels:
+        raise ValueError(f"no row fills residue {levels.index(-1)}")
+    return AperyTable(levels=tuple(levels), depth=max(levels))
 
 
 def apery_polynomial(table: AperyTable) -> list[int]:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
 from math import exp, gcd, isqrt, lcm, log, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import polys
@@ -528,21 +528,24 @@ def _order_dividing(x: RingElement, parts: Sequence[tuple[int, int]]) -> int:
 
 @lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
-    """Ascending integer coefficients of the n-th cyclotomic polynomial.
-
-    Computed by exact division of x^n - 1 by all lower-order cyclotomic
-    polynomials of divisor index.
-    """
+    """Ascending integer coefficients of Phi_n = prod_{d | n} (x^d - 1)^mu(n/d),
+    one integer pass per factor: those with mu = +1 first, then divisions."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    poly: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            quot, rem = polys.divmod_exact(poly, cyclotomic(d))
-            assert not rem
-            poly = quot
-    assert all(c.denominator == 1 for c in poly)
-    return tuple(int(c) for c in poly)
+    factors = [(n, 1)]  # (n/e, mu(e)) over the squarefree divisors e of n
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, isqrt(p) + 1)):
+            factors += [(d // p, -sign) for d, sign in factors]
+    poly = [1]
+    for d in (d for d, sign in factors if sign > 0):  # times x^d - 1
+        poly = list(map(sub, [0] * d + poly, poly + [0] * d))
+    for d in (d for d, sign in factors if sign < 0):  # over x^d - 1, exactly
+        quot = [0] * d  # quot[i] = quot[i - d] - poly[i], after d zeros
+        for c in poly[:-d]:
+            quot.append(quot[-d] - c)
+        assert quot[-d:] == poly[-d:]  # no remainder
+        poly = quot[d:]
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ For a table m_0, ..., m_{a-1} (a = smallest generator), the gap set is
 { m_i - j*a : 1 <= i < a, 1 <= j <= (m_i - i)/a }, which turns every gap sum
 into a sum over the table:
 
-* Frobenius number:  g = max_i m_i - a
-* genus:             n = (1/a) sum m_i - (a-1)/2
+* Frobenius number:  g = max_i m_i - a, read off the levels L_i = (m_i - i)/a
+* genus:             n = (1/a) sum m_i - (a-1)/2 = sum_i L_i
 * power and weighted sums s_mu = sum w^n n^mu (w = 1: the power sums), from
   the moments M(nu) = sum_i m_i^nu w^{m_i} by one series identity in every
   regime, s_mu = mu! [t^mu] (1/(1 - w e^t) - sum_nu M(nu) t^nu/nu! / (1 - w^a e^{at}))
@@ -63,17 +63,13 @@ __all__ = [
 
 
 def frobenius(table: AperyTable) -> int:
-    """Largest gap: max m_i minus the modulus (-1 when there are no gaps)."""
-    return max(table.m) - table.modulus
+    """Largest gap, -1 if none: max m_i - a = a*depth - 1 - (residues past the last at depth)."""
+    return table.modulus * table.depth - 1 - table.levels[::-1].index(table.depth)
 
 
 def genus(table: AperyTable) -> int:
-    """Number of gaps: (1/a) sum m_i - (a-1)/2, always an exact integer."""
-    a = table.modulus
-    value = Fraction(sum(table.m), a) - Fraction(a - 1, 2)
-    if value.denominator != 1:
-        raise ArithmeticError("non-integral genus: residue table is corrupted")
-    return int(value)
+    """Number of gaps: (1/a) sum m_i - (a-1)/2, which is the sum of the levels."""
+    return sum(table.levels)
 
 
 _POWER_CHUNK = 2048  # entries per pass of _integer_power_sums

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from corpora import random_generator_sets, random_progressions
 from gapsums import (
@@ -16,6 +19,7 @@ from gapsums import (
     apery_polynomial,
     as_arith_progression,
     frobenius,
+    genus,
 )
 from gapsums import apery, oracle
 
@@ -50,12 +54,16 @@ def test_progression_validation():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        AperyTable(2, (1, 3))  # zero entry must be 0
-    with pytest.raises(ValueError):
-        AperyTable(2, (0, 4))  # wrong residue
-    with pytest.raises(ValueError):
-        AperyTable(3, (0, 4))  # wrong length
+    with pytest.raises(ValueError, match="zero residue entry must be 0"):
+        AperyTable.from_entries(2, (1, 3))
+    with pytest.raises(ValueError, match="entry 4 does not represent residue 1"):
+        AperyTable.from_entries(2, (0, 4))
+    with pytest.raises(ValueError, match="table length must equal the modulus"):
+        AperyTable.from_entries(3, (0, 4))
+    with pytest.raises(ValueError, match="zero residue entry must be 0"):
+        AperyTable(levels=(1, 0), depth=1)
+    with pytest.raises(TypeError):
+        AperyTable(2, (0, 3))  # the fields are keyword-only: entries are not read as levels
 
 
 @pytest.mark.parametrize(
@@ -68,7 +76,7 @@ def test_table_validation():
 )
 def test_table_validation_names_the_first_bad_entry(modulus, m, message):
     with pytest.raises(ValueError) as info:
-        AperyTable(modulus, m)
+        AperyTable.from_entries(modulus, m)
     assert str(info.value) == message
 
 
@@ -169,10 +177,11 @@ def test_sieve_dijkstra_and_oracle_agree(monkeypatch, budget):
     sieved = past_budget = 0
     for gens in _sieve_cases():
         expected = oracle.gap_set(gens).minima
-        assert tuple(apery._dijkstra(gens.modulus, _steps(gens))) == expected, gens
-        m = apery._level_sieve(gens.modulus, _steps(gens))
-        if m is not None:
-            assert tuple(m) == expected, gens
+        reference = AperyTable.from_entries(gens.modulus, expected)
+        assert apery._dijkstra(gens.modulus, _steps(gens)) == reference, gens
+        table = apery._level_sieve(gens.modulus, _steps(gens))
+        if table is not None:
+            assert table.levels == reference.levels, gens
             sieved += 1
             past_budget += max(_steps(gens), default=0) >= (budget + 1) * gens.modulus
         assert apery_general(gens).m == expected, gens
@@ -232,12 +241,12 @@ def test_sieve_memory_follows_the_largest_generator():
     gens = Generators([8090, 8602, 9033])
     tracemalloc.start()
     try:
-        m = apery._level_sieve(gens.modulus, _steps(gens))
+        table = apery._level_sieve(gens.modulus, _steps(gens))
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert m is not None
-    frob = max(m) - gens.modulus
+    assert table is not None
+    frob = frobenius(table)
     assert frob > 19 * 10**5
     assert peak - current < 8 * gens.largest < frob // 24
 
@@ -258,3 +267,97 @@ def test_far_generators_do_not_widen_the_sieve(values):
     assert peak < 2**14 + 256 * gens.modulus
     _assert_least_representatives(gens, table.m)
     assert table.m == apery_general(Generators(values[:-1])).m
+
+
+# --- the residue property holds by construction ------------------------------
+
+
+@st.composite
+def _generator_sets(draw) -> Generators:
+    a1 = draw(st.integers(2, 60))
+    others = draw(st.lists(st.integers(a1 + 1, 40 * a1), min_size=1, max_size=6))
+    assume(gcd(a1, *others) == 1)
+    return Generators([a1, *others])
+
+
+@st.composite
+def _progressions(draw) -> ArithProgression:
+    a = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 40).filter(lambda d: gcd(a, d) == 1))
+    return ArithProgression(a, d, draw(st.integers(2, min(a, 12))))
+
+
+def _assert_built_right(table: AperyTable) -> None:
+    """The per-entry check, the readers and equality, against the entries."""
+    a, m = table.modulus, table.m
+    rebuilt = AperyTable.from_entries(a, m)  # runs the per-entry check
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert type(m) is tuple and all(type(mi) is int for mi in m)
+    assert table.depth == max(table.levels) == max(m) // a
+    assert frobenius(table) == max(m) - a
+    reference = Fraction(sum(m), a) - Fraction(a - 1, 2)  # the genus formula
+    assert reference.denominator == 1 and genus(table) == reference
+
+
+@given(_generator_sets())
+def test_general_tables_are_built_right(gens):
+    _assert_built_right(apery_general(gens))
+
+
+@given(_progressions())
+def test_closed_form_tables_are_built_right(ap):
+    table = apery_arith(ap)
+    _assert_built_right(table)
+    general = apery_general(ap.generators())
+    assert table == general and hash(table) == hash(general)
+
+
+@pytest.mark.parametrize(
+    "values, depth, levels",
+    [
+        ((129, 130), 128, bytes),  # the sieve's eighth plane alone
+        ((200, 201), 199, bytes),  # all eight planes
+        ((45007, 61231, 70001, 88889), 152, bytes),
+        ((503, 504), 502, tuple),  # Dijkstra: the sieve does not start
+        ((3011, 3012, 3014), 1004, tuple),  # Dijkstra: the sieve runs out of budget
+    ],
+)
+def test_deep_tables_are_built_right(values, depth, levels):
+    table = apery_general(Generators(values))
+    assert table.depth == depth and type(table.levels) is levels
+    _assert_built_right(table)
+
+
+@pytest.mark.parametrize("a, d, k", [(300, 7, 2), (1000, 3, 3), (600, 11, 2)])
+def test_long_progressions_are_built_right(a, d, k):
+    ap = ArithProgression(a, d, k)
+    assert ap.q > 255
+    table = apery_arith(ap)
+    assert type(table.levels) is tuple
+    _assert_built_right(table)
+    assert table == apery_general(ap.generators())
+
+
+def test_levels_below_256_are_bytes_from_every_builder():
+    ap = ArithProgression(13, 3, 5)
+    tables = [
+        apery_arith(ap),
+        apery_general(ap.generators()),  # the sieve
+        apery._dijkstra(13, [16, 19, 22, 25]),
+        AperyTable.from_entries(13, apery_arith(ap).m),
+    ]
+    assert all(type(t.levels) is bytes for t in tables)
+    assert len(set(tables)) == 1
+
+
+def test_a_residue_no_row_fills_is_refused(monkeypatch):
+    rows = ArithProgression.rows
+
+    def skipping(self):
+        for base, js in rows(self):
+            yield base, js[1:] if base == 2 * self.a else js  # drop the first entry of row 2
+
+    monkeypatch.setattr(ArithProgression, "rows", skipping)
+    ap = ArithProgression(13, 3, 5)  # row 2 starts at 2*13 + 5*3 = 41, residue 2
+    with pytest.raises(ValueError, match="no row fills residue 2"):
+        apery_arith(ap)

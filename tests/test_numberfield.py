@@ -56,6 +56,24 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, e in enumerate(q):
+            out[i + j] += c * e
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    # x^n - 1 is the product of Phi_d over the divisors d of n
+    for n in range(1, 301):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, cyclotomic(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
 def test_basic_products():
     theta = CBRT2.generator
     assert theta * theta ** 2 == 2
