@@ -119,7 +119,11 @@ class ArithProgression:
 @dataclass(frozen=True, kw_only=True)
 class AperyTable:
     """m[i] = levels[i]*modulus + i, the least member of residue i mod modulus = len(levels),
-    and depth = max(levels).  Levels below 256 are bytes from every builder."""
+    and depth = max(levels).  Levels below 256 are bytes from every builder.
+
+    :meth:`entries` reads the m[i] out of the levels lazily, for readers that
+    pass over them once; the tuple ``m`` is built on first use only, for
+    readers that need random access."""
 
     levels: bytes | tuple[int, ...]
     depth: int
@@ -146,9 +150,13 @@ class AperyTable:
     def modulus(self) -> int:
         return len(self.levels)
 
+    def entries(self) -> Iterator[int]:
+        """m[0], ..., m[modulus-1], one at a time."""
+        return map(add, map(mul, self.levels, repeat(self.modulus)), range(self.modulus))
+
     @cached_property
     def m(self) -> tuple[int, ...]:
-        return tuple(map(add, map(mul, self.levels, repeat(self.modulus)), range(self.modulus)))
+        return tuple(self.entries())
 
 
 # The sieve hands a table over to Dijkstra after this many blocks of a_1

@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from . import oracle, paths
 from .apery import ArithProgression, Generators, as_arith_progression
@@ -167,7 +168,8 @@ def _run(args) -> int:
                 for mu, value in path.power_sums(args.mu).items()
             ]
         elif command == "gaps":
-            results = [_result(command, gens, query, list(oracle.gap_set(gens).gaps), "oracle")]
+            gaps = list(chain.from_iterable(oracle.gap_set(gens).windows()))
+            results = [_result(command, gens, query, gaps, "oracle")]
         elif command == "apery":
             results = [_result(command, gens, query, list(path.apery()), path.tag)]
         else:  # frobenius, genus

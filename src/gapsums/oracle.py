@@ -1,30 +1,33 @@
 """Brute-force ground truth for every formula in the package.
 
-A sieve enumerates the gap set (the nonrepresentable positive integers)
-directly from the generators, deciding every integer below its horizon; sums
-over the gaps are computed term by term, one term per gap, and a weighted sum
-runs on integral elements in one pass with a single reduction at the end (on
-Python ints for a rational weight, with its powers of two as shifts, and over
-an integral modulus for any other).
+A sieve decides every integer below its horizon directly from the
+generators, and the gap set (the nonrepresentable positive integers) is the
+clear bits of the result; sums over the gaps are computed term by term, one
+term per gap, and a weighted sum runs on integral elements in one pass with a
+single reduction at the end (on Python ints for a rational weight, with its
+powers of two as shifts, and over an integral modulus for any other).
 The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
 int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
-CPython digit).  It shares no code with the residue-table engine: this
-module exists to certify the closed forms, not to compete with them.
+CPython digit).  The gaps are kept as those bits and read out a window of
+``_WINDOW`` integers at a time, ascending for the power sums and
+descending for the weighted sums, so a pass holds the bits plus one window
+of gaps.  The module shares no code with the residue-table engine: it exists
+to certify the closed forms, not to compete with them.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import lcm
+from typing import Iterable, Iterator
 
 from .apery import Generators
 from .numberfield import NumberRing, RingElement, as_element
 
-__all__ = ["GapSet", "gap_set", "power_sum", "weighted_sum"]
+__all__ = ["GapSet", "gap_set", "power_sum", "power_sums", "weighted_sum"]
 
 # The first horizon, in multiples of a_1; it doubles until it holds a run of
 # a_1 consecutive members.  Every set with a_1 >= 2 has all of 1..a_1-1 as
@@ -34,17 +37,40 @@ _FIRST_HORIZON = 2
 # '0'/'1' digits -> 1/0 selector bytes for itertools.compress: picks the gaps
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
+# Integers per read-out window.  A window holds at most this many gaps as
+# Python ints (about 36 B each), and each window costs a few calls whatever
+# it holds.
+_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class GapSet:
-    """The sorted gap set and the sieve horizon that produced it; the least
-    member of each residue class mod a_1 (the residue table) is read out of
-    the same sieve on first use."""
+    """The membership bits of the semigroup on ``[0, bound]``, the sieve
+    horizon: the gaps are the clear bits, and nothing is stored per gap.
 
-    gaps: tuple[int, ...]
+    Frobenius number and genus are read off the bits; :meth:`windows` reads
+    the gaps out a window at a time.  ``gaps``, the whole tuple, and
+    ``minima``, the least member of each residue class mod a_1 (the residue
+    table), are read out of the same bits on first use."""
+
     bound: int
     members: int = field(repr=False)  # membership bits on [0, bound]
     modulus: int
+
+    @property
+    def frobenius(self) -> int:
+        """The largest gap, the highest clear bit on [0, bound]; -1 if none."""
+        return (((2 << self.bound) - 1) ^ self.members).bit_length() - 1
+
+    @property
+    def genus(self) -> int:
+        """The number of gaps, the clear bits on [0, bound]."""
+        return self.bound + 1 - self.members.bit_count()
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        """Every gap, ascending; the sums read :meth:`windows` instead."""
+        return tuple(chain.from_iterable(self.windows()))
 
     @cached_property
     def minima(self) -> tuple[int, ...]:
@@ -55,8 +81,27 @@ class GapSet:
             return False
         if n > self.bound:
             return True  # beyond the horizon everything is representable
-        i = bisect_left(self.gaps, n)
-        return i == len(self.gaps) or self.gaps[i] != n
+        return bool(self.members >> n & 1)
+
+    def windows(self, descending: bool = False) -> Iterator[list[int]]:
+        """The gaps, one list per window of ``_WINDOW`` integers.
+
+        The windows come in ascending order and each list is ascending;
+        with ``descending`` both are reversed, so that the gaps chained
+        together descend.  The bits are copied once to bytes, each window is
+        read from its slice of them, and only one window's gaps are alive
+        at a time."""
+        width = self.bound + 1
+        raw = self.members.to_bytes((width + 7) // 8, "little")
+        starts = range(0, width, _WINDOW)
+        for lo in reversed(starts) if descending else starts:
+            n = min(_WINDOW, width - lo)
+            bits = int.from_bytes(raw[lo >> 3:(lo + n + 7) >> 3], "little") >> (lo & 7)
+            row = _digits(bits & ((1 << n) - 1), n).encode().translate(_GAP_FLAGS)
+            gaps = list(compress(range(lo, lo + n), row))  # 0 is always a member
+            if descending:
+                gaps.reverse()
+            yield gaps
 
 
 def _digits(x: int, width: int) -> str:
@@ -126,13 +171,6 @@ def _sieve(gens: Generators) -> tuple[int, int]:
     return members & ((2 << bound) - 1), bound
 
 
-def _gaps(members: int, bound: int) -> tuple[int, ...]:
-    """The positions of the clear bits on [0, bound]: the gaps, ascending."""
-    width = bound + 1
-    row = _digits(members, width).encode().translate(_GAP_FLAGS)
-    return tuple(compress(range(width), row))  # 0 is always a member
-
-
 def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
     """The least member of each residue class mod a_1.
 
@@ -152,14 +190,25 @@ def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
 
 def gap_set(gens: Generators) -> GapSet:
     members, bound = _sieve(gens)
-    return GapSet(_gaps(members, bound), bound, members, gens.modulus)
+    return GapSet(bound, members, gens.modulus)
+
+
+def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
+    """{mu: sum n^mu over the gap set} by ascending mu, in one ascending pass
+    over the gaps: each window's gaps are raised to every mu in turn."""
+    mus = sorted(set(mus))
+    if mus and mus[0] < 0:
+        raise ValueError("mu must be nonnegative")
+    sums = dict.fromkeys(mus, 0)
+    for gaps in gs.windows():
+        for mu in mus:
+            sums[mu] += sum(map(pow, gaps, repeat(mu)))
+    return sums
 
 
 def power_sum(gs: GapSet, mu: int) -> int:
     """sum n^mu over the gap set."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    return sum(map(pow, gs.gaps, repeat(mu)))
+    return power_sums(gs, (mu,))[mu]
 
 
 def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
@@ -190,8 +239,8 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     if lam.is_zero:
         raise ValueError("weight 0 is not allowed")
     ring = lam.ring
-    gaps = gs.gaps
-    if not gaps:
+    top = gs.frobenius
+    if top < 0:
         return ring.zero
     if ring.degree == 1:
         den = lam.den
@@ -206,8 +255,8 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     t = den >> c
     steps: dict[int, tuple] = {}  # delta -> (s^delta, t^delta)
     scale = 1  # t^(n_J - n)
-    top = above = gaps[-1]
-    for n in reversed(gaps):
+    above = top
+    for n in chain.from_iterable(gs.windows(descending=True)):
         delta = above - n
         if delta:
             step = steps.get(delta)

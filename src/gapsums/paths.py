@@ -92,17 +92,16 @@ class OraclePath:
         return oracle.gap_set(self.gens)
 
     def frobenius(self) -> int:
-        gaps = self.gapset.gaps  # ascending
-        return gaps[-1] if gaps else -1
+        return self.gapset.frobenius
 
     def genus(self) -> int:
-        return len(self.gapset.gaps)
+        return self.gapset.genus
 
     def apery(self) -> tuple[int, ...]:
         return self.gapset.minima
 
     def power_sums(self, mus: Iterable[int]) -> dict[int, int]:
-        return {mu: oracle.power_sum(self.gapset, mu) for mu in sorted(set(mus))}
+        return oracle.power_sums(self.gapset, mus)
 
     def weighted_sums(self, mus: Iterable[int], lam) -> tuple[dict[int, RingElement], str]:
         # oracle.weighted_sum, the ground truth, takes any mu and weight; the

@@ -101,7 +101,7 @@ def power_sums(table: AperyTable, mus: Iterable[int]) -> dict[int, int]:
         return {}
     if mus[0] < 0:
         raise ValueError("mu must be nonnegative")
-    sums = _integer_power_sums(table.m, mus[-1] + 1)
+    sums = _integer_power_sums(table.entries(), mus[-1] + 1)
     totals = weighted_sum_from_moments(table.modulus, mus, as_element(1), sums, 1)
     if any(total.denominator != 1 for total in totals.values()):
         raise ArithmeticError("non-integral power sum: internal fault")

@@ -3,16 +3,18 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from corpora import random_generator_sets
 from gapsums import Generators, LambdaSpec, apery_general, as_element, frobenius, genus
-from gapsums import oracle
+from gapsums import oracle, paths
 
 GAPS_13 = tuple(
     list(range(1, 13))
@@ -138,6 +140,8 @@ def test_oracle_rejects_bad_arguments():
     with pytest.raises(ValueError):
         oracle.power_sum(gs, -1)
     with pytest.raises(ValueError):
+        oracle.power_sums(gs, (2, -1))
+    with pytest.raises(ValueError):
         oracle.weighted_sum(gs, 1, as_element(0))
 
 
@@ -247,6 +251,63 @@ def test_far_generators_stay_cheap(near, far):
         tracemalloc.stop()
     assert gs == oracle.gap_set(Generators(near))
     assert peak < 48 * gs.gaps[-1] + 4096
+
+
+def test_sums_hold_the_bits_and_one_window():
+    # (449, 450) has 100,576 gaps up to its horizon 201,600: a tuple of them
+    # takes 36 B per gap, where the path reads them out a window at a time
+    # from one bit per integer
+    path = paths.OraclePath(Generators([449, 450]))
+    tracemalloc.start()
+    try:
+        answers = (path.frobenius(), path.genus(), path.power_sums((0, 1, 3)),
+                   path.weighted_sums((1,), -1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gs = path.gapset
+    assert "gaps" not in vars(gs)
+    gaps = gs.gaps
+    assert answers[:2] == (gaps[-1], len(gaps)) == (201151, 100576)
+    assert answers[2] == {mu: sum(n ** mu for n in gaps) for mu in (0, 1, 3)}
+    assert answers[3] == ({1: sum(n if n % 2 == 0 else -n for n in gaps)}, "oracle")
+    assert peak < 4 * (gs.bound + 1)
+    assert peak * 8 < sys.getsizeof(gaps) + sum(map(sys.getsizeof, gaps))
+
+
+@st.composite
+def _small_generator_sets(draw) -> Generators:
+    a1 = draw(st.integers(1, 30))
+    rest = draw(st.lists(st.integers(a1 + 1, 6 * a1 + 6), min_size=1, max_size=4))
+    assume(math.gcd(a1, *rest) == 1)
+    return Generators([a1, *rest])
+
+
+@given(_small_generator_sets(), st.integers(1, 19))
+@example(Generators([1, 5]), 3)  # no gaps
+@example(Generators([2, 3]), 1)
+@example(Generators([13, 16, 19, 22, 25]), 8)
+def test_windowed_read_out_matches_the_bits(gens, window):
+    # windows of 1 to 19 integers put window edges among the gaps
+    gs = oracle.gap_set(gens)
+    clear = [n for n in range(gs.bound + 1) if not gs.members >> n & 1]
+    lam = as_element(Fraction(-1, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_WINDOW", window)
+        ascending = list(chain.from_iterable(gs.windows()))
+        descending = list(chain.from_iterable(gs.windows(descending=True)))
+        sums = oracle.power_sums(gs, (3, 0, 1, 3))
+        single = {mu: oracle.power_sum(gs, mu) for mu in (0, 1, 3)}
+        weighted = oracle.weighted_sum(gs, 2, lam)
+        assert (gs.frobenius, gs.genus) == (max(clear, default=-1), len(clear))
+    assert ascending == clear == list(gs.gaps)
+    assert descending == clear[::-1]
+    holes = set(clear)
+    assert all(gs.is_representable(n) == (0 <= n and n not in holes)
+               for n in range(-2, gs.bound + 3))
+    assert sums == single == {mu: sum(n ** mu for n in clear) for mu in (0, 1, 3)}
+    assert list(sums) == [0, 1, 3]
+    assert weighted == _reference_weighted_sums(gs, (2,), lam)[2]
 
 
 def test_rational_modulus_costs_no_gcd_per_gap(monkeypatch):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd, perm
 
@@ -29,6 +31,7 @@ from gapsums import (
 )
 from gapsums import apery_polynomial, numberfield, oracle, stirling2, summarize, sylvester
 from gapsums.numberfield import RingElement, order
+from gapsums.paths import TablePath
 from gapsums.sylvester import (
     moment_from_polynomial,
     weighted_moments,
@@ -217,6 +220,26 @@ def test_power_sum_matches_oracle_up_to_mu_12(monkeypatch, chunk):
         assert [power_sum(table, mu) for mu in range(13)] == [
             oracle.power_sum(gs, mu) for mu in range(13)
         ]
+
+
+def test_power_sums_read_the_entries_from_the_levels():
+    # a_1 = 50,021 in a shallow table: the pass reads the entries out of one
+    # byte per residue a chunk at a time, and builds no tuple of them
+    rng = random.Random(20)
+    a = 50021
+    gens = Generators([a, *(rng.randint(a + 1, 2 * a) for _ in range(40))])
+    path = TablePath(gens)
+    table = path.table
+    tracemalloc.start()
+    try:
+        sums = path.power_sums((1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "m" not in vars(table)
+    assert sums == oracle.power_sums(oracle.gap_set(gens), (1, 2, 3))
+    m = table.m
+    assert peak * 4 < sys.getsizeof(m) + sum(map(sys.getsizeof, m))
 
 
 def test_moment_kernel_rejects_bad_input():
