@@ -21,8 +21,8 @@ from typing import Iterable
 
 from .apery import ArithProgression, apery_arith
 from .exact import bernoulli, binomial
-from .numberfield import RingElement, as_element
-from .sylvester import WeightedSum, WeightedSums, _unity, weighted_moment, weighted_sums
+from .numberfield import RingElement, is_power_unity
+from .sylvester import WeightedSum, WeightedSums, weighted_moment, weighted_sums
 # bench/tracing.py wraps arithprog.moment_from_polynomial and
 # arithprog.weighted_sum_from_moments, so the names stay importable
 from .sylvester import moment_from_polynomial, weighted_sum_from_moments  # noqa: F401
@@ -106,7 +106,7 @@ def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:
 
 def weighted_moment_unity_d(ap: ArithProgression, nu: int, lam) -> RingElement:
     """:func:`weighted_moment_ap` for a weight with lam^d = 1, refused otherwise."""
-    if not _unity(as_element(lam), ap.d):
+    if not is_power_unity(lam, ap.d):
         raise ValueError("this route requires the weight to satisfy lam^d = 1")
     return weighted_moment_ap(ap, nu, lam)
 
@@ -117,7 +117,7 @@ def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedS
     the branch "unity-d" when lam^d = 1.  Equals the residue-table engine on
     the same generators; weights 0 and 1 are rejected."""
     values, branch = weighted_sums(apery_arith(ap), mus, lam)
-    return WeightedSums(values, "unity-d" if _unity(as_element(lam), ap.d) else branch)
+    return WeightedSums(values, "unity-d" if is_power_unity(lam, ap.d) else branch)
 
 
 def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSum:

@@ -14,13 +14,12 @@ section 4.2).  Sums and products run on Python ints with a single gcd per
 result, skipped when the denominator is 1; reduction by an integral modulus
 stays in the integers, and degree-1 products are a single integer product.
 
-Inversion of a rational is den/num; in a ring of degree >= 2 it is
-1/z = adj(z)/N(z), with the norm N(z) and the adjugate adj(z) of z's
-multiplication matrix read off its characteristic polynomial
-(Faddeev-LeVerrier, with traces taken from the power sums of the roots of
-the modulus).  Over an integral modulus that is a handful of integer ring
-products and one gcd.  Moduli are not factored up front: an element of norm
-0 is a zero divisor, and inverting it raises a
+Inversion is 1/z = adj(z)/N(z) in every ring (adj(z) = 1 for a rational),
+with the norm N(z) and the adjugate adj(z) of z's multiplication matrix read
+off its characteristic polynomial (Faddeev-LeVerrier, with traces taken from
+the power sums of the roots of the modulus).  Over an integral modulus that
+is a handful of integer ring products and one gcd.  Moduli are not factored
+up front: an element of norm 0 is a zero divisor, and inverting it raises a
 :class:`ReducibleModulusError` naming the factor of the modulus it shares
 (the one place a Euclid over the rationals runs).
 """
@@ -157,10 +156,15 @@ class NumberRing:
         return hash(self.minpoly)
 
     def __repr__(self) -> str:
-        return f"NumberRing([{', '.join(str(c) for c in self.minpoly)}])"
+        return f"NumberRing([{_literals(self.minpoly)}])"
 
     def __str__(self) -> str:
         return f"Q[θ]/({_format_poly(self.minpoly)})"
+
+
+def _literals(values: Iterable[Fraction]) -> str:
+    """Rationals as Python literals, ints or Fractions, for a repr that evaluates back."""
+    return ", ".join(repr(c.numerator if c.denominator == 1 else c) for c in values)
 
 
 def _common_denominator(values: Iterable[Rational]) -> tuple[list[int], int]:
@@ -199,21 +203,13 @@ class RingElement:
     denominator ``den``, in lowest terms: ``den > 0`` and
     ``gcd(den, *num) == 1``, so zero is ``(0, ..., 0) / 1`` and equal
     elements have equal fields.  ``coeffs`` gives the coordinates as
-    Fractions on demand.
+    Fractions on demand.  Elements are built by their ring (:meth:`NumberRing.element`).
 
     Immutable and hashable; arithmetic operators accept ints and Fractions on
     either side and promote them to constants of the same ring.
     """
 
     __slots__ = ("ring", "num", "den")
-
-    def __init__(self, ring: NumberRing, coeffs: Sequence[Rational]):
-        if len(coeffs) != ring.degree:
-            raise ValueError("coefficient vector length must equal ring degree")
-        num, den = _common_denominator(coeffs)
-        self.ring = ring
-        self.num = tuple(num)
-        self.den = den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -397,20 +393,13 @@ class RingElement:
         return adj * Fraction(1, den ** (n - 1)), Fraction(norm, den ** n)
 
     def inverse(self) -> "RingElement":
-        """Multiplicative inverse: den/num for an element of a degree-1 ring
-        (a rational), else den * adj(z) / N(z) for the numerator z, with one
-        reduction; raises as :meth:`adjugate` does.
-        """
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        if self.ring.degree == 1:
-            num = self.num[0]
-            return _element(self.ring, (self.den if num > 0 else -self.den,), abs(num))
+        """Multiplicative inverse, den * adj(z) / N(z) for the numerator z, with
+        one reduction; raises as :meth:`adjugate` does."""
         adj, norm = self.numerator.adjugate()
         return adj * Fraction(self.den, norm)
 
     def __repr__(self) -> str:
-        return f"RingElement({self.ring!r}, {tuple(str(c) for c in self.coeffs)})"
+        return f"{self.ring!r}.element([{_literals(self.coeffs)}])"
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -471,11 +460,11 @@ def as_element(value) -> RingElement:
 
 
 def is_power_unity(x: RingElement, e: int) -> bool:
-    """True exactly when x^e = 1 in the ring."""
+    """True exactly when x^e = 1 in the ring: the order of x divides e."""
     if e < 1:
         raise ValueError("exponent must be positive")
-    x = as_element(x)
-    return x ** e == x.ring.one
+    c = order(x)
+    return c is not None and e % c == 0
 
 
 @lru_cache(maxsize=256)

@@ -88,25 +88,26 @@ class GapSet:
 
         The windows come in ascending order and each list is ascending;
         with ``descending`` both are reversed, so that the gaps chained
-        together descend.  The bits are copied once to bytes, each window is
-        read from its slice of them, and only one window's gaps are alive
-        at a time."""
-        width = self.bound + 1
-        raw = self.members.to_bytes((width + 7) // 8, "little")
-        starts = range(0, width, _WINDOW)
-        for lo in reversed(starts) if descending else starts:
-            n = min(_WINDOW, width - lo)
-            bits = int.from_bytes(raw[lo >> 3:(lo + n + 7) >> 3], "little") >> (lo & 7)
-            row = _digits(bits & ((1 << n) - 1), n).encode().translate(_GAP_FLAGS)
-            gaps = list(compress(range(lo, lo + n), row))  # 0 is always a member
+        together descend.  Only one window's gaps are alive at a time."""
+        for lo, row in _rows(self.members, self.bound + 1, descending):
+            flags = row.encode().translate(_GAP_FLAGS)
+            gaps = list(compress(range(lo, lo + len(row)), flags))  # 0 is always a member
             if descending:
                 gaps.reverse()
             yield gaps
 
 
-def _digits(x: int, width: int) -> str:
-    """Bits 0 .. width-1 of ``x`` (which is below 2**width) as '0'/'1', bit n at index n."""
-    return format(x, f"0{width}b")[::-1]
+def _rows(bits: int, width: int, descending: bool = False) -> Iterator[tuple[int, str]]:
+    """(lo, digits) for each window of ``_WINDOW`` integers in ``[0, width)``,
+    ascending unless ``descending``: bit lo + t of ``bits`` as '0'/'1' at index
+    t.  The bits are copied once to bytes and each window is read from its
+    slice of them, so no string of all ``width`` digits is made."""
+    raw = bits.to_bytes((width + 7) // 8, "little")
+    starts = range(0, width, _WINDOW)
+    for lo in reversed(starts) if descending else starts:
+        n = min(_WINDOW, width - lo)
+        window = int.from_bytes(raw[lo >> 3:(lo + n + 7) >> 3], "little") >> (lo & 7)
+        yield lo, format(window & ((1 << n) - 1), f"0{n}b")[::-1]
 
 
 def _members(gens: Generators, horizon: int) -> int:
@@ -176,15 +177,15 @@ def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
 
     A member n whose n - a_1 is not a member is the least of its class, so
     the minima are the set bits of ``members & ~(members << a_1)``; there
-    are exactly a_1 of them, found one by one rather than by a scan of
-    every position.
+    are exactly a_1 of them, found one by one within each window rather
+    than by a scan of every position.
     """
-    firsts = _digits(members & ~(members << a1), bound + 1)
     minima = [0] * a1
-    m = firsts.find("1")
-    while m >= 0:
-        minima[m % a1] = m
-        m = firsts.find("1", m + 1)
+    for lo, row in _rows(members & ~(members << a1), bound + 1):
+        t = row.find("1")
+        while t >= 0:
+            minima[(lo + t) % a1] = lo + t
+            t = row.find("1", t + 1)
     return tuple(minima)
 
 

@@ -9,11 +9,12 @@ the path's tag and its weight branch).  ``tag`` names the path in every result:
 * :class:`ClosedFormPath` ("ap-closed-form"): the closed forms, progressions only;
 * :class:`OraclePath` ("oracle"): the brute-force sieve that certifies both.
 
-A path builds its table or sieve on first use and keeps it, so one query costs
-at most one of each.  Each path calls its own module, through module
-attributes, so that a caller may wrap or replace them.  The oracle shares
-no engine code with the other two; the closed forms build their own table
-and hand it to the table engine's weighted sums (:mod:`gapsums.arithprog`).
+The table and oracle paths build their table or sieve on first use and keep
+it, so one query costs at most one of each.  The closed forms' ``apery()`` and
+``weighted_sums()`` each build :func:`gapsums.apery.apery_arith` anew, the
+latter for the table engine's weighted sums (:mod:`gapsums.arithprog`).  Each
+path calls its own module, through module attributes, so that a caller may
+wrap or replace them.  The oracle shares no engine code with the other two.
 All three share one argument check for weighted sums,
 :func:`gapsums.sylvester.require_weight`, so every path refuses the same
 questions.

@@ -40,7 +40,7 @@ from .apery import AperyTable, Generators, apery_general
 # bench/tracing.py wraps sylvester.apery_polynomial, so the name stays importable
 from .apery import apery_polynomial  # noqa: F401
 from .exact import bernoulli, binomial, eulerian, stirling2
-from .numberfield import RingElement, as_element, order
+from .numberfield import RingElement, as_element, is_power_unity, order
 
 __all__ = [
     "GapSummary",
@@ -489,12 +489,6 @@ def _residue_differences(table: AperyTable, top: int, lam: RingElement) -> list[
     return [m - i for m, i in zip(entries, indices)]
 
 
-def _unity(lam: RingElement, n: int) -> bool:
-    """lam^n = 1, read from the order of lam."""
-    c = order(lam)
-    return c is not None and n % c == 0
-
-
 def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, values) -> None:
     """Hold the sums ``values`` for lam^a = 1 (lam != 1) exactly equal to the
     residue-difference form, cross-multiplied.  With i = m_i mod a and
@@ -511,7 +505,7 @@ def _check_differences(table: AperyTable, mus: Sequence[int], lam: RingElement, 
 
 def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a != 1, from the residue table."""
-    if _unity(require_weight((mu,), lam), table.modulus):
+    if is_power_unity(require_weight((mu,), lam), table.modulus):
         raise ValueError("weight is a root of unity of the modulus order; use weighted_sum_unity_a")
     return weighted_sums(table, (mu,), lam).values[mu]
 
@@ -519,7 +513,7 @@ def weighted_sum_general(table: AperyTable, mu: int, lam) -> RingElement:
 def weighted_sum_unity_a(table: AperyTable, mu: int, lam) -> RingElement:
     """Weighted gap sum when lam^a = 1 (lam != 1), e.g. alternating sums;
     the series and residue-difference forms are compared exactly."""
-    if not _unity(require_weight((mu,), lam), table.modulus):
+    if not is_power_unity(require_weight((mu,), lam), table.modulus):
         raise ValueError("weight is not a root of unity of the modulus order")
     return weighted_sums(table, (mu,), lam).values[mu]
 
@@ -539,7 +533,7 @@ def weighted_sums(table: AperyTable, mus: Iterable[int], lam) -> WeightedSums:
     on whether the order of lam divides a; all read one moment vector."""
     mus = sorted(set(mus))
     lam = require_weight(mus, lam)
-    unity_a = _unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
+    unity_a = is_power_unity(lam, table.modulus)  # then the pole reads M(max mu + 1)
     nums, q = weighted_moments(sorted(table.m), mus[-1] + unity_a, lam)
     values = weighted_sum_from_moments(table.modulus, mus, lam, nums, q)
     if unity_a:

@@ -40,6 +40,12 @@ def random_progressions(
     return out
 
 
+def power_is_one(x, e: int) -> bool:
+    """x^e = 1, by raising x to e: the reference for
+    :func:`gapsums.numberfield.is_power_unity`, which reads the order."""
+    return x ** e == x.ring.one
+
+
 def reference_weights() -> list[LambdaSpec]:
     """The weight panel exercised across the equivalence suites."""
     return [

@@ -13,7 +13,7 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from corpora import random_generator_sets, random_progressions
+from corpora import power_is_one, random_generator_sets, random_progressions
 from gapsums import (
     ArithProgression,
     Generators,
@@ -26,7 +26,6 @@ from gapsums import (
     frobenius,
     frobenius_ap,
     genus,
-    is_power_unity,
     numeric_eval,
     power_sum,
     power_sum_ap,
@@ -249,9 +248,9 @@ def test_criterion_6_property_suite():
             lam = spec.element()
             expected_branch = (
                 "unity-a"
-                if is_power_unity(lam, ap.a)
+                if power_is_one(lam, ap.a)
                 else "unity-d"
-                if is_power_unity(lam, ap.d)
+                if power_is_one(lam, ap.d)
                 else "general"
             )
             mu = rng.randint(1, 3)

@@ -61,9 +61,11 @@ def test_table_validation():
     with pytest.raises(ValueError, match="table length must equal the modulus"):
         AperyTable.from_entries(3, (0, 4))
     with pytest.raises(ValueError, match="zero residue entry must be 0"):
-        AperyTable(levels=(1, 0), depth=1)
+        AperyTable(levels=(1, 0))
     with pytest.raises(TypeError):
         AperyTable(2, (0, 3))  # the fields are keyword-only: entries are not read as levels
+    with pytest.raises(TypeError):
+        AperyTable(levels=b"\x00\x01", depth=5)  # the depth is read from the levels
 
 
 @pytest.mark.parametrize(
@@ -192,6 +194,29 @@ def test_sieve_dijkstra_and_oracle_agree(monkeypatch, budget):
         assert 100 < sieved < 300 and past_budget > 20
     else:
         assert sieved == 299
+
+
+def test_every_builder_reads_the_depth_from_the_levels(monkeypatch):
+    # with 8 blocks, apery_general hands the deeper tables to Dijkstra
+    monkeypatch.setattr(apery, "LEVEL_BUDGET", 8)
+    sieved = deep = 0
+    for ap in random_progressions(60, seed=2121, max_a=50, max_k=12):
+        gens = ap.generators()
+        tables = [
+            apery_general(gens),
+            apery._dijkstra(gens.modulus, _steps(gens)),
+            apery_arith(ap),
+            AperyTable.from_entries(gens.modulus, oracle.gap_set(gens).minima),
+        ]
+        sieve = apery._level_sieve(gens.modulus, _steps(gens))
+        if sieve is not None:
+            tables.append(sieve)
+            sieved += 1
+        deep += tables[0].depth > 8
+        for table in tables:
+            assert table.depth == max(table.levels), ap
+            assert table == tables[0] and hash(table) == hash(tables[0]), ap
+    assert sieved > 10 and deep > 10, (sieved, deep)
 
 
 def _assert_least_representatives(gens: Generators, m: tuple[int, ...]) -> None:

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from corpora import random_progressions, reference_weights
+from corpora import power_is_one, random_progressions, reference_weights
 from gapsums import (
     ArithProgression,
     LambdaSpec,
@@ -18,7 +18,6 @@ from gapsums import (
     frobenius,
     frobenius_ap,
     genus_ap,
-    is_power_unity,
     power_sum,
     power_sum_ap,
     weighted_moment,
@@ -129,7 +128,7 @@ def test_rows_unity_d_moments_and_sums_randomized():
         assert entries == sorted(table.m[1:])
         gs = oracle.gap_set(ap.generators())
         for lam in weights:
-            if is_power_unity(lam, ap.d) and not is_power_unity(lam, ap.a):
+            if power_is_one(lam, ap.d) and not power_is_one(lam, ap.a):
                 unity_d += 1
                 for nu in range(5):
                     assert weighted_moment_unity_d(ap, nu, lam) == weighted_moment(table, nu, lam)
@@ -311,7 +310,7 @@ def _weighted_progressions(draw):
 def test_recombination_matches_the_oracle_on_every_branch(case):
     ap, spec, mus = case
     lam = RECOMBINATION_WEIGHTS[spec]
-    unity_a, unity_d = is_power_unity(lam, ap.a), is_power_unity(lam, ap.d)
+    unity_a, unity_d = power_is_one(lam, ap.a), power_is_one(lam, ap.d)
     table_values, table_branch = weighted_sums(apery_general(ap.generators()), mus, lam)
     closed_values, closed_branch = weighted_sums_ap(ap, mus, lam)
     assert table_branch == ("unity-a" if unity_a else "general")

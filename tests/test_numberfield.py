@@ -9,12 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from corpora import FINITE_ORDER
+from corpora import FINITE_ORDER, power_is_one
 from gapsums import (
     LambdaSpec,
     NumberRing,
     RATIONAL_RING,
     ReducibleModulusError,
+    RingElement,
     RingMismatchError,
     as_element,
     cyclotomic,
@@ -144,6 +145,20 @@ def test_ring_mismatch_rejected():
         CBRT2.generator + GAUSS.generator
 
 
+def test_elements_are_built_by_their_ring():
+    with pytest.raises(TypeError):
+        RingElement(GAUSS, (4, 3))
+    thirds = NumberRing([Fraction(1, 3), Fraction(-2, 5), 1])  # a modulus with denominators
+    for x in [
+        GAUSS.element([4, 3]),
+        CBRT2.element([Fraction(-1, 2), 0, Fraction(7, 3)]),
+        thirds.element([Fraction(5, 6), Fraction(-1, 9)]),
+        thirds.zero,
+        as_element(Fraction(-5, 3)),
+    ]:
+        assert eval(repr(x), {"Fraction": Fraction, "NumberRing": NumberRing}) == x
+
+
 def test_is_power_unity():
     z = ZETA5.generator
     assert is_power_unity(z, 5)
@@ -211,7 +226,7 @@ def test_order_against_brute_force(spec):
     assert order(x) == _brute_order(x) == ORDER_CASES[spec]
     assert order(-x) == _brute_order(-x)
     if order(x) is not None:
-        assert [m for m in range(1, 3 * order(x) + 1) if is_power_unity(x, m)] == list(
+        assert [m for m in range(1, 3 * order(x) + 1) if power_is_one(x, m)] == list(
             range(order(x), 3 * order(x) + 1, order(x))
         )
 
@@ -225,8 +240,8 @@ def test_order_is_the_least_power_to_one(spec, c):
     # x^c = 1, and no x^(c/p) for a prime p | c: no proper divisor of c is an order
     x = LambdaSpec.parse(spec).element()
     assert order(x) == c
-    assert is_power_unity(x, c)
-    assert not any(is_power_unity(x, c // p) for p in _prime_factors(c))
+    assert power_is_one(x, c)
+    assert not any(power_is_one(x, c // p) for p in _prime_factors(c))
 
 
 def test_order_in_a_reducible_product_ring():

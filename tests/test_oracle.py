@@ -275,6 +275,22 @@ def test_sums_hold_the_bits_and_one_window():
     assert peak * 8 < sys.getsizeof(gaps) + sum(map(sys.getsizeof, gaps))
 
 
+def test_minima_are_read_a_window_at_a_time():
+    # the minima are the set bits of members & ~(members << a_1), found a
+    # window at a time in a few bits per integer: a string of all bound + 1
+    # digits and its reverse took 2 B per integer
+    gens = Generators([449, 450])
+    gs = oracle.gap_set(gens)
+    tracemalloc.start()
+    try:
+        minima = gs.minima
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert minima == apery_general(gens).m
+    assert peak < gs.bound + 1
+
+
 @st.composite
 def _small_generator_sets(draw) -> Generators:
     a1 = draw(st.integers(1, 30))
@@ -299,7 +315,9 @@ def test_windowed_read_out_matches_the_bits(gens, window):
         sums = oracle.power_sums(gs, (3, 0, 1, 3))
         single = {mu: oracle.power_sum(gs, mu) for mu in (0, 1, 3)}
         weighted = oracle.weighted_sum(gs, 2, lam)
+        minima = oracle._minima(gs.members, gs.bound, gs.modulus)
         assert (gs.frobenius, gs.genus) == (max(clear, default=-1), len(clear))
+    assert minima == apery_general(gens).m
     assert ascending == clear == list(gs.gaps)
     assert descending == clear[::-1]
     holes = set(clear)

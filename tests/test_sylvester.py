@@ -11,7 +11,13 @@ from math import gcd, perm
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from corpora import FINITE_ORDER, random_generator_sets, random_progressions, reference_weights
+from corpora import (
+    FINITE_ORDER,
+    power_is_one,
+    random_generator_sets,
+    random_progressions,
+    reference_weights,
+)
 from gapsums import (
     ArithProgression,
     Generators,
@@ -20,7 +26,6 @@ from gapsums import (
     as_element,
     frobenius,
     genus,
-    is_power_unity,
     power_sum,
     weighted_moment,
     weighted_moment_unity_d,
@@ -500,7 +505,7 @@ def _unity_a_tables(draw):
 @example((apery_general(Generators([12, 17, 19])), LambdaSpec.zeta(12).element()), 4)
 def test_class_sums_match_termwise_differences(case, top):
     table, lam = case
-    assert is_power_unity(lam, table.modulus)
+    assert power_is_one(lam, table.modulus)
     assert sylvester._residue_differences(table, top, lam) == _termwise_differences(table, top, lam)
 
 
