@@ -28,6 +28,7 @@ from .sylvester import WeightedSum, WeightedSums, weighted_moment, weighted_sums
 from .sylvester import moment_from_polynomial, weighted_sum_from_moments  # noqa: F401
 
 __all__ = [
+    "branch_ap",
     "frobenius_ap",
     "genus_ap",
     "power_sum_ap",
@@ -117,7 +118,12 @@ def weighted_sums_ap(ap: ArithProgression, mus: Iterable[int], lam) -> WeightedS
     the branch "unity-d" when lam^d = 1.  Equals the residue-table engine on
     the same generators; weights 0 and 1 are rejected."""
     values, branch = weighted_sums(apery_arith(ap), mus, lam)
-    return WeightedSums(values, "unity-d" if is_power_unity(lam, ap.d) else branch)
+    return WeightedSums(values, branch_ap(ap, lam, branch))
+
+
+def branch_ap(ap: ArithProgression, lam, branch: str) -> str:
+    """The closed forms' tag for the table engine's ``branch``: "unity-d" when lam^d = 1."""
+    return "unity-d" if is_power_unity(lam, ap.d) else branch
 
 
 def weighted_sum_ap(ap: ArithProgression, mu: int, lam) -> WeightedSum:

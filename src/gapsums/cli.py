@@ -30,7 +30,7 @@ from . import oracle, paths
 from .apery import ArithProgression, Generators, as_arith_progression
 # bench/tracing.py wraps cli.apery_general and cli.apery_arith, so the names stay importable
 from .apery import apery_arith, apery_general  # noqa: F401
-from .numberfield import LambdaSpec, ReducibleModulusError, element_to_json, numeric_eval
+from .numberfield import LambdaSpec, ReducibleModulusError, element_to_json, format_poly, numeric_eval
 
 __all__ = ["console_main", "main"]
 
@@ -111,11 +111,9 @@ def _emit(args, results: list[dict]) -> None:
         print(json.dumps(payload, indent=2, ensure_ascii=False))
         return
     for r in results:
-        value = r["value"]
-        if isinstance(value, list):
-            text = ", ".join(str(v) for v in value)
-        else:
-            text = r.get("display", str(value))
+        text = r.get("display", r["value"])  # scalars are already decimal strings
+        if isinstance(text, list):
+            text = ", ".join(map(str, text))
         line = f"{r['label']} = {text}"
         if "numeric" in r:
             n = r["numeric"]
@@ -184,14 +182,9 @@ def _run_weighted(args, gens: Generators, spec: LambdaSpec, path) -> int:
     values, method = path.weighted_sums(args.mu, spec.element())
     results = []
     for mu, value in values.items():
-        entry = _result(
-            f"s_{mu}^({spec})",
-            gens,
-            {"command": "weighted-sum", "mu": mu, "lambda": str(spec)},
-            element_to_json(value),
-            method,
-        )
-        entry["display"] = str(value)
+        query = {"command": "weighted-sum", "mu": mu, "lambda": str(spec)}
+        entry = _result(f"s_{mu}^({spec})", gens, query, element_to_json(value), method)
+        entry["display"] = format_poly(entry["value"]["coeffs"])  # one conversion per answer
         if args.numeric is not None:
             z = numeric_eval(value, spec.preview if args.numeric == "auto" else int(args.numeric))
             entry["numeric"] = {"re": z.real, "im": z.imag}

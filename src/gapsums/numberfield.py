@@ -48,6 +48,7 @@ __all__ = [
     "cyclotomic",
     "element_from_json",
     "element_to_json",
+    "format_poly",
     "is_power_unity",
     "numeric_eval",
     "order",
@@ -159,7 +160,7 @@ class NumberRing:
         return f"NumberRing([{_literals(self.minpoly)}])"
 
     def __str__(self) -> str:
-        return f"Q[θ]/({_format_poly(self.minpoly)})"
+        return f"Q[θ]/({format_poly(map(str, self.minpoly))})"
 
 
 def _literals(values: Iterable[Fraction]) -> str:
@@ -402,7 +403,7 @@ class RingElement:
         return f"{self.ring!r}.element([{_literals(self.coeffs)}])"
 
     def __str__(self) -> str:
-        return _format_poly(self.coeffs)
+        return format_poly(map(str, self.coeffs))
 
 
 @lru_cache(maxsize=256)
@@ -423,28 +424,23 @@ def _trace_step(x: RingElement, traces: Sequence[Rational], k: int) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-def _format_poly(coeffs: Sequence[Fraction], var: str = "θ") -> str:
-    parts: list[str] = []
+def format_poly(coeffs: Iterable[str]) -> str:
+    """The polynomial in θ whose power-basis coordinates are the exact decimal
+    strings ``coeffs`` (``str`` of ints or Fractions), lowest power first;
+    the sign is read from a leading "-", and a unit coefficient is left out."""
+    text = ""
     for i, c in enumerate(coeffs):
-        if not c:
+        if c == "0":
             continue
-        if i == 0:
-            term = str(c)
+        sign, mag = ("-", c[1:]) if c.startswith("-") else ("+", c)
+        if i:
+            power = "θ" if i == 1 else f"θ^{i}"
+            mag = power if mag == "1" else f"{mag}*{power}"
+        if text:
+            text += f" {sign} {mag}"
         else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            power = var if i == 1 else f"{var}^{i}"
-            term = f"{mag}{power}"
-            if c < 0:
-                term = "-" + term
-            if parts and not term.startswith("-"):
-                term = "+" + term
-        parts.append(term)
-    if not parts:
-        return "0"
-    text = parts[0]
-    for p in parts[1:]:
-        text += f" {p[0]} {p[1:]}" if p[0] in "+-" else f" + {p}"
-    return text
+            text = mag if sign == "+" else f"-{mag}"
+    return text or "0"
 
 
 RATIONAL_RING = NumberRing((0, 1))  # f(x) = x: the rationals
@@ -572,11 +568,11 @@ def numeric_eval(x: RingElement, root: int | complex = 0) -> complex:
     if isinstance(root, int) and not 0 <= root < x.ring.degree:
         raise ValueError(f"root index {root} out of range")
     try:
-        if x.ring.degree == 1:
-            return complex(float(x.coeffs[0]), 0.0)
+        if x.ring.degree == 1:  # int true division rounds as float(Fraction(c, den)) does
+            return complex(x.num[0] / x.den, 0.0)
         roots = _ring_roots(x.ring.minpoly)
         at = roots[root] if isinstance(root, int) else min(roots, key=lambda z: abs(z - root))
-        return reduce(lambda acc, c: acc * at + float(c), reversed(x.coeffs), 0j)  # Horner
+        return reduce(lambda acc, c: acc * at + c / x.den, reversed(x.num), 0j)  # Horner
     except OverflowError:
         raise ValueError("numeric preview out of floating-point range") from None
 

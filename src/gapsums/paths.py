@@ -9,12 +9,12 @@ the path's tag and its weight branch).  ``tag`` names the path in every result:
 * :class:`ClosedFormPath` ("ap-closed-form"): the closed forms, progressions only;
 * :class:`OraclePath` ("oracle"): the brute-force sieve that certifies both.
 
-The table and oracle paths build their table or sieve on first use and keep
-it, so one query costs at most one of each.  The closed forms' ``apery()`` and
-``weighted_sums()`` each build :func:`gapsums.apery.apery_arith` anew, the
-latter for the table engine's weighted sums (:mod:`gapsums.arithprog`).  Each
-path calls its own module, through module attributes, so that a caller may
-wrap or replace them.  The oracle shares no engine code with the other two.
+Each path builds its table or sieve on first use and keeps it, so one query
+costs at most one of each; the closed forms' table
+(:func:`gapsums.apery.apery_arith`) serves ``apery()`` and the table engine's
+weighted sums, tagged by :func:`gapsums.arithprog.branch_ap`.  Each path calls
+its own module, through module attributes, so that a caller may wrap or
+replace them.  The oracle shares no engine code with the other two.
 All three share one argument check for weighted sums,
 :func:`gapsums.sylvester.require_weight`, so every path refuses the same
 questions.
@@ -65,6 +65,10 @@ class ClosedFormPath:
     def __init__(self, ap: ArithProgression):
         self.ap = ap
 
+    @cached_property
+    def table(self) -> apery.AperyTable:
+        return apery.apery_arith(self.ap)
+
     def frobenius(self) -> int:
         return arithprog.frobenius_ap(self.ap)
 
@@ -72,14 +76,14 @@ class ClosedFormPath:
         return arithprog.genus_ap(self.ap)
 
     def apery(self) -> tuple[int, ...]:
-        return apery.apery_arith(self.ap).m
+        return self.table.m
 
     def power_sums(self, mus: Iterable[int]) -> dict[int, int]:
         return {mu: arithprog.power_sum_ap(self.ap, mu) for mu in sorted(set(mus))}
 
     def weighted_sums(self, mus: Iterable[int], lam) -> tuple[dict[int, RingElement], str]:
-        values, branch = arithprog.weighted_sums_ap(self.ap, mus, lam)
-        return values, f"{self.tag}/{branch}"
+        values, branch = sylvester.weighted_sums(self.table, mus, lam)
+        return values, f"{self.tag}/{arithprog.branch_ap(self.ap, lam, branch)}"
 
 
 class OraclePath:

@@ -26,11 +26,8 @@ def trim(p: Sequence) -> list:
     return list(p[:n])
 
 
-def derivative(p: Sequence, times: int = 1) -> list:
-    out = list(p)
-    for _ in range(times):
-        out = [i * c for i, c in enumerate(out)][1:]
-    return trim(out)
+def derivative(p: Sequence) -> list:
+    return trim([i * c for i, c in enumerate(p)][1:])
 
 
 def eval_sparse(p: Sequence, x):

@@ -28,6 +28,7 @@ from gapsums import (
     weighted_sums_ap,
 )
 from gapsums import apery_general, oracle, summarize, weighted_sums
+from gapsums.paths import ClosedFormPath
 
 AP_13 = ArithProgression(13, 3, 5)
 AP_14 = ArithProgression(14, 3, 6)
@@ -214,6 +215,7 @@ def test_weighted_sums_ap_match_one_mu_at_a_time_and_the_table(ap, weight, branc
     lam = LambdaSpec.parse(weight).element()
     values, got = weighted_sums_ap(ap, (3, 1, 4, 1), lam)
     assert got == branch and list(values) == [1, 3, 4]
+    assert ClosedFormPath(ap).weighted_sums((3, 1, 4, 1), lam) == (values, f"ap-closed-form/{branch}")
     for mu, value in values.items():
         assert weighted_sum_ap(ap, mu, lam) == (value, branch)
     assert values == weighted_sums(apery_general(ap.generators()), (1, 3, 4), lam).values

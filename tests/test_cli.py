@@ -332,6 +332,53 @@ def test_power_sums_make_one_recombination(capsys, monkeypatch, argv):
         assert expected == (0, "verify OK (4 checks: frobenius, genus, s_2, s_5)\n", "")
 
 
+def test_verify_builds_the_closed_form_table_once(capsys, monkeypatch):
+    # the apery-table check and the weighted sums read one closed-form table
+    from gapsums import apery
+
+    builds = []
+    honest = apery.apery_arith
+
+    def counted(ap):
+        builds.append(ap)
+        return honest(ap)
+
+    monkeypatch.setattr(apery, "apery_arith", counted)
+    monkeypatch.setattr(arithprog, "apery_arith", counted)
+    assert run_cli(capsys, "verify", "--ap", "a=14,d=3,k=6", "--mu", "2", "--lambda=-1") == (
+        0,
+        "verify OK (4 checks: frobenius, genus, apery-table, s_2^(-1))\n",
+        "",
+    )
+    assert builds == [ArithProgression(14, 3, 6)]
+
+
+@pytest.mark.parametrize("weight", ["-1/2", "root(3,2)"])
+@pytest.mark.parametrize("options", [(), ("--numeric",), ("--format", "json"), ("--format", "json", "--numeric")])
+def test_each_answer_is_converted_once(capsys, monkeypatch, weight, options):
+    # the JSON coeffs and the display come from one read of the coordinates,
+    # and the numeric preview reads the integer numerators
+    from gapsums import paths
+    from gapsums.numberfield import RingElement
+
+    argv = ["weighted-sum", "--gens", "14,17,21", "--mu", "1", "--mu", "3", "--lambda", weight, *options]
+    expected = run_cli(capsys, *argv)
+    reads, answers = [], []
+    coeffs = RingElement.coeffs
+    honest = paths.TablePath.weighted_sums
+
+    def recorded(path, mus, lam):
+        values, tag = honest(path, mus, lam)
+        answers.extend(values.values())
+        return values, tag
+
+    monkeypatch.setattr(RingElement, "coeffs", property(lambda x: reads.append(x) or coeffs.fget(x)))
+    monkeypatch.setattr(paths.TablePath, "weighted_sums", recorded)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and len(answers) == 2
+    assert [sum(x is answer for x in reads) for answer in answers] == [1, 1]
+
+
 def test_verify_detects_injected_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(arithprog, "frobenius_ap", lambda ap: 10 ** 9)
     code, _, err = run_cli(capsys, "verify", "--ap", "a=13,d=3,k=5")

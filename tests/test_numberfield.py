@@ -5,6 +5,8 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +25,14 @@ from gapsums import (
     numeric_eval,
 )
 from gapsums import Generators, apery_general, polys
-from gapsums.numberfield import _ring_roots, _traces, element_from_json, element_to_json, order
+from gapsums.numberfield import (
+    _ring_roots,
+    _traces,
+    element_from_json,
+    element_to_json,
+    format_poly,
+    order,
+)
 from gapsums.sylvester import weighted_sums
 
 CBRT2 = NumberRing([-2, 0, 0, 1])  # theta^3 = 2
@@ -555,6 +564,38 @@ def test_numeric_eval_refuses_what_it_cannot_show():
             numeric_eval(x, 0)
 
 
+_wide = st.builds(Fraction, st.integers(-(10 ** 330), 10 ** 330), st.integers(1, 10 ** 330))
+
+
+@given(
+    st.sampled_from([RATIONAL_RING, GAUSS, CBRT2]).flatmap(
+        lambda ring: st.tuples(
+            st.just(ring),
+            st.lists(st.one_of(_rationals, _wide), min_size=ring.degree, max_size=ring.degree),
+            st.integers(0, ring.degree - 1),
+        )
+    )
+)
+@example((RATIONAL_RING, [Fraction(10 ** 320, 3)], 0))
+@example((GAUSS, [Fraction(1, 3), Fraction(10 ** 309, 7)], 1))
+def test_numeric_eval_reads_the_numerators_as_the_fractions_read(case):
+    # c/den for each numerator c rounds as float(Fraction(c, den)) does, and
+    # overflows where it does
+    ring, coords, root = case
+    x = ring.element(coords)
+    try:
+        if ring.degree == 1:
+            want = complex(float(x.coeffs[0]), 0.0)
+        else:
+            at = _ring_roots(ring.minpoly)[root]
+            want = reduce(lambda acc, c: acc * at + float(c), reversed(x.coeffs), 0j)
+    except OverflowError:
+        with pytest.raises(ValueError, match="out of floating-point range"):
+            numeric_eval(x, root)
+    else:
+        assert repr(numeric_eval(x, root)) == repr(want)  # repr: nan and -0.0 compare too
+
+
 # --- weight specifications --------------------------------------------------
 
 
@@ -714,6 +755,59 @@ def test_string_rendering():
     assert str(GAUSS.element([0, Fraction(-1, 2)])) == "-1/2*θ"
     assert str(CBRT2.zero) == "0"
     assert "Q[θ]" in str(CBRT2)
+
+
+def _format_poly(coeffs: Sequence[Fraction], var: str = "θ") -> str:
+    # the Fraction-based formatter that format_poly replaced, kept as the reference
+    parts: list[str] = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            term = str(c)
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            power = var if i == 1 else f"{var}^{i}"
+            term = f"{mag}{power}"
+            if c < 0:
+                term = "-" + term
+            if parts and not term.startswith("-"):
+                term = "+" + term
+        parts.append(term)
+    if not parts:
+        return "0"
+    text = parts[0]
+    for p in parts[1:]:
+        text += f" {p[0]} {p[1:]}" if p[0] in "+-" else f" + {p}"
+    return text
+
+
+_HUGE = Fraction(-(3 ** 6000), 7 ** 100)  # 2,863 digits over 85, under the int-to-str cap
+_coordinates = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-99, 99),
+    st.builds(Fraction, st.integers(-99, 99), st.integers(2, 99)),
+    st.just(_HUGE),
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(*[st.lists(_coordinates, min_size=n, max_size=n)] * 2)
+    )
+)
+@example(([-2, 0, 0], [0, 0, -1]))  # only the top coordinate, -1
+@example(([0, 0], [0, 0]))  # zero
+@example(([1, -1, 1, -1, 1, -1], [Fraction(1, 2), -1, 1, 0, _HUGE, -_HUGE]))
+def test_format_poly_reads_the_exact_strings(case):
+    # one formatter reads the coordinates' decimal strings, whoever made them
+    modulus, coords = case
+    ring = NumberRing([*modulus, 1])
+    x = ring.element(coords)
+    want = _format_poly(x.coeffs)
+    assert str(x) == want
+    assert format_poly(element_to_json(x)["coeffs"]) == want  # the CLI's display
+    assert str(ring) == f"Q[θ]/({_format_poly(ring.minpoly)})"
 
 
 # --- inversion by norm and adjugate -----------------------------------------
