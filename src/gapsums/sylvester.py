@@ -12,13 +12,16 @@ into a sum over the table:
   regime, s_mu = mu! [t^mu] (1/(1 - w e^t) - sum_nu M(nu) t^nu/nu! / (1 - w^a e^{at}))
   (:func:`weighted_sum_from_moments`).
 
-The power sums read integer moments from :func:`_integer_power_sums`, the
-one chunked pass for integer power sums.  A weighted query takes every
-M(0..top) it needs from one call of :func:`weighted_moments`, along two
-routes compared exactly: integer class sums for a weight of finite order
-(:func:`_class_moments`), else the moment kernel, which runs on integer
-numerators (w = v/D) and hands D^E M(nu) on over D^E unreduced, so that
-each sum ends in one reduction.
+The power sums read the integer moments sum_i m_i^nu straight from the
+levels where the table is wide against its depth (:func:`_lookup_power_sums`:
+one list lookup and one add per residue into ints that pack every power),
+and elsewhere from :func:`_integer_power_sums`, the chunked pass over the
+entries, by a measured cost rule (:func:`_lookup_width`).  A weighted query
+takes every M(0..top) it needs from one call of :func:`weighted_moments`,
+along two routes compared exactly: integer class sums for a weight of finite
+order (:func:`_class_moments`), else the moment kernel, which runs on
+integer numerators (w = v/D) and hands D^E M(nu) on over D^E unreduced, so
+that each sum ends in one reduction.
 At w^a = 1 and at w = 1 the series has a pole whose t^-1 coefficient must
 cancel, which is checked on every call; at w^a = 1 the residue-difference
 form, class sums over i mod the order of w, is compared with the series
@@ -30,9 +33,9 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from math import lcm, perm
-from operator import lt, mul
+from itertools import accumulate, islice, repeat
+from math import isqrt, lcm, perm
+from operator import add, getitem, lshift, lt, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
@@ -76,10 +79,10 @@ _POWER_CHUNK = 2048  # entries per pass of _integer_power_sums
 
 
 def _integer_power_sums(values: Iterable[int], top: int) -> list[int]:
-    """[sum x^0, ..., sum x^top] over the integers ``values``: the one place
-    integer power sums are formed.  Each list of powers is one elementwise
-    product from the last, over chunks of the input, so two short lists are
-    alive at a time."""
+    """[sum x^0, ..., sum x^top] over the integers ``values``, for the class
+    sums and for the power sums of a table that the lookup pass does not
+    take.  Each list of powers is one elementwise product from the last,
+    over chunks of the input, so two short lists are alive at a time."""
     sums = [0] * (top + 1)
     values = iter(values)
     while chunk := list(islice(values, _POWER_CHUNK)):
@@ -92,16 +95,96 @@ def _integer_power_sums(values: Iterable[int], top: int) -> list[int]:
     return sums
 
 
+# The lookup pass (_lookup_power_sums) takes a table whose window W, about
+# 2 sqrt(a / (depth + 1)), is at least _LOOKUP_WIDTH and at least
+# 4 * _LOOKUP_WIDTH / top.  Then its W (depth + 1) rows are at most a / 8,
+# since W <= 2 sqrt(a / (depth + 1)) gives a / (W (depth + 1)) >= W / 4.
+# A sweep (a_1 from 400 to 46,000, 3 to 60 generators, top 2 to 13, 249
+# shapes, best of 5) timed the lookup pass against the chunked one over the
+# entries: past the rule it took 0.23-1.10 of the time (median 0.56), and
+# below it 0.60-4.1 times as long (median 1.41).  Near the rule the two are
+# within noise; far below it each window's binomial shift, (top + 1)(top + 2)
+# / 2 products, outweighs the chunked pass's top products per residue.
+# The rows are capped at _LOOKUP_ROWS, and fewer past top = 6, where a row's
+# lanes grow as top^2: then the pass's transient memory (tracemalloc) stays
+# below the chunked pass's at every top from 1 to 20 (a_1 from 10^4 to 10^5).
+_LOOKUP_WIDTH = 32
+_LOOKUP_ROWS = 2048
+
+
+def _lookup_width(modulus: int, depth: int, top: int) -> int | None:
+    """The window W of :func:`_lookup_power_sums` for a table of this shape,
+    or None where the chunked pass costs less.  The rows cost W (depth + 1)
+    packings and the windows a / W binomial shifts, which
+    W = 2 sqrt(a / (depth + 1)) about balances."""
+    span = depth + 1
+    rows = _LOOKUP_ROWS * 36 // max(36, top * top)
+    width = min(2 * isqrt(modulus // span), rows // span)
+    return width if width >= _LOOKUP_WIDTH and width * top >= 4 * _LOOKUP_WIDTH else None
+
+
+def _lookup_power_sums(table: AperyTable, top: int, width: int) -> list[int]:
+    """[sum m_i^0, ..., sum m_i^top] read from the levels by packed lookup:
+    one list lookup and one int add per residue.
+
+    Residue i = lo + t with lo a multiple of the window ``width`` and t < W
+    has m_i - lo = t + a L_i, so a window's moments about lo are the sum of
+    rows[t][L_i], one int that packs (t + a l)^j for j = 0..top into lanes
+    at fixed bit offsets (Kronecker substitution).  The windows are read
+    from the top one down, and the moments so far are moved down by W with
+    binomial coefficients (Horner's scheme), ending at base 0.  Lane 1 is
+    held to sum m_i = a sum L_i + a (a - 1) / 2; lane 0, the count a, meets
+    the recombination's pole check.  Needs top >= 1."""
+    a, levels, span = table.modulus, table.levels, table.depth + 1
+    # A row's lane j holds (t + a l)^j < X^j, X = W + a (depth + 1), and a
+    # window adds at most W rows, so a lane sum stays below
+    # 2^(bits(W) + j bits(X)): a lane of j bits(X) + bits(W) + 1 bits never
+    # carries into the next.
+    x_bits = (width + a * span).bit_length()
+    lanes = [j * x_bits + width.bit_length() + 1 for j in range(top + 1)]
+    offsets = list(accumulate(lanes[:-1], initial=0))
+    rows = [[] for _ in range(width)]  # rows[t][l] packs the powers of t + a l
+    for level in range(span):
+        values = range(a * level, a * level + width)
+        column, powers = [1] * width, [1] * width
+        for offset in offsets[1:]:
+            powers = list(map(mul, powers, values))
+            column = list(map(add, column, map(lshift, powers, repeat(offset))))
+        for row, packed in zip(rows, column):
+            row.append(packed)
+    masks = [(1 << lane) - 1 for lane in lanes]
+    shift = [[binomial(j, k) * width ** (j - k) for k in range(j + 1)] for j in range(top + 1)]
+    sums = [0] * (top + 1)
+    for lo in reversed(range(0, a, width)):
+        window = sum(map(getitem, rows, levels[lo : lo + width]))
+        sums = [
+            sum(map(mul, c, sums)) + (window >> offset & mask)
+            for c, offset, mask in zip(shift, offsets, masks)
+        ]
+    if sums[1] != a * sum(levels) + a * (a - 1) // 2:
+        raise ArithmeticError("packed power sums are wrong: internal fault")
+    return sums
+
+
 def power_sums(table: AperyTable, mus: Iterable[int]) -> dict[int, int]:
     """{mu: mu-th power sum of the gaps} by ascending mu (mu = 0 gives the genus),
     all read by one recombination from the moments at lam = 1, the table's
-    integer power sums up to max mu + 1."""
+    integer power sums up to max mu + 1.  A table wide against its depth
+    takes them from :func:`_lookup_power_sums`, straight from the levels and
+    without reading the entries; the cost rule :func:`_lookup_width` gives
+    any other table, such as a small or deep one, to the chunked pass over
+    its entries (:func:`_integer_power_sums`)."""
     mus = sorted(set(mus))
     if not mus:
         return {}
     if mus[0] < 0:
         raise ValueError("mu must be nonnegative")
-    sums = _integer_power_sums(table.entries(), mus[-1] + 1)
+    top = mus[-1] + 1
+    width = _lookup_width(table.modulus, table.depth, top)
+    if width is None:
+        sums = _integer_power_sums(table.entries(), top)
+    else:
+        sums = _lookup_power_sums(table, top, width)
     totals = weighted_sum_from_moments(table.modulus, mus, as_element(1), sums, 1)
     if any(total.denominator != 1 for total in totals.values()):
         raise ArithmeticError("non-integral power sum: internal fault")
@@ -549,7 +632,7 @@ def weighted_sum(gens: Generators, mu: int, lam) -> WeightedSum:
     return WeightedSum(values[mu], branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapSummary:
     """Bundled results for one generator set, with per-entry method tags."""
 

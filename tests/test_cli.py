@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import gcd
@@ -247,6 +248,20 @@ def test_internal_route_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert not out
     assert err.startswith("internal fault: weighted moment routes disagree")
+    assert "Traceback" not in err
+
+
+def test_a_wrong_packed_lane_exits_3(capsys, monkeypatch):
+    # a_1 = 10,007 with 40 generators: a shallow table, whose power sums the
+    # lookup pass reads; with every packed lane 1..top off, lane 1 fails its check
+    gens = ",".join(map(str, [10007, *random.Random(40).sample(range(10008, 20014), 39)]))
+    code, out, _ = run_cli(capsys, "power-sum", "--gens", gens, "--mu", "3")
+    assert code == 0 and out.startswith("s_3 = ")
+    monkeypatch.setattr(sylvester, "lshift", lambda x, n: (x + 1) << n)
+    code, out, err = run_cli(capsys, "power-sum", "--gens", gens, "--mu", "3")
+    assert code == 3
+    assert not out
+    assert err.startswith("internal fault: packed power sums are wrong")
     assert "Traceback" not in err
 
 

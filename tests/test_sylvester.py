@@ -1,6 +1,7 @@
 """Unit tests for the general-generator engines (table-driven sums)."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import sys
@@ -35,6 +36,7 @@ from gapsums import (
     weighted_sums_ap,
 )
 from gapsums import apery_polynomial, numberfield, oracle, stirling2, summarize, sylvester
+from gapsums.apery import AperyTable, apery_arith
 from gapsums.numberfield import RingElement, order
 from gapsums.paths import TablePath
 from gapsums.sylvester import (
@@ -228,8 +230,9 @@ def test_power_sum_matches_oracle_up_to_mu_12(monkeypatch, chunk):
 
 
 def test_power_sums_read_the_entries_from_the_levels():
-    # a_1 = 50,021 in a shallow table: the pass reads the entries out of one
-    # byte per residue a chunk at a time, and builds no tuple of them
+    # a_1 = 50,021 in a shallow table: the power sums are read from the one
+    # byte per residue (by the lookup pass, here), and no tuple of the
+    # entries is built
     rng = random.Random(20)
     a = 50021
     gens = Generators([a, *(rng.randint(a + 1, 2 * a) for _ in range(40))])
@@ -245,6 +248,105 @@ def test_power_sums_read_the_entries_from_the_levels():
     assert sums == oracle.power_sums(oracle.gap_set(gens), (1, 2, 3))
     m = table.m
     assert peak * 4 < sys.getsizeof(m) + sum(map(sys.getsizeof, m))
+
+
+def _table_scale_table(k: int = 40):
+    """A shallow table shaped like the benchmark's table-scale cells: a_1 near
+    10^4 and k generators in (a_1, 2 a_1)."""
+    rng = random.Random(k)
+    a = 10007
+    return apery_general(Generators([a, *rng.sample(range(a + 1, 2 * a), k - 1)]))
+
+
+@st.composite
+def _lookup_cases(draw):
+    """(table, top, width): random levels below 256 (bytes) or up to 600
+    (a tuple), and any window, at most a + 40 and at most ~40,000 rows."""
+    a = draw(st.integers(1, 3000))
+    depth = 0 if a == 1 else draw(st.one_of(st.integers(1, 255), st.integers(256, 600)))
+    rng = draw(st.randoms(use_true_random=False))
+    levels = [0, *(rng.randint(0, depth) for _ in range(a - 1))]
+    if a > 1:
+        levels[rng.randrange(1, a)] = depth
+    width = draw(st.integers(1, max(1, min(a + 40, 40000 // (depth + 1)))))
+    return AperyTable(levels=tuple(levels)), draw(st.integers(1, 10)), width
+
+
+@given(_lookup_cases())
+@example((AperyTable(levels=(0,)), 3, 1))  # a = 1
+@example((AperyTable(levels=(0, 300, 7, 299, 1)), 10, 9))  # tuple levels, W > a
+@example((AperyTable(levels=(0, 2, 1, 2)), 1, 4))  # W = a
+@example((AperyTable(levels=bytes([0, *range(1, 256)] * 11 + [0] * 9)), 7, 64))  # a % W = 9
+def test_lookup_pass_matches_the_chunked_pass(case):
+    table, top, width = case
+    assert (type(table.levels) is tuple) == (table.depth >= 256)
+    expected = sylvester._integer_power_sums(table.entries(), top)
+    assert sylvester._lookup_power_sums(table, top, width) == expected
+
+
+def test_the_cost_rule_picks_the_pass(monkeypatch):
+    runs = []
+    for name in ("_lookup_power_sums", "_integer_power_sums"):
+        honest = getattr(sylvester, name)
+        spy = lambda *args, honest=honest, name=name: runs.append(name) or honest(*args)  # noqa: E731
+        monkeypatch.setattr(sylvester, name, spy)
+    wide = _table_scale_table()
+    ap400 = apery_arith(ArithProgression(400, 7, 5))  # depth about 100
+    deep = apery_general(Generators([2003, 2004]))  # depth 2002, tuple levels
+    assert wide.depth < 10 and ap400.depth > 90 and type(deep.levels) is tuple
+    cases = [(wide, "_lookup_power_sums"), (ap400, "_integer_power_sums"), (deep, "_integer_power_sums")]
+    for table, expected in cases:
+        for mus in ((1,), (2, 4), (8,), (3, 9)):
+            runs.clear()
+            sylvester.power_sums(table, mus)
+            assert runs == [expected], (table.modulus, mus)
+
+
+def test_lookup_power_sums_read_no_entries(monkeypatch):
+    table = _table_scale_table()
+    mus = (0, 1, 2, 5, 8)
+    monkeypatch.setattr(sylvester, "_lookup_width", lambda *shape: None)
+    chunked = sylvester.power_sums(table, mus)
+    monkeypatch.undo()
+    table = _table_scale_table()  # a fresh table: m was built above
+
+    def refuse(self):
+        raise AssertionError("the entries were read")
+
+    monkeypatch.setattr(AperyTable, "entries", refuse)
+    assert sylvester.power_sums(table, mus) == chunked
+    assert "m" not in vars(table)
+
+
+@pytest.mark.parametrize("shape", ["table-scale", "capped"])
+def test_lookup_pass_needs_no_more_memory_than_the_chunked_pass(shape):
+    if shape == "table-scale":
+        table, tops = _table_scale_table(), (2, 4, 9)
+    else:  # W (depth + 1) reaches the row cap: a_1 = 46,326 at depth 39
+        table, tops = apery_general(Generators([46326, 49491, 51074, 56213, 72202, 88986])), (4, 7)
+    for top in tops:
+        width = sylvester._lookup_width(table.modulus, table.depth, top)
+        peaks = []
+        for run in (
+            lambda: sylvester._lookup_power_sums(table, top, width),
+            lambda: sylvester._integer_power_sums(table.entries(), top),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert width is not None and peaks[0] <= peaks[1], (top, width, peaks)
+
+
+def test_a_wrong_lane_is_caught(monkeypatch):
+    table = _table_scale_table()
+    sylvester.power_sums(table, (3,))  # the honest pass
+    # every row's lanes 1..top hold x^j + 1 in place of x^j
+    monkeypatch.setattr(sylvester, "lshift", lambda x, n: (x + 1) << n)
+    with pytest.raises(ArithmeticError, match="packed power sums are wrong"):
+        sylvester.power_sums(table, (3,))
 
 
 def test_moment_kernel_rejects_bad_input():
@@ -726,6 +828,20 @@ def test_summarize_closed_form_tags():
     assert summary.methods["weighted_sum[1]"] == "ap-closed-form/unity-a"
     assert summary.weighted_sums == {1: as_element(-116)}
     assert summary.weight == as_element(-1)
+
+
+def test_gap_summary_has_no_instance_dict():
+    summary = summarize(Generators([14, 17, 21]), power_mus=(1, 2), weight=as_element(7), weighted_mus=(1,))
+    assert not hasattr(summary, "__dict__")
+    names = ["generators", "frobenius", "genus", "power_sums", "weight", "weighted_sums", "methods"]
+    assert [f.name for f in dataclasses.fields(summary)] == names
+    assert repr(summary) == "GapSummary(" + ", ".join(f"{n}={getattr(summary, n)!r}" for n in names) + ")"
+    assert summary == summarize(Generators([14, 17, 21]), power_mus=(2, 1), weight=7, weighted_mus=(1,))
+    changed = dataclasses.replace(summary, genus=0)
+    assert changed.genus == 0 and changed != summary
+    assert dataclasses.replace(changed, genus=summary.genus) == summary
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        summary.genus = 0
 
 
 def test_summarize_general_and_oracle_agree():
