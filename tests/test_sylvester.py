@@ -250,12 +250,11 @@ def test_power_sums_read_the_entries_from_the_levels():
     assert peak * 4 < sys.getsizeof(m) + sum(map(sys.getsizeof, m))
 
 
-def _table_scale_table(k: int = 40):
+def _table_scale_table():
     """A shallow table shaped like the benchmark's table-scale cells: a_1 near
-    10^4 and k generators in (a_1, 2 a_1)."""
-    rng = random.Random(k)
+    10^4 and 40 generators, the others in (a_1, 2 a_1)."""
     a = 10007
-    return apery_general(Generators([a, *rng.sample(range(a + 1, 2 * a), k - 1)]))
+    return apery_general(Generators([a, *random.Random(40).sample(range(a + 1, 2 * a), 39)]))
 
 
 @st.composite
