@@ -265,6 +265,27 @@ def test_a_wrong_packed_lane_exits_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_wrong_packed_oracle_lane_exits_3(capsys, monkeypatch):
+    # the oracle's gap count, lane 0 of its packed power sums, must equal the
+    # genus read from the sieve's bits; one more per packed entry misses it
+    code, out, _ = run_cli(capsys, "power-sum", "--gens", "13,16,19,22,25", "--mu", "2",
+                           "--method", "oracle")
+    assert (code, out) == (0, "s_2 = 33150  (method: oracle)\n")
+    honest = oracle._packed_powers
+
+    def miscounted(width, top):
+        packed, offsets, masks = honest(width, top)
+        return [p + 1 for p in packed], offsets, masks
+
+    monkeypatch.setattr(oracle, "_packed_powers", miscounted)
+    code, out, err = run_cli(capsys, "power-sum", "--gens", "13,16,19,22,25", "--mu", "2",
+                             "--method", "oracle")
+    assert code == 3
+    assert not out
+    assert err.startswith("internal fault: packed gap power sums are wrong")
+    assert "Traceback" not in err
+
+
 def test_closed_form_requires_progression(capsys):
     code, _, err = run_cli(capsys, "genus", "--gens", "14,17,21", "--method", "closed-form")
     assert code == 2

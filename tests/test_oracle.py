@@ -260,7 +260,7 @@ def test_sums_hold_the_bits_and_one_window():
     path = paths.OraclePath(Generators([449, 450]))
     tracemalloc.start()
     try:
-        answers = (path.frobenius(), path.genus(), path.power_sums((0, 1, 3)),
+        answers = (path.frobenius(), path.genus(), path.power_sums((0, 1, 3, 8)),
                    path.weighted_sums((1,), -1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -269,7 +269,7 @@ def test_sums_hold_the_bits_and_one_window():
     assert "gaps" not in vars(gs)
     gaps = gs.gaps
     assert answers[:2] == (gaps[-1], len(gaps)) == (201151, 100576)
-    assert answers[2] == {mu: sum(n ** mu for n in gaps) for mu in (0, 1, 3)}
+    assert answers[2] == {mu: sum(n ** mu for n in gaps) for mu in (0, 1, 3, 8)}
     assert answers[3] == ({1: sum(n if n % 2 == 0 else -n for n in gaps)}, "oracle")
     assert peak < 4 * (gs.bound + 1)
     assert peak * 8 < sys.getsizeof(gaps) + sum(map(sys.getsizeof, gaps))
@@ -299,12 +299,13 @@ def _small_generator_sets(draw) -> Generators:
     return Generators([a1, *rest])
 
 
-@given(_small_generator_sets(), st.integers(1, 19))
-@example(Generators([1, 5]), 3)  # no gaps
-@example(Generators([2, 3]), 1)
-@example(Generators([13, 16, 19, 22, 25]), 8)
-def test_windowed_read_out_matches_the_bits(gens, window):
-    # windows of 1 to 19 integers put window edges among the gaps
+@given(_small_generator_sets(), st.integers(1, 19), st.sets(st.integers(0, 12)))
+@example(Generators([1, 5]), 3, {0, 12})  # no gaps
+@example(Generators([2, 3]), 1, {12})
+@example(Generators([13, 16, 19, 22, 25]), 8, set(range(13)))
+def test_windowed_read_out_matches_the_bits(gens, window, mus):
+    # windows of 1 to 19 integers put window edges among the gaps, and the
+    # packed lanes of mu up to 12 are at their narrowest
     gs = oracle.gap_set(gens)
     clear = [n for n in range(gs.bound + 1) if not gs.members >> n & 1]
     lam = as_element(Fraction(-1, 2))
@@ -314,6 +315,7 @@ def test_windowed_read_out_matches_the_bits(gens, window):
         descending = list(chain.from_iterable(gs.windows(descending=True)))
         sums = oracle.power_sums(gs, (3, 0, 1, 3))
         single = {mu: oracle.power_sum(gs, mu) for mu in (0, 1, 3)}
+        drawn = oracle.power_sums(gs, mus)
         weighted = oracle.weighted_sum(gs, 2, lam)
         minima = oracle._minima(gs.members, gs.bound, gs.modulus)
         assert (gs.frobenius, gs.genus) == (max(clear, default=-1), len(clear))
@@ -325,7 +327,25 @@ def test_windowed_read_out_matches_the_bits(gens, window):
                for n in range(-2, gs.bound + 3))
     assert sums == single == {mu: sum(n ** mu for n in clear) for mu in (0, 1, 3)}
     assert list(sums) == [0, 1, 3]
+    assert drawn == {mu: sum(n ** mu for n in clear) for mu in sorted(mus)}
+    assert list(drawn) == sorted(mus)
     assert weighted == _reference_weighted_sums(gs, (2,), lam)[2]
+
+
+def test_a_wrong_packed_lane_0_is_an_internal_fault(monkeypatch):
+    # one more in lane 0 of every packed entry counts each gap twice, so the
+    # gap count read from lane 0 misses the genus read from the bits
+    gs = oracle.gap_set(Generators([13, 16, 19, 22, 25]))
+    assert oracle.power_sums(gs, (2,)) == {2: 33150}
+    honest = oracle._packed_powers
+
+    def miscounted(width, top):
+        packed, offsets, masks = honest(width, top)
+        return [p + 1 for p in packed], offsets, masks
+
+    monkeypatch.setattr(oracle, "_packed_powers", miscounted)
+    with pytest.raises(ArithmeticError, match="internal fault"):
+        oracle.power_sums(gs, (2,))
 
 
 def test_rational_modulus_costs_no_gcd_per_gap(monkeypatch):
