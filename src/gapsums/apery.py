@@ -123,7 +123,8 @@ _BYTE_VALUES = bytes(range(256))  # ascending
 class AperyTable:
     """m[i] = levels[i]*modulus + i, the least member of residue i mod modulus = len(levels).
     ``levels`` is the one field; depth = max(levels) is read from it, and
-    levels below 256 are stored as bytes, whichever builder made them.
+    levels below 256 are stored as bytes, whichever builder made them, deeper
+    ones as a tuple.  A negative level is refused.
 
     :meth:`entries` reads the m[i] out of the levels lazily, for readers that
     pass over them once; the tuple ``m`` is built on first use only, for
@@ -140,8 +141,11 @@ class AperyTable:
             # the byte values that occur are all 256 less those that do not:
             # two passes in C, where max() over the bytes takes 20 times as long
             depth = _BYTE_VALUES.translate(None, _BYTE_VALUES.translate(None, levels))[-1]
-        elif (depth := max(levels)) < 256:
-            object.__setattr__(self, "levels", bytes(levels))
+        else:
+            if (low := min(levels)) < 0:
+                raise ValueError(f"level {low} is negative")
+            depth = max(levels)
+            object.__setattr__(self, "levels", bytes(levels) if depth < 256 else tuple(levels))
         object.__setattr__(self, "depth", depth)
 
     @classmethod

@@ -5,8 +5,9 @@ This is where weight values live: plain rationals, real radicals such as the
 cube root of 2, roots of unity, and Gaussian-style elements like 4 + 3i.  All
 ring arithmetic is exact; a floating-point complex preview is available
 through :func:`numeric_eval` but never feeds back into exact computation.
-``mpmath`` is imported only when such a preview needs the roots of a modulus
-of degree >= 2.
+The roots of a modulus of degree >= 2 that such a preview needs are found
+with the standard library: Aberth-Ehrlich iteration in complex floats, then
+Newton's method in 192-bit Gaussian integers, rounded once to floats.
 
 An element is an integer numerator vector over one common denominator, kept
 in lowest terms (Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import count
-from math import exp, gcd, isqrt, lcm, log, prod
+from math import exp, frexp, gcd, isqrt, lcm, ldexp, log, prod
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -537,22 +538,102 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 # numeric preview
 
 
+_PREC = 192  # bits to which Newton's method refines each root, at its own scale
+
+
 @lru_cache(maxsize=256)
 def _ring_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
-    import mpmath  # loaded only for numeric previews of degree >= 2 rings
+    """The roots of the modulus with multiplicity, ordered by real part, then
+    imaginary part.  Each is refined to _PREC bits and rounded once to complex
+    floats; a component below 2^(-_PREC/2) of the other is noise and reads 0.
+    Raises OverflowError past the floats, ValueError when no root is found.
 
-    degree = len(minpoly) - 1
-    with mpmath.workdps(60):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(minpoly)]
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        except mpmath.libmp.NoConvergence as exc:  # pragma: no cover - defensive
-            raise ValueError("root refinement did not converge") from exc
-    found = [complex(r) for r in roots]
+    The roots at 0 are taken off first.  Then f has the roots of its
+    squarefree part g = f / gcd(f, f') and those of gcd(f, f').  The roots of
+    g are separated in floats (:func:`_aberth`), with g scaled by x = 2^s y
+    so that no coefficient exceeds 1, and refined in integers (:func:`_newton`)."""
+    zeros = next(i for i, c in enumerate(minpoly) if c)
+    found = [0j] * zeros
+    f = list(minpoly[zeros:])
+    try:
+        while len(f) > 1:
+            h = polys.gcd(f, polys.derivative(f))
+            g = polys.divmod_exact(f, h)[0]
+            n = len(g) - 1
+            # |g_k| < 2^bits, so s = max ceil(bits / (n - k)) gives 2^s >= |g_k|^(1/(n-k))
+            s = max(-((c.numerator.bit_length() - c.denominator.bit_length() + 1) // (k - n))
+                    for k, c in enumerate(g[:-1]) if c)
+            ys = _aberth([float(c * Fraction(2) ** (s * (k - n))) for k, c in enumerate(g)][::-1])
+            num, _ = _common_denominator(g)
+            found += [_newton(num, s, y) for y in ys]
+            f = h
+    except ZeroDivisionError:  # a float or a Newton step divided by 0
+        raise ValueError("root refinement did not converge") from None
     found.sort(key=lambda z: (z.real, z.imag))
-    if len(found) != degree:  # pragma: no cover - defensive
-        raise ValueError("root refinement did not converge")
     return tuple(found)
+
+
+def _aberth(scaled: Sequence[float]) -> list[complex]:
+    """The roots y of a monic squarefree polynomial with coefficients
+    ``scaled``, highest first, each to about 30 bits, by Aberth-Ehrlich
+    iteration.  No coefficient exceeds 1, so every root has |y| <= 2
+    (Fujiwara's bound).  The estimates start on the circle of radius 1/2: on
+    the unit circle, through the roots of a cyclotomic modulus, they take
+    tens of sweeps more.  An estimate stays where it is once its step is
+    below 2^-30 of it."""
+    n = len(scaled) - 1
+    ys = [cmath.rect(0.5, (2 * cmath.pi * k + 1) / n) for k in range(n)]
+    live = range(n)
+    for _ in range(100):
+        moving = []
+        for k in live:
+            y = ys[k]
+            p, dp = 1.0, 0.0
+            for c in scaled[1:]:
+                dp = dp * y + p
+                p = p * y + c
+            if p:
+                ratio = p / dp
+                step = ratio / (1 - ratio * sum([1 / (y - z) for z in ys[:k] + ys[k + 1:]]))
+                ys[k] = y - step
+                if abs(step) > abs(y) * 2.0 ** -30:
+                    moving.append(k)
+        if not (live := moving):
+            return ys
+    raise ValueError("root refinement did not converge")
+
+
+def _newton(num: Sequence[int], s: int, y: complex) -> complex:
+    """The root of the integer polynomial g = ``num`` (ascending) next to
+    x = 2^s y, to _PREC bits.  With x = 2^e w, |w| in [1/2, 1), Newton's
+    method refines w as the Gaussian integer a + bi = 2^_PREC w, on the
+    coefficients of g(2^e w) made integral.  Five steps take a 30-bit
+    estimate past _PREC bits; the last step must be below 2^(-_PREC/2)."""
+    shift = frexp(abs(y))[1]
+    e, n = s + shift, len(num) - 1
+    lift = _PREC - min(0, e * n + _PREC)  # the least shift e*k + lift is 0
+    coeffs = [c << e * k + lift for k, c in enumerate(num)][::-1]
+    a, b = int(ldexp(y.real, _PREC - shift)), int(ldexp(y.imag, _PREC - shift))
+    for _ in range(5):
+        p_a, p_b, d_a, d_b = coeffs[0], 0, 0, 0
+        for c in coeffs[1:]:  # g(w) and g'(w) by Horner, in multiples of 2^-_PREC
+            d_a, d_b = (d_a * a - d_b * b >> _PREC) + p_a, (d_a * b + d_b * a >> _PREC) + p_b
+            p_a, p_b = (p_a * a - p_b * b >> _PREC) + c, p_a * b + p_b * a >> _PREC
+        den = d_a * d_a + d_b * d_b
+        step_a, step_b = (p_a * d_a + p_b * d_b << _PREC) // den, (p_b * d_a - p_a * d_b << _PREC) // den
+        a, b = a - step_a, b - step_b
+    if max(abs(step_a), abs(step_b)) >> _PREC // 2:
+        raise ValueError("root refinement did not converge")
+    if abs(a) < abs(b) >> _PREC // 2:
+        a = 0
+    elif abs(b) < abs(a) >> _PREC // 2:
+        b = 0
+    return complex(_ldexp_int(a, e - _PREC), _ldexp_int(b, e - _PREC))
+
+
+def _ldexp_int(m: int, e: int) -> float:
+    """m * 2^e rounded once to a float; below the floats, 0.0 and never -0.0."""
+    return float(m << e) if e >= 0 else m / (1 << -e) or 0.0
 
 
 def numeric_eval(x: RingElement, root: int | complex = 0) -> complex:

@@ -66,6 +66,14 @@ def test_table_validation():
         AperyTable(2, (0, 3))  # the fields are keyword-only: entries are not read as levels
     with pytest.raises(TypeError):
         AperyTable(levels=b"\x00\x01", depth=5)  # the depth is read from the levels
+    # a negative level is refused by name, below one byte and past it
+    for levels in ((0, -1, 3), (0, -1, 300)):
+        with pytest.raises(ValueError, match="^level -1 is negative$"):
+            AperyTable(levels=levels)
+    # deep levels are stored as a tuple, whatever sequence they came in
+    deep = AperyTable(levels=[0, 1, 300])
+    assert deep.levels == (0, 1, 300) and deep.depth == 300
+    assert deep == AperyTable(levels=(0, 1, 300)) and hash(deep) == hash(AperyTable(levels=(0, 1, 300)))
 
 
 @pytest.mark.parametrize(

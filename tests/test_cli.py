@@ -774,6 +774,28 @@ def test_readme_examples_are_byte_identical(argv, stdout):
     assert proc.stdout == stdout.encode("utf-8")
 
 
+_GAUSS_PREVIEW = (
+    ["weighted-sum", "--gens", "5,7", "--mu", "1", "--lambda", "elem(minpoly=[1,0,1];coeffs=[4,3])",
+     "--numeric", "1"],
+    "s_1^(elem(minpoly=[1,0,1];coeffs=[4,3])) = -168795257618002830 + 215976329595838590*θ"
+    "  ≈ -1.68795257618e+17+2.15976329596e+17j  (method: ap-closed-form/general)\n",
+)
+
+
+@pytest.mark.parametrize("argv, stdout", [GOLDEN[4], _GAUSS_PREVIEW], ids=["root-3-2", "gauss-root-1"])
+def test_previews_need_only_the_standard_library(argv, stdout):
+    # mpmath made unimportable: the package imports, and a preview finds the
+    # roots of its modulus with the standard library alone
+    script = "import sys; sys.modules['mpmath'] = None; import gapsums, gapsums.cli; " \
+             "sys.exit(gapsums.cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, env=_package_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == stdout.encode("utf-8")
+
+
 def test_import_leaves_mpmath_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, gapsums, gapsums.cli; print('mpmath' in sys.modules)"],

@@ -596,6 +596,60 @@ def test_numeric_eval_reads_the_numerators_as_the_fractions_read(case):
         assert repr(numeric_eval(x, root)) == repr(want)  # repr: nan and -0.0 compare too
 
 
+def _mpmath_roots(minpoly: tuple[Fraction, ...]) -> tuple[complex, ...]:
+    """The roots of a modulus as mpmath's Durand-Kerner iteration finds them,
+    60 digits and 200 guard bits, each rounded to complex floats and ordered
+    as the preview orders them: the reference for the package's own finder."""
+    import mpmath  # a test dependency only, as numpy is the bench's
+
+    with mpmath.workdps(60):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(minpoly)]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+    return tuple(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
+
+
+def _reference_moduli() -> list[tuple[Fraction, ...]]:
+    """Phi_3 ... Phi_30; x^n - r for n = 2..6 over the r of _weights(), 10^-45
+    to 10^65 in size; 100 random integer and rational moduli of degree <= 8;
+    and two with repeated roots, (x - 1)^2 and (x^2 + 1)^2."""
+    rng = random.Random(25)
+    moduli = [cyclotomic(n) for n in range(3, 31)]
+    for n in range(2, 7):
+        for scale in range(-45, 66, 10):
+            p, q = rng.choice([-9, -7, -2, -1, 1, 3, 8, 9]), rng.randint(1, 4)
+            r = Fraction(p * 10 ** max(scale, 0), q * 10 ** max(-scale, 0))
+            moduli.append([-r] + [0] * (n - 1) + [1])
+    for _ in range(50):
+        moduli.append([rng.randint(-20, 20) for _ in range(rng.randint(2, 8))] + [1])
+        moduli.append([Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(2, 8))] + [1])
+    moduli += [(1, -2, 1), (1, 0, 2, 0, 1)]
+    return [tuple(map(Fraction, m)) for m in moduli]
+
+
+def test_ring_roots_are_mpmaths_to_the_bit():
+    # every root rounds to the float that mpmath's 60-digit root rounds to
+    # (repr: a zero's sign compares too)
+    for minpoly in _reference_moduli():
+        assert repr(_ring_roots(minpoly)) == repr(_mpmath_roots(minpoly)), minpoly
+
+
+@pytest.mark.parametrize(
+    "minpoly, roots",
+    [
+        # mpmath reads a root below its tolerance, 10^-61, as 0
+        ((Fraction(-1, 10 ** 300), 0, 1), (-1e-150 + 0j, 1e-150 + 0j)),
+        # a root below the floats reads 0.0, unsigned, as in mpmath
+        ((Fraction(-1, 10 ** 800), 0, 1), (0j, 0j)),
+        # mpmath's iteration does not converge in 200 steps on these two
+        ((-(10 ** 400), 0, 1), (-1e200 + 0j, 1e200 + 0j)),
+        ((-1, 3, -3, 1), (1 + 0j, 1 + 0j, 1 + 0j)),
+    ],
+    ids=["tiny", "below-floats", "huge", "triple"],
+)
+def test_ring_roots_past_mpmath(minpoly, roots):
+    assert repr(_ring_roots(tuple(map(Fraction, minpoly)))) == repr(roots)
+
+
 # --- weight specifications --------------------------------------------------
 
 
