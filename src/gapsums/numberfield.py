@@ -9,20 +9,23 @@ The roots of a modulus of degree >= 2 that such a preview needs are found
 with the standard library: Aberth-Ehrlich iteration in complex floats, then
 Newton's method in 192-bit Gaussian integers, rounded once to floats.
 
-An element is an integer numerator vector over one common denominator, kept
-in lowest terms (Cohen, *A Course in Computational Algebraic Number Theory*,
-section 4.2).  Sums and products run on Python ints with a single gcd per
-result, skipped when the denominator is 1; reduction by an integral modulus
-stays in the integers, and degree-1 products are a single integer product.
+Every ring computes over an integral modulus: an element is stored in the
+power basis of theta' = T theta, T the lcm of the denominators of f, a root
+of the monic integral T^n f(x/T) (Cohen, *A Course in Computational
+Algebraic Number Theory*, section 3.1), as an integer numerator vector over
+one common denominator, kept in lowest terms (section 4.2).  Sums and
+products run on Python ints with a single gcd per result, skipped when the
+denominator is 1; reduction stays in the integers, and degree-1 products
+are a single integer product.
 
 Inversion is 1/z = adj(z)/N(z) in every ring (adj(z) = 1 for a rational),
 with the norm N(z) and the adjugate adj(z) of z's multiplication matrix read
 off its characteristic polynomial (Faddeev-LeVerrier, with traces taken from
-the power sums of the roots of the modulus).  Over an integral modulus that
-is a handful of integer ring products and one gcd.  Moduli are not factored
-up front: an element of norm 0 is a zero divisor, and inverting it raises a
+the power sums of the roots of the integral modulus): a handful of integer
+ring products and one gcd.  Moduli are not factored up front: an element of
+norm 0 is a zero divisor, and inverting it raises a
 :class:`ReducibleModulusError` naming the factor of the modulus it shares
-(the one place a Euclid over the rationals runs).
+(the one place the exact arithmetic runs a polynomial Euclid).
 """
 from __future__ import annotations
 
@@ -80,13 +83,13 @@ class NumberRing:
     leading 1, so ``NumberRing([-2, 0, 0, 1])`` is Q[theta]/(theta^3 - 2).
     A degree-1 ring is canonically the rationals.
 
-    The reduction rule theta^n = (t_0 + t_1 theta + ... + t_{n-1} theta^{n-1}) / T
-    is kept as integers ``t`` over one positive denominator ``T`` (the lcm of
-    the modulus denominators), so ``T == 1`` for every integral modulus and
-    reduction never leaves the integers.
+    Elements are stored in the power basis of theta' = T theta (T =
+    ``_scale``, the lcm of the denominators of f, so 1 for an integral f), a
+    root of the monic integral ``_modulus`` T^n f(x/T): reduction never
+    leaves the integers.
     """
 
-    __slots__ = ("minpoly", "_tail", "_tail_den")
+    __slots__ = ("minpoly", "_scale", "_modulus", "_tail")
 
     def __init__(self, minpoly: Iterable[Rational]):
         coeffs = tuple(Fraction(c) for c in minpoly)
@@ -95,8 +98,10 @@ class NumberRing:
         if coeffs[-1] != 1:
             raise ValueError("ring modulus must be monic")
         self.minpoly = coeffs
-        tail, self._tail_den = _common_denominator([-c for c in coeffs[:-1]])
-        self._tail = tuple((t, c) for t, c in enumerate(tail) if c)
+        n = len(coeffs) - 1
+        self._scale = scale = lcm(*(c.denominator for c in coeffs))
+        self._modulus = tuple(int(c * scale ** (n - i)) for i, c in enumerate(coeffs))
+        self._tail = tuple((t, -c) for t, c in enumerate(self._modulus[:-1]) if c)
 
     @property
     def degree(self) -> int:
@@ -113,15 +118,16 @@ class NumberRing:
     @property
     def generator(self) -> RingElement:
         """The class of theta (reduced, so a constant in a degree-1 ring)."""
-        if self.degree == 1:
-            return self.element([-self.minpoly[0]])
         return self.element([0, 1])
 
     def element(self, coeffs: Iterable[Rational]) -> RingElement:
-        """Build an element from power-basis coordinates, reducing if needed."""
+        """Build an element from its coordinates in the power basis of theta,
+        reducing if needed; c theta^j is stored as (c / T^j) theta'^j."""
+        if self._scale != 1:
+            coeffs = [Fraction(c) / self._scale ** j for j, c in enumerate(coeffs)]
         num, den = _common_denominator(coeffs)
         if len(num) > self.degree:
-            den *= self._reduce(num)
+            self._reduce(num)
         num.extend([0] * (self.degree - len(num)))
         return _canonical(self, num, den)
 
@@ -131,25 +137,17 @@ class NumberRing:
         value = Fraction(value)
         return _element(self, (value.numerator,) + (0,) * (self.degree - 1), value.denominator)
 
-    def _reduce(self, vec: list[int]) -> int:
-        """Reduce the integer vector ``vec`` modulo f in place, down to
-        ``degree`` entries; returns the factor by which the common
-        denominator grows (a power of T, so 1 for integral moduli)."""
+    def _reduce(self, vec: list[int]) -> None:
+        """Reduce the integer vector ``vec`` (coordinates in theta') modulo the
+        integral modulus in place, down to ``degree`` entries."""
         n = self.degree
-        tail_den = self._tail_den
-        scale = 1
         for deg in range(len(vec) - 1, n - 1, -1):
             c = vec[deg]
             if c:
-                if tail_den != 1:
-                    for i in range(deg):
-                        vec[i] *= tail_den
-                    scale *= tail_den
                 base = deg - n
                 for t, m in self._tail:
                     vec[base + t] += c * m
         del vec[n:]
-        return scale
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberRing) and self.minpoly == other.minpoly
@@ -199,13 +197,15 @@ def _canonical(ring: NumberRing, num: Sequence[int], den: int) -> RingElement:
 
 
 class RingElement:
-    """An element of a :class:`NumberRing` in the power basis 1, theta, ...
+    """An element of a :class:`NumberRing`.
 
     Stored as an integer numerator vector ``num`` over one common
     denominator ``den``, in lowest terms: ``den > 0`` and
     ``gcd(den, *num) == 1``, so zero is ``(0, ..., 0) / 1`` and equal
-    elements have equal fields.  ``coeffs`` gives the coordinates as
-    Fractions on demand.  Elements are built by their ring (:meth:`NumberRing.element`).
+    elements have equal fields.  ``num / den`` are the coordinates in the
+    basis of theta' = T theta (:class:`NumberRing`), and ``coeffs`` those in
+    the basis of theta, as Fractions on demand.  Elements are built by their
+    ring (:meth:`NumberRing.element`).
 
     Immutable and hashable; arithmetic operators accept ints and Fractions on
     either side and promote them to constants of the same ring.
@@ -215,8 +215,15 @@ class RingElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis of theta."""
         den = self.den
-        return tuple(Fraction(c, den) for c in self.num)
+        return tuple(Fraction(c, den) for c in self._theta_num)
+
+    @property
+    def _theta_num(self) -> Sequence[int]:
+        """``den`` times the coordinates in the basis of theta: num_j T^j."""
+        scale = self.ring._scale
+        return self.num if scale == 1 else [c * scale ** j for j, c in enumerate(self.num)]
 
     def _coerce(self, other) -> "RingElement":
         if isinstance(other, RingElement):
@@ -283,7 +290,7 @@ class RingElement:
                 for j, b in enumerate(y, i):
                     if b:
                         prod[j] += a * b
-        den *= ring._reduce(prod)
+        ring._reduce(prod)
         return _canonical(ring, prod, den)
 
     __rmul__ = __mul__
@@ -363,9 +370,9 @@ class RingElement:
         Faddeev-LeVerrier on the numerator z (Cohen, section 4.2): from m_1 = 1,
         c_{n-k} = -Tr(z m_k)/k and m_{k+1} = z m_k + c_{n-k} give the
         characteristic polynomial sum_k c_k x^k of z, and z m_n = -c_0 by
-        Cayley-Hamilton, which is checked.  Over an integral modulus every
-        c_k is an integer and the n - 1 products z m_k stay integral, so no
-        step reduces a fraction.
+        Cayley-Hamilton, which is checked.  z is integral over the integral
+        modulus, so every c_k is an integer and the n - 1 products z m_k stay
+        integral: no step reduces a fraction.
 
         Raises ZeroDivisionError for zero, and ReducibleModulusError naming
         gcd(z, f) when N = 0: z is then a zero divisor, which cannot happen
@@ -378,7 +385,7 @@ class RingElement:
         if n == 1:
             adj, norm = ring.one, self.num[0]
         else:
-            traces = _traces(ring.minpoly)
+            traces = _traces(ring._modulus)
             z = self.numerator
             p, c = z, _trace_step(z, traces, 1)
             for k in range(2, n + 1):
@@ -388,7 +395,7 @@ class RingElement:
             if p != -c:
                 raise ArithmeticError("characteristic polynomial check failed: internal fault")
             if not c:
-                raise ReducibleModulusError(polys.gcd(self.num, ring.minpoly))
+                raise ReducibleModulusError(polys.gcd(self._theta_num, ring.minpoly))
             adj, norm = (m, -c) if n % 2 else (-m, c)
         if den == 1:
             return adj, norm
@@ -408,18 +415,17 @@ class RingElement:
 
 
 @lru_cache(maxsize=256)
-def _traces(minpoly: tuple[Fraction, ...]) -> tuple[Rational, ...]:
-    """Tr(theta^j) for j < n: the power sums of the roots of the modulus, by
-    Newton's identities; ints for an integral modulus."""
-    n = len(minpoly) - 1
-    coeffs = [int(c) if c.denominator == 1 else c for c in minpoly]  # int products are fast
+def _traces(modulus: tuple[int, ...]) -> tuple[int, ...]:
+    """Tr(theta'^j) for j < n: the power sums of the roots of the integral
+    ``modulus``, by Newton's identities."""
+    n = len(modulus) - 1
     sums = [n]
     for k in range(1, n):
-        sums.append(-k * coeffs[n - k] - sum(coeffs[n - i] * sums[k - i] for i in range(1, k)))
-    return tuple(int(s) if s.denominator == 1 else s for s in sums)
+        sums.append(-k * modulus[n - k] - sum(modulus[n - i] * sums[k - i] for i in range(1, k)))
+    return tuple(sums)
 
 
-def _trace_step(x: RingElement, traces: Sequence[Rational], k: int) -> Rational:
+def _trace_step(x: RingElement, traces: Sequence[int], k: int) -> Rational:
     """-Tr(x)/k, as an int when it is one."""
     value = Fraction(-sum(map(mul, x.num, traces)), k * x.den)
     return value.numerator if value.denominator == 1 else value
@@ -474,7 +480,7 @@ def order(x) -> int | None:
     Such an x has norm +-1 and its powers integer traces of size <= n (sums of
     n roots of unity), so the raising to N_n stops early for most others."""
     x = as_element(x)
-    n, traces = x.ring.degree, _traces(x.ring.minpoly)
+    n, traces = x.ring.degree, _traces(x.ring._modulus)
     try:
         if abs(x.adjugate()[1]) != 1:
             return None
@@ -653,7 +659,7 @@ def numeric_eval(x: RingElement, root: int | complex = 0) -> complex:
             return complex(x.num[0] / x.den, 0.0)
         roots = _ring_roots(x.ring.minpoly)
         at = roots[root] if isinstance(root, int) else min(roots, key=lambda z: abs(z - root))
-        return reduce(lambda acc, c: acc * at + c / x.den, reversed(x.num), 0j)  # Horner
+        return reduce(lambda acc, c: acc * at + c / x.den, reversed(x._theta_num), 0j)  # Horner
     except OverflowError:
         raise ValueError("numeric preview out of floating-point range") from None
 

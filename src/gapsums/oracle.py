@@ -8,7 +8,7 @@ once: each window's gap flags pick the window offsets' powers, packed into
 one int each, and a sum over them is moved to the window's base.  A
 weighted sum runs on integral elements in one pass with a single reduction
 at the end (on Python ints for a rational weight, with its powers of two as
-shifts, and over an integral modulus for any other).
+shifts, and on integral ring elements for any other).
 The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
 int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from math import comb, lcm
+from math import comb
 from operator import mul, sub
 from typing import Iterable, Iterator
 
 from .apery import Generators
-from .numberfield import NumberRing, RingElement, as_element
+from .numberfield import RingElement, as_element
 
 __all__ = ["GapSet", "gap_set", "power_sum", "power_sums", "weighted_sum"]
 
@@ -284,13 +284,10 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
         v^(n_1) / D^(n_J) * sum_j v^(n_j - n_1) D^(n_J - n_j) n_j^mu,
 
     and the inner sum is one descending Horner pass over the gaps:
-    acc <- acc * v^(n_{j+1} - n_j) + n_j^mu * D^(n_J - n_j).  Over an
-    integral modulus every step stays integral, so none reduces a fraction;
-    the one reduction is the final division by D^(n_J).
-
-    A modulus with rational coefficients is first made integral by scaling
-    theta (:func:`_integral_modulus`); the result is mapped back with the
-    one reduction, so no gap costs a gcd there either.
+    acc <- acc * v^(n_{j+1} - n_j) + n_j^mu * D^(n_J - n_j).  Every ring
+    computes over an integral modulus, so every step stays integral and
+    none reduces a fraction; the one reduction is the final division by
+    D^(n_J).
 
     The powers of two in v = s 2^b and D = t 2^c are one shift of the term,
     v^n D^(n_J - n) = s^n t^(n_J - n) << (b n + c (n_J - n)), so the pass
@@ -312,9 +309,8 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
         b = (s & -s).bit_length() - 1
         s >>= b
     else:
-        lam, stretch = _integral_modulus(lam)
         den = lam.den
-        s, acc, b = lam * den, lam.ring.zero, 0
+        s, acc, b = lam * den, ring.zero, 0
     c = (den & -den).bit_length() - 1
     t = den >> c
     steps: dict[int, tuple] = {}  # delta -> (s^delta, t^delta)
@@ -334,24 +330,4 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     acc = acc * s ** above
     if ring.degree == 1:
         return ring.from_rational(Fraction(acc, den ** top))
-    coords = [x * stretch ** j for j, x in enumerate(acc.num)]  # acc is integral
-    return ring.element(coords) * Fraction(1, den ** top)
-
-
-def _integral_modulus(lam: RingElement) -> tuple[RingElement, int]:
-    """lam moved to a ring with an integral modulus, and the scale T that
-    maps a result back.
-
-    With T the lcm of the denominators of the monic modulus f of degree n,
-    theta' = T theta is a root of T^n f(x/T), which is monic with integer
-    coefficients; lam = sum_j c_j theta^j is sum_j (c_j / T^j) theta'^j,
-    and sum_j r_j theta'^j maps back to sum_j (r_j T^j) theta^j.  For an
-    integral f, T = 1 and lam stays where it is.
-    """
-    ring = lam.ring
-    scale = lcm(*(c.denominator for c in ring.minpoly))
-    if scale == 1:
-        return lam, 1
-    n = ring.degree
-    work = NumberRing([c * scale ** (n - i) for i, c in enumerate(ring.minpoly)])
-    return work.element([c / scale ** j for j, c in enumerate(lam.coeffs)]), scale
+    return acc * Fraction(1, den ** top)

@@ -6,6 +6,7 @@ values supporting +, -, * (ring elements included, for evaluation).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,8 +69,23 @@ def divmod_exact(p: Sequence, q: Sequence) -> tuple[list, list]:
 
 
 def gcd(p: Sequence, q: Sequence) -> list:
-    """Monic gcd over Q[x] by Euclid's algorithm ([] when both are zero)."""
-    r0, r1 = trim([Fraction(c) for c in p]), trim([Fraction(c) for c in q])
+    """Monic gcd over Q[x] ([] when both are zero), by a primitive remainder
+    sequence on integer vectors: each remainder is an integer multiple of the
+    rational one with content 1, so no Fraction is formed before the result."""
+    r0, r1 = _primitive(p), _primitive(q)
     while r1:
-        r0, r1 = r1, divmod_exact(r0, r1)[1]
-    return [c / r0[-1] for c in r0]
+        rem, lead = r0, r1[-1]
+        while len(rem) >= len(r1):  # rem <- (lead rem - c x^d r1) / g, g = gcd(c, lead)
+            c, d = rem[-1], len(rem) - len(r1)
+            g = math.gcd(c, lead)
+            rem = trim([x * (lead // g) - y * (c // g) for x, y in zip(rem, [0] * d + r1)])
+        r0, r1 = r1, _primitive(rem)
+    return [Fraction(c, r0[-1]) for c in r0]
+
+
+def _primitive(p: Sequence) -> list[int]:
+    """``p`` times a rational, trimmed: integers with no common factor."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    num = trim([int(c * den) for c in p])
+    g = math.gcd(*num) or 1
+    return [c // g for c in num]

@@ -302,12 +302,12 @@ def _steps(exponents: Sequence[int]) -> list[int]:
 
 
 def _split(lam: RingElement, gaps: Sequence[int]) -> tuple:
-    """lam = v / D with D = lam.den, so v has integer coordinates and, over
-    an integral modulus, so has every product of powers of v.  Returns v,
-    the integer scales {delta: D^delta} for 0 and the distinct ``gaps``
-    (none when D = 1), and the zero and one of the pass.  A weight of ring
-    degree 1 takes the int path: v and D are Python ints kept as odd * 2**k
-    (:func:`_binary`), so that a product with a power of two is a shift.
+    """lam = v / D with D = lam.den, so v has integer coordinates and so has
+    every product of powers of v.  Returns v, the integer scales
+    {delta: D^delta} for 0 and the distinct ``gaps`` (none when D = 1), and
+    the zero and one of the pass.  A weight of ring degree 1 takes the int
+    path: v and D are Python ints kept as odd * 2**k (:func:`_binary`), so
+    that a product with a power of two is a shift.
     """
     den = lam.den
     if lam.ring.degree == 1:
@@ -481,10 +481,10 @@ def _laurent(x_num: RingElement, x_den: int, c: int, top: int) -> _Laurent:
     """G(x, c) = 1/(1 - x e^{ct}) for x = x_num / x_den, to order t^top.
 
     For x != 1, sum_k k^n x^k = E_n(x) / (1 - x)^(n+1) gives p = x_den - x_num
-    and coeffs[n] = c^n x_den E_n(x_num, x_den), integral over an integral
-    modulus.  For x = 1, G = -1/(ct) - sum_n B_{n+1} c^n/(n+1) t^n/n!, and p,
-    the lcm of the c (n+1) den(B_{n+1}), makes every coeffs[n] an integer, and
-    the pole's p^(n+1) / (c (n+1)) too (see :func:`_series_product`).
+    and coeffs[n] = c^n x_den E_n(x_num, x_den), integral.  For x = 1,
+    G = -1/(ct) - sum_n B_{n+1} c^n/(n+1) t^n/n!, and p, the lcm of the
+    c (n+1) den(B_{n+1}), makes every coeffs[n] an integer, and the pole's
+    p^(n+1) / (c (n+1)) too (see :func:`_series_product`).
     """
     p = x_den - x_num
     if not p.is_zero:

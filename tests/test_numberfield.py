@@ -24,7 +24,7 @@ from gapsums import (
     is_power_unity,
     numeric_eval,
 )
-from gapsums import Generators, apery_general, polys
+from gapsums import ArithProgression, Generators, apery_general, oracle, polys, sylvester, weighted_sums_ap
 from gapsums.numberfield import (
     _ring_roots,
     _traces,
@@ -650,6 +650,33 @@ def test_ring_roots_past_mpmath(minpoly, roots):
     assert repr(_ring_roots(tuple(map(Fraction, minpoly)))) == repr(roots)
 
 
+def _fraction_gcd(p, q):
+    """Monic gcd over Q[x] by Euclid's algorithm over Fractions ([] when both
+    are zero): the reference for polys.gcd."""
+    r0, r1 = polys.trim([Fraction(c) for c in p]), polys.trim([Fraction(c) for c in q])
+    while r1:
+        r0, r1 = r1, polys.divmod_exact(r0, r1)[1]
+    return [c / r0[-1] for c in r0]
+
+
+_int_polys = st.lists(st.integers(-30, 30), max_size=7)
+_rational_polys = st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)), max_size=7)
+
+
+@given(st.sampled_from([_int_polys, _rational_polys]).flatmap(lambda polys: st.tuples(polys, polys, polys)))
+@example(([], [], []))
+@example(([0, 0], [7], [0]))
+@example(([1, 2, 1], [-1, 0, 1], [2, 3, 1]))  # (x + 1)^2 times (x - 1)(x + 1) and (x + 1)(x + 2)
+def test_gcd_matches_the_fraction_euclid(case):
+    # every pair also with a planted common factor, and against zero and a constant
+    common, p, q = case
+    pairs = [(p, q), (_poly_mul(common, p), _poly_mul(common, q)), (common, []), ([], q), ([5], q)]
+    for a, b in pairs:
+        got = polys.gcd(a, b)
+        assert got == _fraction_gcd(a, b), (a, b)
+        assert all(type(c) is Fraction for c in got)
+
+
 # --- weight specifications --------------------------------------------------
 
 
@@ -786,7 +813,7 @@ def test_long_coefficient_vectors_reduce():
     assert CBRT2.element([1, 0, 0, 0, 0, 0, 1]) == 5  # 1 + theta^6 = 1 + 4
     # theta^4 = theta * theta^3 = 2/5 theta^2 - 1/3 theta
     x = NONINTEGRAL.element([Fraction(1, 2), 0, 0, 0, 1])
-    assert (x.num, x.den) == ((15, -10, 12), 30)
+    assert x.coeffs == (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5))
     assert NONINTEGRAL.generator ** 4 == x - Fraction(1, 2)
 
 
@@ -940,3 +967,82 @@ def test_inverse_in_degree_two_and_up_runs_no_euclid(monkeypatch):
     # theta - 1/2 is a zero divisor modulo x^5 - 1/32
     with pytest.raises(AssertionError, match="polynomial gcd"):
         ROOT5_32.element([Fraction(-1, 2), 1]).inverse()
+
+
+# --- every ring over an integral modulus ------------------------------------
+#
+# A ring stores its elements in the basis of T theta; the references below
+# compute in the basis of theta with Fractions, so they share nothing with
+# the change of basis.
+
+
+def _theta_reduced(minpoly, p):
+    """The theta-coordinates of the polynomial ``p`` modulo ``minpoly``."""
+    rem = polys.divmod_exact(p, minpoly)[1]
+    return tuple(rem) + (Fraction(0),) * (len(minpoly) - 1 - len(rem))
+
+
+@st.composite
+def _rational_ring_and_vectors(draw):
+    """HALF, ROOT5_32, NONINTEGRAL or a random monic rational modulus of
+    degree <= 5, with two theta-coordinate vectors."""
+    small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from([HALF, ROOT5_32, NONINTEGRAL]))
+    else:
+        n = draw(st.integers(1, 5))
+        ring = NumberRing(draw(st.lists(small, min_size=n, max_size=n)) + [1])
+    vectors = st.lists(st.one_of(small, _rationals), min_size=ring.degree, max_size=ring.degree)
+    return ring, draw(vectors), draw(vectors)
+
+
+@given(_rational_ring_and_vectors())
+@example((HALF, [Fraction(1, 3), Fraction(5, 7)], [0, 1]))
+@example((ROOT5_32, [Fraction(-1, 2), 1, 0, 0, 0], [1, 2, 3, 4, 5]))  # a zero divisor
+def test_rational_moduli_match_theta_coordinates(case):
+    ring, xc, yc = case
+    x, y = ring.element(xc), ring.element(yc)
+    assert x.coeffs == _theta_reduced(ring.minpoly, xc)
+    assert ring.element(x.coeffs) == x
+    assert (x + y).coeffs == _theta_reduced(ring.minpoly, [a + b for a, b in zip(xc, yc)])
+    assert (x * y).coeffs == _theta_reduced(ring.minpoly, _poly_mul(xc, yc))
+    assert (x.numerator * y.numerator).den == 1  # integral times integral is integral
+    if x.is_zero:
+        return
+    try:
+        inv = x.inverse()
+    except ReducibleModulusError as err:
+        assert len(err.factor) > 1 and err.factor[-1] == 1
+        assert not polys.divmod_exact(ring.minpoly, err.factor)[1]
+        assert not polys.divmod_exact(xc, err.factor)[1]
+        return
+    assert _theta_reduced(ring.minpoly, _poly_mul(xc, inv.coeffs)) == ring.one.coeffs
+
+
+# root(3, 3/2) and root(3, 1/2) run the moment kernel; elem(...) is i, of
+# order 4, which runs the class sums, and the unity-a branch where 4 | a
+NONINTEGRAL_WEIGHTS = ["root(3,3/2)", "root(3,1/2)", "elem(minpoly=[1/4,0,1];coeffs=[0,2])"]
+
+
+@pytest.mark.parametrize("spec", NONINTEGRAL_WEIGHTS)
+def test_paths_agree_over_nonintegral_moduli(spec, monkeypatch):
+    lam = LambdaSpec.parse(spec).element()
+    c = order(lam)
+    assert c == (4 if spec.startswith("elem") else None)
+    class_sums = []
+    honest = sylvester._class_moments
+    monkeypatch.setattr(sylvester, "_class_moments", lambda *args: class_sums.append(1) or honest(*args))
+    # a = 12 and 8 with 4 | a; a = 10, 9 and 7 without, and d = 4 on the last progression
+    progressions = [ArithProgression(12, 5, 3), ArithProgression(10, 3, 4), ArithProgression(9, 4, 3)]
+    sets = [ap.generators() for ap in progressions] + [Generators([8, 11, 13]), Generators([7, 10, 12])]
+    mus = (1, 2, 3)
+    for gens in sets:
+        del class_sums[:]
+        values, branch = weighted_sums(apery_general(gens), mus, lam)
+        assert branch == ("unity-a" if c and gens.modulus % c == 0 else "general"), gens
+        assert bool(class_sums) == (c is not None), gens
+        gs = oracle.gap_set(gens)
+        assert values == {mu: oracle.weighted_sum(gs, mu, lam) for mu in mus}, gens
+    for ap in progressions:
+        closed, _ = weighted_sums_ap(ap, mus, lam)
+        assert closed == weighted_sums(apery_general(ap.generators()), mus, lam)[0], ap

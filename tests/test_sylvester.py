@@ -422,8 +422,9 @@ def _per_operation_moments(exponents, top, lam):
     return direct
 
 
-# the last modulus, x^2 + 1/2, is not integral: v = lam * lam.den has
-# integer coordinates, but v * v does not
+# the last modulus, x^2 + 1/2, is not integral: its ring stores elements in
+# the basis of 2 theta, whose modulus is integral, so v = lam * lam.den has
+# integer coordinates and so does v * v
 KERNEL_WEIGHTS = [
     "2/3",
     "-1/2",
@@ -439,7 +440,7 @@ def test_moment_kernel_matches_per_operation_routes(spec):
     lam = LambdaSpec.parse(spec).element()
     if spec.startswith("elem(minpoly=[1/2"):
         v = lam * lam.den
-        assert v.den == 1 and (v * v).den == 2
+        assert v.den == 1 and (v * v).den == 1
     cases = [sorted(apery_general(gens).m) for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19]))]
     cases += [[0], [0, 3], [2], [1, 4, 5, 11]]  # top past every exponent; no exponent 0
     for exponents in cases:
