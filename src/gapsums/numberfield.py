@@ -84,9 +84,9 @@ class NumberRing:
     A degree-1 ring is canonically the rationals.
 
     Elements are stored in the power basis of theta' = T theta (T =
-    ``_scale``, the lcm of the denominators of f, so 1 for an integral f), a
-    root of the monic integral ``_modulus`` T^n f(x/T): reduction never
-    leaves the integers.
+    ``_scale``, :func:`_least_scale`, so 1 for an integral f), a root of the
+    monic integral ``_modulus`` T^n f(x/T): reduction never leaves the
+    integers.
     """
 
     __slots__ = ("minpoly", "_scale", "_modulus", "_tail")
@@ -99,7 +99,7 @@ class NumberRing:
             raise ValueError("ring modulus must be monic")
         self.minpoly = coeffs
         n = len(coeffs) - 1
-        self._scale = scale = lcm(*(c.denominator for c in coeffs))
+        self._scale = scale = _least_scale(coeffs)
         self._modulus = tuple(int(c * scale ** (n - i)) for i, c in enumerate(coeffs))
         self._tail = tuple((t, -c) for t, c in enumerate(self._modulus[:-1]) if c)
 
@@ -160,6 +160,26 @@ class NumberRing:
 
     def __str__(self) -> str:
         return f"Q[θ]/({format_poly(map(str, self.minpoly))})"
+
+
+def _least_scale(coeffs: Sequence[Fraction]) -> int:
+    """T = lcm_i T_i, T_i the least integer with den(c_i) | T_i^(n - i), so
+    that T^n f(x/T) = sum_i c_i T^(n - i) x^i is integral: each prime p < 1024
+    of den(c_i), to the power e, goes into T_i to the power ceil(e / (n - i)).
+    A cofactor of larger primes goes in whole, so T never exceeds the lcm of
+    the denominators: x^3 - 1/8 takes T = 2, where the lcm is 8."""
+    n, scale = len(coeffs) - 1, 1
+    for i, c in enumerate(coeffs[:-1]):
+        den, least = c.denominator, 1
+        for p in range(2, 1024):
+            if den == 1:
+                break
+            e = 0
+            while den % p == 0:
+                den, e = den // p, e + 1
+            least *= p ** -(-e // (n - i))
+        scale = lcm(scale, least * den)
+    return scale
 
 
 def _literals(values: Iterable[Fraction]) -> str:
@@ -583,12 +603,15 @@ def _aberth(scaled: Sequence[float]) -> list[complex]:
     """The roots y of a monic squarefree polynomial with coefficients
     ``scaled``, highest first, each to about 30 bits, by Aberth-Ehrlich
     iteration.  No coefficient exceeds 1, so every root has |y| <= 2
-    (Fujiwara's bound).  The estimates start on the circle of radius 1/2: on
-    the unit circle, through the roots of a cyclotomic modulus, they take
-    tens of sweeps more.  An estimate stays where it is once its step is
-    below 2^-30 of it."""
+    (Fujiwara's bound).  The estimates start on the circle of radius
+    |g_0|^(1/n), the geometric mean of the root moduli: on a fixed circle,
+    radius 1/2, a dense modulus of degree 120 did not converge in 100 sweeps.
+    The roots of a cyclotomic modulus share one modulus, so they lie on that
+    circle.  An estimate stays where it is once its step is below 2^-30 of
+    it."""
     n = len(scaled) - 1
-    ys = [cmath.rect(0.5, (2 * cmath.pi * k + 1) / n) for k in range(n)]
+    radius = abs(scaled[-1]) ** (1 / n)
+    ys = [cmath.rect(radius, (2 * cmath.pi * k + 1) / n) for k in range(n)]
     live = range(n)
     for _ in range(100):
         moving = []

@@ -14,9 +14,9 @@ into a sum over the table:
 
 The power sums read the integer moments sum_i m_i^nu straight from the
 levels where the table is wide against its depth (:func:`_lookup_power_sums`:
-one list lookup and one add per residue into ints that pack every power),
-and elsewhere from :func:`_integer_power_sums`, the chunked pass over the
-entries, by a measured cost rule (:func:`_lookup_width`).  A weighted query
+a lookup and an add per residue into packed rows built by running sums, a
+product per lane per window), else from :func:`_integer_power_sums`, a chunked
+pass over the entries, by a measured cost rule (:func:`_lookup_width`).  A weighted query
 takes every M(0..top) it needs from one call of :func:`weighted_moments`,
 along two routes compared exactly: integer class sums for a weight of finite
 order (:func:`_class_moments`), else the moment kernel, which runs on
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import isqrt, lcm, perm
-from operator import add, getitem, lshift, lt, mul
+from operator import and_, getitem, lt, mul, rshift, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
@@ -96,71 +96,71 @@ def _integer_power_sums(values: Iterable[int], top: int) -> list[int]:
 
 
 # The lookup pass (_lookup_power_sums) takes a table whose window W, about
-# 2 sqrt(a / (depth + 1)), is at least _LOOKUP_WIDTH and at least
-# 4 * _LOOKUP_WIDTH / top.  Then its W (depth + 1) rows are at most a / 8,
-# since W <= 2 sqrt(a / (depth + 1)) gives a / (W (depth + 1)) >= W / 4.
-# A sweep (a_1 from 400 to 46,000, 3 to 60 generators, top 2 to 13, 249
-# shapes, best of 5) timed the lookup pass against the chunked one over the
-# entries: past the rule it took 0.23-1.10 of the time (median 0.56), and
-# below it 0.60-4.1 times as long (median 1.41).  Near the rule the two are
-# within noise; far below it each window's binomial shift, (top + 1)(top + 2)
-# / 2 products, outweighs the chunked pass's top products per residue.
-# The rows are capped at _LOOKUP_ROWS, and fewer past top = 6, where a row's
-# lanes grow as top^2: then the pass's transient memory (tracemalloc) stays
-# below the chunked pass's at every top from 1 to 20 (a_1 from 10^4 to 10^5).
-_LOOKUP_WIDTH = 32
+# 2 sqrt(a / (depth + 1)), is at least _LOOKUP_WIDTH with W top >= 128: at most
+# a / 6 rows, and _LOOKUP_ROWS, fewer past top = 6 (lanes grow as top^2), keep
+# it below the chunked pass's memory.  Against that pass (best of 5; 369 shapes,
+# a_1 400-46,000, 3-60 generators, top 2-13) it took 0.19-0.77 of the time at
+# W >= 32 (median 0.35), 0.56-11 times as long below (median 1.04), and at W
+# 20-31 a median 0.63-0.77 at W >= 24 with W top >= 128, else 1.01-1.27.
+_LOOKUP_WIDTH = 24
 _LOOKUP_ROWS = 2048
 
 
 def _lookup_width(modulus: int, depth: int, top: int) -> int | None:
-    """The window W of :func:`_lookup_power_sums` for a table of this shape,
-    or None where the chunked pass costs less.  The rows cost W (depth + 1)
-    packings and the windows a / W binomial shifts, which
-    W = 2 sqrt(a / (depth + 1)) about balances."""
+    """The window W of :func:`_lookup_power_sums` for a table of this shape, or
+    None where the chunked pass costs less.  W = 2 sqrt(a / (depth + 1)) about
+    balances the rows' W (depth + 1) packings and the windows' a / W moves."""
     span = depth + 1
     rows = _LOOKUP_ROWS * 36 // max(36, top * top)
     width = min(2 * isqrt(modulus // span), rows // span)
-    return width if width >= _LOOKUP_WIDTH and width * top >= 4 * _LOOKUP_WIDTH else None
+    return width if width >= _LOOKUP_WIDTH and width * top >= 128 else None
+
+
+def _packed_values(start: int, count: int, offsets: Sequence[int]) -> list[int]:
+    """x^0..top packed into the lanes at ``offsets``, for x = start, ...,
+    start + count - 1: the values of a polynomial of degree top in x - start,
+    so ``top`` running sums of its forward differences at 0, one add each."""
+    row = [sum(x ** j << offset for j, offset in enumerate(offsets))
+           for x in range(start, start + len(offsets))]
+    differences = []  # the k-th forward difference at 0, k = 0..top
+    while row:
+        differences.append(row[0])
+        row = list(map(sub, row[1:], row))
+    values = repeat(differences.pop())  # the top-th difference is constant
+    for first in reversed(differences):
+        values = accumulate(values, initial=first)
+    return list(islice(values, count))
 
 
 def _lookup_power_sums(table: AperyTable, top: int, width: int) -> list[int]:
     """[sum m_i^0, ..., sum m_i^top] read from the levels by packed lookup:
     one list lookup and one int add per residue.
 
-    Residue i = lo + t with lo a multiple of the window ``width`` and t < W
-    has m_i - lo = t + a L_i, so a window's moments about lo are the sum of
-    rows[t][L_i], one int that packs (t + a l)^j for j = 0..top into lanes
-    at fixed bit offsets (Kronecker substitution).  The windows are read
-    from the top one down, and the moments so far are moved down by W with
-    binomial coefficients (Horner's scheme), ending at base 0.  Lane 1 is
-    held to sum m_i = a sum L_i + a (a - 1) / 2; lane 0, the count a, meets
-    the recombination's pole check.  Needs top >= 1."""
+    Residue i = lo + t (lo a multiple of the window W = ``width``, t < W) has
+    m_i - lo = t + a L_i, so a window's moments about lo are the sum of
+    rows[t][L_i], the packed (t + a l)^0..top (a level's column is one
+    :func:`_packed_values`).  From the top window down, the packed moments
+    about lo move down by W with one product per lane, as (y + W)^j =
+    sum_k C(j, k) W^(j - k) y^k: lane k times spread[k], which packs
+    C(j, k) W^(j - k) into each lane j >= k.  Lane j sums (m_i - lo)^j < X^j,
+    X = a (depth + 1) (as is a read row's t + a l), over at most a residues, so
+    bits(a) + j bits(X) + 1 bits never carry.  Lane 1 is held to sum m_i =
+    a sum L_i + a (a - 1) / 2; lane 0, the count a, meets the pole check."""
     a, levels, span = table.modulus, table.levels, table.depth + 1
-    # A row's lane j holds (t + a l)^j < X^j, X = W + a (depth + 1), and a
-    # window adds at most W rows, so a lane sum stays below
-    # 2^(bits(W) + j bits(X)): a lane of j bits(X) + bits(W) + 1 bits never
-    # carries into the next.
-    x_bits = (width + a * span).bit_length()
-    lanes = [j * x_bits + width.bit_length() + 1 for j in range(top + 1)]
+    lanes = [a.bit_length() + j * (a * span).bit_length() + 1 for j in range(top + 1)]
     offsets = list(accumulate(lanes[:-1], initial=0))
     rows = [[] for _ in range(width)]  # rows[t][l] packs the powers of t + a l
     for level in range(span):
-        values = range(a * level, a * level + width)
-        column, powers = [1] * width, [1] * width
-        for offset in offsets[1:]:
-            powers = list(map(mul, powers, values))
-            column = list(map(add, column, map(lshift, powers, repeat(offset))))
-        for row, packed in zip(rows, column):
+        for row, packed in zip(rows, _packed_values(a * level, width, offsets)):
             row.append(packed)
     masks = [(1 << lane) - 1 for lane in lanes]
-    shift = [[binomial(j, k) * width ** (j - k) for k in range(j + 1)] for j in range(top + 1)]
-    sums = [0] * (top + 1)
+    spread = [sum(binomial(j, k) * width ** (j - k) << offsets[j] for j in range(k, top + 1))
+              for k in range(top + 1)]
+    acc = 0
     for lo in reversed(range(0, a, width)):
-        window = sum(map(getitem, rows, levels[lo : lo + width]))
-        sums = [
-            sum(map(mul, c, sums)) + (window >> offset & mask)
-            for c, offset, mask in zip(shift, offsets, masks)
-        ]
+        moved = sum(map(mul, map(and_, map(rshift, repeat(acc), offsets), masks), spread))
+        acc = moved + sum(map(getitem, rows, levels[lo : lo + width]))
+    sums = [acc >> offset & mask for offset, mask in zip(offsets, masks)]
     if sums[1] != a * sum(levels) + a * (a - 1) // 2:
         raise ArithmeticError("packed power sums are wrong: internal fault")
     return sums

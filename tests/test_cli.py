@@ -257,7 +257,13 @@ def test_a_wrong_packed_lane_exits_3(capsys, monkeypatch):
     gens = ",".join(map(str, [10007, *random.Random(40).sample(range(10008, 20014), 39)]))
     code, out, _ = run_cli(capsys, "power-sum", "--gens", gens, "--mu", "3")
     assert code == 0 and out.startswith("s_3 = ")
-    monkeypatch.setattr(sylvester, "lshift", lambda x, n: (x + 1) << n)
+    honest = sylvester._packed_values
+
+    def off_by_one(start, count, offsets):
+        ones = sum(1 << offset for offset in offsets[1:])
+        return [packed + ones for packed in honest(start, count, offsets)]
+
+    monkeypatch.setattr(sylvester, "_packed_values", off_by_one)
     code, out, err = run_cli(capsys, "power-sum", "--gens", gens, "--mu", "3")
     assert code == 3
     assert not out

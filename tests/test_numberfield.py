@@ -650,6 +650,20 @@ def test_ring_roots_past_mpmath(minpoly, roots):
     assert repr(_ring_roots(tuple(map(Fraction, minpoly)))) == repr(roots)
 
 
+def test_a_dense_degree_120_modulus_previews():
+    # random.Random(1), coefficients in +-20: from a fixed starting circle of
+    # radius 1/2 the root finder did not converge at degree 120
+    rng = random.Random(1)
+    minpoly = tuple(Fraction(rng.randint(-20, 20)) for _ in range(120)) + (Fraction(1),)
+    roots = _ring_roots(minpoly)
+    assert len(set(roots)) == 120
+    # Vieta: the roots add up to -f_119 and, at even degree, multiply to f_0
+    assert cmath.isclose(sum(roots), -minpoly[119], rel_tol=1e-9, abs_tol=1e-9)
+    assert cmath.isclose(reduce(lambda x, y: x * y, roots), minpoly[0], rel_tol=1e-9)
+    theta = LambdaSpec.custom(minpoly, [0, 1]).element()
+    assert [numeric_eval(theta, k) for k in (0, 60, 119)] == [roots[0], roots[60], roots[119]]
+
+
 def _fraction_gcd(p, q):
     """Monic gcd over Q[x] by Euclid's algorithm over Fractions ([] when both
     are zero): the reference for polys.gcd."""
@@ -894,6 +908,8 @@ def test_format_poly_reads_the_exact_strings(case):
 # --- inversion by norm and adjugate -----------------------------------------
 
 HALF = NumberRing([Fraction(1, 2), 0, 1])  # theta^2 = -1/2, a non-integral modulus
+QUARTER = NumberRing([Fraction(1, 4), 0, 1])  # theta^2 = -1/4: integral at T = 2, not 4
+EIGHTH = NumberRing([Fraction(-1, 8), 0, 0, 1])  # theta^3 = 1/8: integral at T = 2, not 8
 ROOT5_32 = NumberRing([Fraction(-1, 32), 0, 0, 0, 0, 1])  # theta^5 = 1/32, has the factor x - 1/2
 NORM_RINGS = [RATIONAL_RING, CBRT2, GAUSS, ZETA5, HALF, ROOT5_32, NONINTEGRAL]
 
@@ -984,11 +1000,11 @@ def _theta_reduced(minpoly, p):
 
 @st.composite
 def _rational_ring_and_vectors(draw):
-    """HALF, ROOT5_32, NONINTEGRAL or a random monic rational modulus of
-    degree <= 5, with two theta-coordinate vectors."""
+    """HALF, QUARTER, EIGHTH, ROOT5_32, NONINTEGRAL or a random monic
+    rational modulus of degree <= 5, with two theta-coordinate vectors."""
     small = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
     if draw(st.booleans()):
-        ring = draw(st.sampled_from([HALF, ROOT5_32, NONINTEGRAL]))
+        ring = draw(st.sampled_from([HALF, QUARTER, EIGHTH, ROOT5_32, NONINTEGRAL]))
     else:
         n = draw(st.integers(1, 5))
         ring = NumberRing(draw(st.lists(small, min_size=n, max_size=n)) + [1])
@@ -999,6 +1015,8 @@ def _rational_ring_and_vectors(draw):
 @given(_rational_ring_and_vectors())
 @example((HALF, [Fraction(1, 3), Fraction(5, 7)], [0, 1]))
 @example((ROOT5_32, [Fraction(-1, 2), 1, 0, 0, 0], [1, 2, 3, 4, 5]))  # a zero divisor
+@example((QUARTER, [4, 3], [Fraction(-1, 3), Fraction(7, 2)]))
+@example((EIGHTH, [Fraction(1, 5), -2, 3], [0, Fraction(1, 4), 9]))
 def test_rational_moduli_match_theta_coordinates(case):
     ring, xc, yc = case
     x, y = ring.element(xc), ring.element(yc)
@@ -1017,6 +1035,18 @@ def test_rational_moduli_match_theta_coordinates(case):
         assert not polys.divmod_exact(xc, err.factor)[1]
         return
     assert _theta_reduced(ring.minpoly, _poly_mul(xc, inv.coeffs)) == ring.one.coeffs
+
+
+@pytest.mark.parametrize("spec, ring, modulus", [
+    ("root(3,1/8)", EIGHTH, (-1, 0, 0, 1)),
+    ("elem(minpoly=[1/4,0,1];coeffs=[4,3])", QUARTER, (1, 0, 1)),
+])
+def test_a_ring_takes_the_least_scale(spec, ring, modulus):
+    # T^n f(x/T) is integral at T = 2 for both moduli, where the lcm of the
+    # denominators is 8 and 4; test_rational_moduli_match_theta_coordinates
+    # holds their arithmetic to the theta-coordinates
+    lam = LambdaSpec.parse(spec).element()
+    assert lam.ring == ring and ring._scale == 2 and ring._modulus == modulus
 
 
 # root(3, 3/2) and root(3, 1/2) run the moment kernel; elem(...) is i, of

@@ -271,8 +271,20 @@ def _lookup_cases(draw):
     return AperyTable(levels=tuple(levels)), draw(st.integers(1, 10)), width
 
 
+def _deepest(a, depth):
+    """Every nonzero residue at level ``depth``: each lane of the lookup pass
+    comes near its bound, a (a (depth + 1))^j."""
+    return AperyTable(levels=(0, *[depth] * (a - 1)))
+
+
 @given(_lookup_cases())
 @example((AperyTable(levels=(0,)), 3, 1))  # a = 1
+@example((_deepest(3000, 255), 10, 40))  # bytes levels at depth 255
+@example((_deepest(2000, 600), 6, 66))  # tuple levels at depth 600
+@example((_deepest(63, 64), 13, 1))  # a (depth + 1) = 2^12 - 1, top 13, W = 1
+@example((_deepest(17, 240), 13, 17))  # a (depth + 1) = 2^12 + 1, W = a
+@example((_deepest(241, 16), 13, 281))  # a (depth + 1) = 2^12 + 1, W > a
+@example((_deepest(1000, 4), 13, 50))  # a depth < 2^12 < a (depth + 1): bits(a depth) is too few
 @example((AperyTable(levels=(0, 300, 7, 299, 1)), 10, 9))  # tuple levels, W > a
 @example((AperyTable(levels=(0, 2, 1, 2)), 1, 4))  # W = a
 @example((AperyTable(levels=bytes([0, *range(1, 256)] * 11 + [0] * 9)), 7, 64))  # a % W = 9
@@ -292,8 +304,11 @@ def test_the_cost_rule_picks_the_pass(monkeypatch):
     wide = _table_scale_table()
     ap400 = apery_arith(ArithProgression(400, 7, 5))  # depth about 100
     deep = apery_general(Generators([2003, 2004]))  # depth 2002, tuple levels
+    # the largest sieve of the verify-cli benchmark: 6 generators at a_1 = 1850
+    sieve = apery_general(Generators([1850, *random.Random(6).sample(range(1851, 3700), 5)]))
     assert wide.depth < 10 and ap400.depth > 90 and type(deep.levels) is tuple
-    cases = [(wide, "_lookup_power_sums"), (ap400, "_integer_power_sums"), (deep, "_integer_power_sums")]
+    cases = [(wide, "_lookup_power_sums"), (ap400, "_integer_power_sums"), (deep, "_integer_power_sums"),
+             (sieve, "_integer_power_sums")]
     for table, expected in cases:
         for mus in ((1,), (2, 4), (8,), (3, 9)):
             runs.clear()
@@ -342,8 +357,14 @@ def test_lookup_pass_needs_no_more_memory_than_the_chunked_pass(shape):
 def test_a_wrong_lane_is_caught(monkeypatch):
     table = _table_scale_table()
     sylvester.power_sums(table, (3,))  # the honest pass
-    # every row's lanes 1..top hold x^j + 1 in place of x^j
-    monkeypatch.setattr(sylvester, "lshift", lambda x, n: (x + 1) << n)
+    honest = sylvester._packed_values
+
+    def off_by_one(start, count, offsets):
+        # every row's lanes 1..top hold x^j + 1 in place of x^j
+        ones = sum(1 << offset for offset in offsets[1:])
+        return [packed + ones for packed in honest(start, count, offsets)]
+
+    monkeypatch.setattr(sylvester, "_packed_values", off_by_one)
     with pytest.raises(ArithmeticError, match="packed power sums are wrong"):
         sylvester.power_sums(table, (3,))
 
