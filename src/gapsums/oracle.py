@@ -2,21 +2,22 @@
 
 A sieve decides every integer below its horizon directly from the
 generators, and the gap set (the nonrepresentable positive integers) is the
-clear bits of the result; sums over the gaps are computed term by term, one
-term per gap.  The power sums take one packed add per gap for every mu at
-once: each window's gap flags pick the window offsets' powers, packed into
-one int each, and a sum over them is moved to the window's base.  A
-weighted sum runs on integral elements in one pass with a single reduction
-at the end (on Python ints for a rational weight, with its powers of two as
-shifts, and on integral ring elements for any other).
+clear bits of the result; sums over the gaps are computed term by term over
+those bits.  The power sums take one packed lookup per four integers for
+every mu at once: the bits are read as hex digits, each digit's gaps pick a
+packed sum of the powers of their offsets, and the sums are moved down a
+window at a time.  A weighted sum runs on integral elements in one pass,
+one term per gap, with a single reduction at the end (on Python ints for a
+rational weight, with its powers of two as shifts, and on integral ring
+elements for any other).
 The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
 int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
-CPython digit).  The gaps are kept as those bits and read out a window of
-``_WINDOW`` integers at a time, ascending for the power sums and
-descending for the weighted sums, so a pass holds the bits plus one window
-of gaps.  The module shares no code with the residue-table engine: it exists
-to certify the closed forms, not to compete with them.
+CPython digit).  The gaps are kept as those bits and read a window of
+``_WINDOW`` integers at a time, so a pass holds the bits plus one window
+and, for the power sums, the packed rows of one window.  The module shares
+no code with the residue-table engine: it exists to certify the closed
+forms, not to compete with them.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
 from math import comb
-from operator import mul, sub
+from operator import add, and_, getitem, mul, rshift, sub
 from typing import Iterable, Iterator
 
 from .apery import Generators
@@ -41,17 +42,23 @@ _FIRST_HORIZON = 2
 # '0'/'1' digits -> 1/0 selector bytes for itertools.compress: picks the gaps
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
 
+# hex digits -> their complemented nibbles, whose set bits are the gaps
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(15, -1, -1)))
+
 # Integers per read-out window.  A window holds at most this many gaps as
 # Python ints (about 36 B each), and each window costs a few calls whatever
-# it holds.  The power sums build one packed entry per offset below it on
-# every call, about (top + 1)(top + 2) bits(W) / 2 bits each, and shift
-# each window's sums to its base.  Over the power-sum queries of a 216-query
-# verify corpus (a_1 from 400 to 1900, horizons of 2-6 * 10^4, top 3 to 5),
-# best of five interleaved rounds, W = 512 took 0.42 of the time of one pow
-# per gap, 1024 0.36, 2048 0.34 and 4096 0.36; on (3000, 3001), 9 * 10^6
-# integers, 1024 to 4096 were within noise of each other for the power
-# sums and the minima.  Past 1024 the gain is within noise and the packed
-# entries grow with W.
+# it holds.  The power sums round it up to whole bytes, build 4 W packed
+# entries on every call (16 per hex digit, about (top + 1)(top + 2) bits(W)
+# / 2 bits each: 0.4 MB at top = 8, so a set with fewer bits than the rows
+# takes a smaller window past top = 5) and move each window's sums to its
+# base with one product per lane.  Over the 96 power-sum calls of a seed-7
+# verify-cli corpus (horizons 2.5 * 10^4 to 2 * 10^5, top 3 to 5), best of
+# five per call and of three interleaved rounds, W = 256 took 178 ms, 512
+# 135 ms, 1024 102 ms, 2048 120 ms and 4096 202 ms; on (3000, 3001),
+# 9 * 10^6 integers, mu = 2 took 0.17, 0.12, 0.10, 0.12 and 0.12 s and
+# mu = 8 0.39, 0.23, 0.17, 0.15 and 0.16 s.  Below 1024 the moves cost
+# more, above it the rows; on (3000, 3001) the minima were within noise
+# from 1024 to 4096.
 _WINDOW = 1024
 
 
@@ -218,15 +225,16 @@ def _packed_powers(width: int, top: int) -> tuple[list[int], list[int], list[int
     masks: entry t < ``width`` packs t^j for j = 0..top into lane j
     (Kronecker substitution).
 
-    Lane j holds t^j < W^j <= 2^(j bits(W)), W = ``width``, and a window
-    adds at most W entries, so a lane sum stays below 2^(bits(W) + j bits(W)):
-    a lane of j bits(W) + bits(W) + 1 bits never carries into the next.
+    With W = ``width`` and b = bits(W - 1), t < 2^b, so t^j < 2^(j b) for
+    j >= 1, and a window adds at most W <= 2^b entries: a lane sum stays
+    below 2^((j + 1) b), and a lane of (j + 1) b + 1 bits never carries
+    into the next (lane 0, the count, can reach W itself).
 
     The entries are the values at t = 0, 1, ... of one polynomial of degree
     top, so they are read off its forward differences at 0 by ``top``
     running sums, one add per entry and power."""
-    bits = width.bit_length()
-    lanes = [j * bits + bits + 1 for j in range(top + 1)]
+    bits = (width - 1).bit_length()
+    lanes = [(j + 1) * bits + 1 for j in range(top + 1)]
     offsets = list(accumulate(lanes[:-1], initial=0))
     row = [sum(t ** j << offset for j, offset in enumerate(offsets)) for t in range(top + 1)]
     differences = []  # the k-th forward difference at 0, k = 0..top
@@ -239,35 +247,78 @@ def _packed_powers(width: int, top: int) -> tuple[list[int], list[int], list[int
     return list(islice(values, width)), offsets, [(1 << lane) - 1 for lane in lanes]
 
 
-def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
-    """{mu: sum n^mu over the gap set} by ascending mu, in one ascending pass
-    over the gaps: one packed add per gap for every mu at once.
+def _nibble_rows(packed: list[int]) -> list[tuple[int, ...]]:
+    """rows[u][p], the sum of the entries 4v + b of ``packed`` over the set
+    bits b of the nibble p, with v = len(packed) / 4 - 1 - u: the packed
+    powers of the gaps among four offsets, for each of the 16 ways they can
+    fall, highest offsets first, as a window's hex digits come.  Row p | 2^b
+    is row p plus column b, so the 16 rows take 11 adds per u; the rows
+    with bit 3 are read once, by zip."""
+    columns = [packed[b - 4::-4] for b in range(4)]
+    rows: list = [repeat(0)]
+    for column in columns[:3]:
+        rows += [column] + [list(map(add, row, column)) for row in rows[1:]]
+    last = columns[3]
+    return list(zip(*rows, last, *(map(add, row, last) for row in rows[1:])))
 
-    Gap n = lo + t in the window at lo has n^mu = sum_k C(mu, k) lo^(mu-k)
-    t^k, so a window's sums are read from S, the sum of the packed powers of
-    t (:func:`_packed_powers`) over its gaps, picked by the window's gap
-    flags: lane k of S is sum t^k.  Lane 0, the count of gaps, must add up
-    to the genus over all windows."""
+
+def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
+    """{mu: sum n^mu over the gap set} by ascending mu, in one descending pass
+    over the bits: one packed lookup per four integers for every mu at once.
+
+    The bits are read a window of W integers at a time as hex digits, each
+    mapped to its complemented nibble p, whose set bits are the gaps among
+    four integers.  Gap n = lo + 4u + b in the window at lo adds the packed
+    powers of 4u + b (:func:`_packed_powers`), and :func:`_nibble_rows` sums
+    them over the gaps of each nibble, so a window's sums about lo are one
+    lookup and one add per digit.  From the top window down, the running
+    sums move down by W with one product per lane, as (y + W)^j =
+    sum_k C(j, k) W^(j - k) y^k: lane k times spread[k], which packs
+    C(j, k) W^(j - k) into each lane j >= k.  A window joins the running
+    sums at the next move, so its rows keep the lanes of W offsets.  Lane j
+    of the running sums holds sum (n - lo)^j < X^(j + 1) over at most X
+    integers, X the padded width, so bits(X) (j + 1) + 1 bits never carry;
+    at lo = 0 lane j is s_j.  Lane 0, the count of gaps, must equal the
+    genus read from the bits."""
     mus = sorted(set(mus))
     if mus and mus[0] < 0:
         raise ValueError("mu must be nonnegative")
     if not mus:
         return {}
     top = mus[-1]
-    packed, offsets, masks = _packed_powers(min(_WINDOW, gs.bound + 1), top)
-    binomials = {mu: [comb(mu, k) for k in range(mu + 1)] for mu in mus}
-    sums = dict.fromkeys(mus, 0)
-    count = 0
-    for lo, flags in _gap_flags(gs.members, gs.bound + 1):
-        window = sum(compress(packed, flags))
-        lanes = [window >> offset & mask for offset, mask in zip(offsets, masks)]
-        count += lanes[0]
-        bases = list(accumulate(repeat(lo, top), mul, initial=1))  # lo^0..lo^top
-        for mu, coeffs in binomials.items():
-            sums[mu] += sum(map(mul, map(mul, coeffs, bases[mu::-1]), lanes))
-    if count != gs.genus:
+    size = (gs.bound + 8) // 8  # bytes of bits on [0, bound]
+    step = min(-(-_WINDOW // 8), size)  # bytes per window
+    # The rows pack 32 step entries of (top + 1)((top + 2) b + 2) / 2 bits,
+    # b = bits(W - 1).  Where that passes both _WINDOW^2 bits and the bits
+    # of the set, the window halves: the rows of a small set at a high top
+    # stay small, and a large set keeps the whole window.
+    while step > 1 and (16 * step * (top + 1) * ((top + 2) * (8 * step - 1).bit_length() + 2)
+                        > max(_WINDOW ** 2, 8 * size)):
+        step //= 2
+    size = -(-size // step) * step  # whole windows
+    width, span = 8 * size, 8 * step
+    packed, near, narrow = _packed_powers(span, top)
+    rows = _nibble_rows(packed)
+    lanes = [width.bit_length() * (j + 1) + 1 for j in range(top + 1)]
+    offsets = list(accumulate(lanes[:-1], initial=0))
+    masks = [(1 << lane) - 1 for lane in lanes]
+    spread = [sum(comb(j, k) * span ** (j - k) << offsets[j] for j in range(k, top + 1))
+              for k in range(top + 1)]
+    # the bits past the bound, up to whole windows, read as members
+    pad = (1 << width - gs.bound - 1) - 1 << gs.bound + 1
+    raw = (gs.members | pad).to_bytes(size, "big")
+    acc = window = 0
+    for s in range(0, size, step):
+        moved = map(add, map(and_, map(rshift, repeat(acc), offsets), masks),
+                    map(and_, map(rshift, repeat(window), near), narrow))
+        acc = sum(map(mul, moved, spread))
+        digits = raw[s:s + step].hex().encode().translate(_NIBBLES)
+        window = sum(map(getitem, rows, digits))
+    sums = [(acc >> offset & mask) + (window >> n & m)
+            for offset, mask, n, m in zip(offsets, masks, near, narrow)]
+    if sums[0] != gs.genus:
         raise ArithmeticError("packed gap power sums are wrong: internal fault")
-    return sums
+    return {mu: sums[mu] for mu in mus}
 
 
 def power_sum(gs: GapSet, mu: int) -> int:

@@ -304,8 +304,9 @@ def _small_generator_sets(draw) -> Generators:
 @example(Generators([2, 3]), 1, {12})
 @example(Generators([13, 16, 19, 22, 25]), 8, set(range(13)))
 def test_windowed_read_out_matches_the_bits(gens, window, mus):
-    # windows of 1 to 19 integers put window edges among the gaps, and the
-    # packed lanes of mu up to 12 are at their narrowest
+    # windows of 1 to 19 integers put window edges among the gaps, also for
+    # the power sums, which read whole bytes (8 integers a window for sets
+    # this small), and the packed lanes of mu up to 12 are at their narrowest
     gs = oracle.gap_set(gens)
     clear = [n for n in range(gs.bound + 1) if not gs.members >> n & 1]
     lam = as_element(Fraction(-1, 2))
@@ -330,6 +331,42 @@ def test_windowed_read_out_matches_the_bits(gens, window, mus):
     assert drawn == {mu: sum(n ** mu for n in clear) for mu in sorted(mus)}
     assert list(drawn) == sorted(mus)
     assert weighted == _reference_weighted_sums(gs, (2,), lam)[2]
+
+
+@given(_small_generator_sets(), st.sets(st.integers(0, 12)))
+@example(Generators([3, 8]), {0, 2})  # bound + 1 = 17: 7 bits of padding, 3 in a digit
+@example(Generators([4, 11]), {1, 3})  # 34
+@example(Generators([3, 5]), {0, 1, 2})  # 11
+@example(Generators([4, 9]), {5})  # 28
+@example(Generators([5, 7]), {0, 4})  # 29
+@example(Generators([4, 7]), {2})  # 22
+@example(Generators([3, 7]), {0, 12})  # 15
+@example(Generators([1, 5]), {0, 1, 12})  # no gaps
+@example(Generators([2, 3]), {0, 1, 12})  # one gap
+@example(Generators([13, 16, 19, 22, 25]), set(range(13)))
+@example(Generators([100, 101]), set(range(13)))  # 1011..1099 are gaps: an edge at 1024
+def test_nibble_power_sums_match_the_gaps(gens, mus):
+    # four integers per hex digit, with the bits past the bound, padded to
+    # whole windows, read as members
+    gs = oracle.gap_set(gens)
+    want = {mu: sum(n ** mu for n in gs.gaps) for mu in sorted(mus)}
+    got = oracle.power_sums(gs, mus)
+    assert got == want and list(got) == list(want)
+
+
+def test_power_sums_read_no_gap_list(monkeypatch):
+    # the sums come from the bits, read as hex digits, and never from the
+    # gaps read out as integers
+    gens = Generators([100, 101])
+    want = {mu: sum(n ** mu for n in oracle.gap_set(gens).gaps) for mu in (0, 1, 2, 5)}
+    gs = oracle.gap_set(gens)
+
+    def refuse(*args):
+        raise AssertionError("the power sums read the gaps out")
+
+    monkeypatch.setattr(oracle, "_gap_flags", refuse)
+    assert oracle.power_sums(gs, (0, 1, 2, 5)) == want
+    assert "gaps" not in vars(gs)
 
 
 def test_a_wrong_packed_lane_0_is_an_internal_fault(monkeypatch):
