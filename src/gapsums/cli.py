@@ -4,7 +4,8 @@ Subcommands: apery, frobenius, genus, power-sum, weighted-sum, gaps, verify.
 Input is either --gens (explicit generators) or --ap (a=..,d=..,k=..); the
 method is chosen automatically (closed form when the input is an arithmetic
 progression, else the residue-table engine) unless forced with --method, by
-the same rule as ``summarize`` (:func:`gapsums.paths.choose`).
+the same rule as ``summarize`` (:func:`gapsums.paths.choose`).  ``verify``
+and ``gaps`` ignore --method: one runs every path, the other reads the sieve.
 
 ``verify`` evaluates every label along every applicable path (the table, the
 oracle, and the closed form on progressions) and compares each value with the
@@ -152,8 +153,8 @@ def _run(args) -> int:
     gens = _parse_ap(args.ap).generators() if args.ap is not None else _parse_gens(args.gens)
     weight = getattr(args, "weight", None)
     spec = LambdaSpec.parse(weight) if weight is not None else None
-    path = paths.choose(gens, args.method)
     command = args.command
+    path = None if command in ("verify", "gaps") else paths.choose(gens, args.method)
     with _exact_output():
         if command == "weighted-sum":
             return _run_weighted(args, gens, spec, path)

@@ -15,7 +15,9 @@ int, closed under each generator by shift-and-OR, so each integer is one bit
 and every step runs in C over whole digits of the int (30 integers per
 CPython digit).  The gaps are kept as those bits and read a window of
 ``_WINDOW`` integers at a time, so a pass holds the bits plus one window
-and, for the power sums, the packed rows of one window.  The module shares
+and, for the power sums, the packed rows of one window.  Those rows depend
+on the window's shape alone, so they are built once per shape and the last
+few are kept for later calls, under a fixed bound.  The module shares
 no code with the residue-table engine: it exists to certify the closed
 forms, not to compete with them.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import comb
 from operator import add, and_, getitem, mul, rshift, sub
@@ -47,19 +49,34 @@ _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(15, -1, -1)))
 
 # Integers per read-out window.  A window holds at most this many gaps as
 # Python ints (about 36 B each), and each window costs a few calls whatever
-# it holds.  The power sums round it up to whole bytes, build 4 W packed
-# entries on every call (16 per hex digit, about (top + 1)(top + 2) bits(W)
-# / 2 bits each: 0.4 MB at top = 8, so a set with fewer bits than the rows
-# takes a smaller window past top = 5) and move each window's sums to its
-# base with one product per lane.  Over the 96 power-sum calls of a seed-7
-# verify-cli corpus (horizons 2.5 * 10^4 to 2 * 10^5, top 3 to 5), best of
-# five per call and of three interleaved rounds, W = 256 took 178 ms, 512
+# it holds.  The power sums round it up to whole bytes, read 4 W packed
+# entries (16 per hex digit, about (top + 1)(top + 2) bits(W) / 2 bits
+# each: 331 KB at top = 8, so a set with fewer bits than the rows takes a
+# smaller window past top = 5), built once per window shape (_ROWS_KEPT),
+# and move each window's sums to its base with one product per lane.  Over
+# the 96 power-sum calls of a seed-7 verify-cli corpus (horizons 2.5 * 10^4
+# to 2 * 10^5, top 3 to 5), best of five per call and of three interleaved
+# rounds, with the rows built on every call, W = 256 took 178 ms, 512
 # 135 ms, 1024 102 ms, 2048 120 ms and 4096 202 ms; on (3000, 3001),
 # 9 * 10^6 integers, mu = 2 took 0.17, 0.12, 0.10, 0.12 and 0.12 s and
 # mu = 8 0.39, 0.23, 0.17, 0.15 and 0.16 s.  Below 1024 the moves cost
 # more, above it the rows; on (3000, 3001) the minima were within noise
-# from 1024 to 4096.
+# from 1024 to 4096.  With the rows kept, best of seven per call, 512 took
+# 87-115 ms, 1024 64-71 ms and 2048 61-66 ms over three rounds: within the
+# noise of 1024, at twice the kept rows.
 _WINDOW = 1024
+
+# The power sums keep the rows of the last _ROWS_KEPT window shapes (span,
+# top) with top <= _KEPT_TOP, built on first use.  A seed-7, 11 or 1
+# verify-cli corpus reads three shapes, span 1024 at top 3, 4 and 5: with
+# one kept shape 71-76 of its 96 calls built rows, with two 42-48, and from
+# three on only the first three.  The fourth holds one more, such as a
+# mu = 8 check.  At span 1024 the rows take 160, 182, 212 and 331 KB at top
+# 3, 4, 5 and 8 (CPython 3.11), and a smaller span takes less, so the kept
+# rows stay under 1.4 MB whatever the inputs; a higher top builds its rows
+# on every call.
+_ROWS_KEPT = 4
+_KEPT_TOP = 8
 
 
 @dataclass(frozen=True)
@@ -247,7 +264,7 @@ def _packed_powers(width: int, top: int) -> tuple[list[int], list[int], list[int
     return list(islice(values, width)), offsets, [(1 << lane) - 1 for lane in lanes]
 
 
-def _nibble_rows(packed: list[int]) -> list[tuple[int, ...]]:
+def _nibble_rows(packed: list[int]) -> tuple[tuple[int, ...], ...]:
     """rows[u][p], the sum of the entries 4v + b of ``packed`` over the set
     bits b of the nibble p, with v = len(packed) / 4 - 1 - u: the packed
     powers of the gaps among four offsets, for each of the 16 ways they can
@@ -259,7 +276,19 @@ def _nibble_rows(packed: list[int]) -> list[tuple[int, ...]]:
     for column in columns[:3]:
         rows += [column] + [list(map(add, row, column)) for row in rows[1:]]
     last = columns[3]
-    return list(zip(*rows, last, *(map(add, row, last) for row in rows[1:])))
+    return tuple(zip(*rows, last, *(map(add, row, last) for row in rows[1:])))
+
+
+def _build_rows(span: int, top: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...],
+                                              tuple[int, ...]]:
+    """The :func:`_nibble_rows` of windows of ``span`` integers for lanes
+    0..top, with the lane offsets and masks of :func:`_packed_powers`, all
+    immutable: they depend on ``(span, top)`` alone."""
+    packed, offsets, masks = _packed_powers(span, top)
+    return _nibble_rows(packed), tuple(offsets), tuple(masks)
+
+
+_window_rows = lru_cache(maxsize=_ROWS_KEPT)(_build_rows)  # see _ROWS_KEPT
 
 
 def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
@@ -271,11 +300,14 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     four integers.  Gap n = lo + 4u + b in the window at lo adds the packed
     powers of 4u + b (:func:`_packed_powers`), and :func:`_nibble_rows` sums
     them over the gaps of each nibble, so a window's sums about lo are one
-    lookup and one add per digit.  From the top window down, the running
-    sums move down by W with one product per lane, as (y + W)^j =
-    sum_k C(j, k) W^(j - k) y^k: lane k times spread[k], which packs
-    C(j, k) W^(j - k) into each lane j >= k.  A window joins the running
-    sums at the next move, so its rows keep the lanes of W offsets.  Lane j
+    lookup and one add per digit.  The rows depend on (W, top) alone: they
+    are built on the first call with that shape and read from
+    :func:`_window_rows` by later ones (up to top = _KEPT_TOP).  From the
+    top window down, the running sums move down by W with one product per
+    lane, as (y + W)^j = sum_k C(j, k) W^(j - k) y^k: lane k times
+    spread[k], which packs C(j, k) W^(j - k) into each lane j >= k.  A
+    window joins the running sums at the next move, so its rows keep the
+    lanes of W offsets.  Lane j
     of the running sums holds sum (n - lo)^j < X^(j + 1) over at most X
     integers, X the padded width, so bits(X) (j + 1) + 1 bits never carry;
     at lo = 0 lane j is s_j.  Lane 0, the count of gaps, must equal the
@@ -297,8 +329,7 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
         step //= 2
     size = -(-size // step) * step  # whole windows
     width, span = 8 * size, 8 * step
-    packed, near, narrow = _packed_powers(span, top)
-    rows = _nibble_rows(packed)
+    rows, near, narrow = (_window_rows if top <= _KEPT_TOP else _build_rows)(span, top)
     lanes = [width.bit_length() * (j + 1) + 1 for j in range(top + 1)]
     offsets = list(accumulate(lanes[:-1], initial=0))
     masks = [(1 << lane) - 1 for lane in lanes]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -283,19 +284,37 @@ def test_a_wrong_packed_oracle_lane_exits_3(capsys, monkeypatch):
         packed, offsets, masks = honest(width, top)
         return [p + 1 for p in packed], offsets, masks
 
+    # the honest rows of the call above are kept; a fresh cache, dropped with
+    # the patch, makes the pass read rows built by the miscounted powers
     monkeypatch.setattr(oracle, "_packed_powers", miscounted)
+    monkeypatch.setattr(oracle, "_window_rows", functools.lru_cache(oracle._build_rows))
     code, out, err = run_cli(capsys, "power-sum", "--gens", "13,16,19,22,25", "--mu", "2",
                              "--method", "oracle")
     assert code == 3
     assert not out
     assert err.startswith("internal fault: packed gap power sums are wrong")
     assert "Traceback" not in err
+    monkeypatch.undo()
+    assert run_cli(capsys, "power-sum", "--gens", "13,16,19,22,25", "--mu", "2",
+                   "--method", "oracle")[:2] == (0, "s_2 = 33150  (method: oracle)\n")
 
 
 def test_closed_form_requires_progression(capsys):
     code, _, err = run_cli(capsys, "genus", "--gens", "14,17,21", "--method", "closed-form")
     assert code == 2
     assert "arithmetic progression" in err
+
+
+@pytest.mark.parametrize("method", ["auto", "apery", "closed-form", "oracle"])
+def test_verify_and_gaps_ignore_the_method(capsys, method):
+    # verify runs every applicable path and gaps reads the sieve, so --method
+    # is ignored by both, closed-form on a non-progression included
+    assert run_cli(capsys, "verify", "--gens", "14,17,21", "--method", method, "--mu", "1") == (
+        0, "verify OK (3 checks: frobenius, genus, s_1)\n", "")
+    code, out, err = run_cli(capsys, "gaps", "--gens", "14,17,21", "--method", method)
+    assert (code, err) == (0, "")
+    assert out == "gaps = " + ", ".join(map(str, oracle.gap_set(Generators([14, 17, 21])).gaps)) + (
+        "  (method: oracle)\n")
 
 
 def test_verify_ok(capsys):

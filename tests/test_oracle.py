@@ -1,6 +1,7 @@
 """Unit tests for the sieve oracle."""
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -258,6 +259,7 @@ def test_sums_hold_the_bits_and_one_window():
     # takes 36 B per gap, where the path reads them out a window at a time
     # from one bit per integer
     path = paths.OraclePath(Generators([449, 450]))
+    oracle._window_rows.cache_clear()  # the peak holds the rows built cold
     tracemalloc.start()
     try:
         answers = (path.frobenius(), path.genus(), path.power_sums((0, 1, 3, 8)),
@@ -380,9 +382,83 @@ def test_a_wrong_packed_lane_0_is_an_internal_fault(monkeypatch):
         packed, offsets, masks = honest(width, top)
         return [p + 1 for p in packed], offsets, masks
 
+    # the honest rows of the call above are kept; a fresh cache, dropped with
+    # the patch, makes the pass read rows built by the miscounted powers
     monkeypatch.setattr(oracle, "_packed_powers", miscounted)
+    monkeypatch.setattr(oracle, "_window_rows", functools.lru_cache(oracle._build_rows))
     with pytest.raises(ArithmeticError, match="internal fault"):
         oracle.power_sums(gs, (2,))
+    monkeypatch.undo()
+    assert oracle.power_sums(gs, (2,)) == {2: 33150}
+
+
+def test_rows_are_built_once_per_window_shape(monkeypatch):
+    built = []
+    honest = oracle._packed_powers
+
+    def counted(width, top):
+        built.append((width, top))
+        return honest(width, top)
+
+    monkeypatch.setattr(oracle, "_packed_powers", counted)
+    oracle._window_rows.cache_clear()
+    big, small = oracle.gap_set(Generators([449, 450])), oracle.gap_set(Generators([100, 101]))
+    want = {mu: sum(n ** mu for n in big.gaps) for mu in range(6)}
+    for _ in range(3):
+        assert oracle.power_sums(big, range(6)) == want
+        assert oracle.power_sums(big, (2, 5)) == {2: want[2], 5: want[5]}
+    assert built == [(1024, 5)]
+    oracle.power_sums(small, (3,))
+    oracle.power_sums(big, (3,))
+    oracle.power_sums(small, (3,))
+    assert built == [(1024, 5), (1024, 3)]  # (100, 101) fills whole 1024 windows too
+    # past _KEPT_TOP the rows are built on every call and not kept
+    oracle.power_sums(small, (oracle._KEPT_TOP + 1,))
+    oracle.power_sums(small, (oracle._KEPT_TOP + 1,))
+    assert built[2:] == [built[2]] * 2 and built[2][1] == oracle._KEPT_TOP + 1
+    assert oracle._window_rows.cache_info().currsize == 2
+
+
+def test_kept_rows_are_immutable():
+    oracle._window_rows.cache_clear()
+    oracle.power_sums(oracle.gap_set(Generators([13, 16, 19, 22, 25])), (0, 4))
+    oracle.power_sums(oracle.gap_set(Generators([449, 450])), (2,))
+    # bound 75 fills one window of 10 bytes; bound 201,600 windows of 1024 bits
+    entries = [oracle._window_rows(span, top) for span, top in ((80, 4), (1024, 2))]
+    assert oracle._window_rows.cache_info().hits == 2  # the two shapes above
+    for rows, near, narrow in entries:
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert type(near) is tuple and type(narrow) is tuple
+        assert len(rows) * 4 in (80, 1024) and {len(row) for row in rows} == {16}
+
+
+def test_kept_rows_stay_under_their_bound():
+    # mu from 0 to 20 on sets from 4 to 10,000 integers, so spans from 8 to
+    # 1024 and tops past _KEPT_TOP: whatever the shapes, the cache keeps at
+    # most _ROWS_KEPT entries of at most 331 KB each (1024, top 8)
+    sets = ([2, 3], [5, 7], [13, 16, 19, 22, 25], [61, 62], [100, 101])
+    oracle._window_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        for values in sets:
+            gs = oracle.gap_set(Generators(values))
+            for mu in range(21):
+                oracle.power_sums(gs, (mu,))
+            del gs
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle._window_rows.cache_info().currsize == oracle._ROWS_KEPT
+    assert kept < 1.4 * 2 ** 20
+    # the largest kept entry
+    oracle._window_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle._window_rows(1024, oracle._KEPT_TOP)
+        largest, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle._ROWS_KEPT * largest < 1.4 * 2 ** 20
 
 
 def test_rational_modulus_costs_no_gcd_per_gap(monkeypatch):
