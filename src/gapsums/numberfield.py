@@ -149,6 +149,38 @@ class NumberRing:
                     vec[base + t] += c * m
         del vec[n:]
 
+    def multiply(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """The product of two integer coordinate vectors in the basis of
+        theta', reduced: the numerator of a product of ring elements."""
+        if len(x) == 1:
+            return (x[0] * y[0],)
+        prod = [0] * (2 * len(x) - 1)
+        for i, a in enumerate(x):
+            if a:
+                for j, b in enumerate(y, i):
+                    if b:
+                        prod[j] += a * b
+        self._reduce(prod)
+        return tuple(prod)
+
+    def matrix(self, x: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """The rows of the integer matrix of multiplication by the coordinate
+        vector ``x``: column j holds x theta'^j, so row i dotted with the
+        coordinates of y is coordinate i of x y."""
+        columns, column = [], list(x)
+        for _ in range(self.degree):
+            columns.append(column)
+            top, column = column[-1], [0, *column[:-1]]  # times theta', then
+            if top:  # theta'^n = -sum_t f_t theta'^t for the integral modulus f
+                for t, m in self._tail:
+                    column[t] += top * m
+        return tuple(zip(*columns))
+
+    def from_numerator(self, num: Sequence[int]) -> RingElement:
+        """The element with integer coordinates ``num`` in the basis of
+        theta' (as :attr:`RingElement.numerator` reads them back)."""
+        return _element(self, tuple(num), 1)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NumberRing) and self.minpoly == other.minpoly
 
@@ -299,19 +331,7 @@ class RingElement:
                 )
             return NotImplemented
         self._coerce(other)  # raises RingMismatchError across rings
-        ring = self.ring
-        den = self.den * other.den
-        x, y = self.num, other.num
-        if len(x) == 1:
-            return _canonical(ring, (x[0] * y[0],), den)
-        prod = [0] * (2 * len(x) - 1)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y, i):
-                    if b:
-                        prod[j] += a * b
-        ring._reduce(prod)
-        return _canonical(ring, prod, den)
+        return _canonical(self.ring, self.ring.multiply(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 

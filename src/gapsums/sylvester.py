@@ -21,7 +21,11 @@ takes every M(0..top) it needs from one call of :func:`weighted_moments`,
 along two routes compared exactly: integer class sums for a weight of finite
 order (:func:`_class_moments`), else the moment kernel, which runs on
 integer numerators (w = v/D) and hands D^E M(nu) on over D^E unreduced, so
-that each sum ends in one reduction.
+that each sum ends in one reduction.  The kernel computes on Python ints:
+v itself for a rational weight, v's integer coordinates over the ring's
+integral modulus for any other, chained by ring products on one route and
+stepped by integer multiplication matrices on the other; ring elements are
+made only for the moments it hands on.
 At w^a = 1 and at w = 1 the series has a pole whose t^-1 coefficient must
 cancel, which is checked on every call; at w^a = 1 the residue-difference
 form, class sums over i mod the order of w, is compared with the series
@@ -33,9 +37,10 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import isqrt, lcm, perm
-from operator import and_, getitem, lt, mul, rshift, sub
+from operator import add, and_, getitem, lt, mul, rshift, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import polys
@@ -216,22 +221,25 @@ def moment_from_polynomial(coeffs: Sequence[int], nu: int, lam: RingElement) -> 
     return total
 
 
-def _times(x, y):
+def _times(x, y, product=mul):
     """x * y for powers of a weight, with None standing for one: no product
     is made with one, and a product that equals one comes back as None.
     Unit powers come up for root-of-unity weights and for lam = +-1/D,
-    whose numerator is +-1."""
+    whose numerator is +-1.  ``product`` multiplies the ring path's
+    coordinate tuples (:meth:`NumberRing.multiply`)."""
     if x is None:
         return y
     if y is None:
         return x
-    z = x * y
+    z = product(x, y)
     return None if _is_one(z) else z
 
 
 def _is_one(x) -> bool:
     if isinstance(x, RingElement):
         return x.num[0] == 1 and x == 1  # the first test fails fast on almost every power
+    if isinstance(x, tuple):  # ring coordinates
+        return x[0] == 1 and not any(x[1:])
     return x == 1  # an int, or a _Shift power of an even v, which is never one
 
 
@@ -268,30 +276,30 @@ def _binary(x: int):
     return _Shift(x >> k, k) if k else x
 
 
-def _power(lam, e: int):
+def _power(lam, e: int, product=mul):
     """lam^e by square-and-multiply on :func:`_times` (None when it equals one)."""
     power, base = None, None if _is_one(lam) else lam
     while e:
         if e & 1:
-            power = _times(power, base)
+            power = _times(power, base, product)
         e >>= 1
         if e:
-            base = _times(base, base)
+            base = _times(base, base, product)
     return power
 
 
-def _gap_powers(lam, gaps: Iterable[int]) -> dict:
+def _gap_powers(lam, gaps: Iterable[int], product=mul) -> dict:
     """{delta: lam^delta} for every distinct delta in ``gaps`` (and 0), with
     None for a power that equals one (see :func:`_times`).  Each power is the
     previous one, in ascending order, times lam^(difference), so close gaps
     cost one product each; a difference met first is raised by :func:`_power`.
     """
-    powers: dict[int, RingElement | None] = {0: None}
+    powers: dict = {0: None}
     last = 0
     for delta in sorted(set(gaps) - {0}):
         step = delta - last
-        power = powers[step] if step in powers else _power(lam, step)
-        powers[delta] = _times(powers[last], power)
+        power = powers[step] if step in powers else _power(lam, step, product)
+        powers[delta] = _times(powers[last], power, product)
         last = delta
     return powers
 
@@ -303,45 +311,54 @@ def _steps(exponents: Sequence[int]) -> list[int]:
 
 def _split(lam: RingElement, gaps: Sequence[int]) -> tuple:
     """lam = v / D with D = lam.den, so v has integer coordinates and so has
-    every product of powers of v.  Returns v, the integer scales
-    {delta: D^delta} for 0 and the distinct ``gaps`` (none when D = 1), and
-    the zero and one of the pass.  A weight of ring degree 1 takes the int
-    path: v and D are Python ints kept as odd * 2**k (:func:`_binary`), so
-    that a product with a power of two is a shift.
-    """
+    every product of powers of v.  Returns v and the integer scales
+    {delta: D^delta} for 0 and the distinct ``gaps`` (none when D = 1), with
+    D kept as odd * 2**k (:func:`_binary`), so that a product with a power
+    of two is a shift.  A weight of ring degree 1 takes the int path, where
+    v is such a Python int too; any other weight keeps v as the element
+    lam * D, whose power operator checks the chained top power."""
     den = lam.den
-    if lam.ring.degree == 1:
-        v, d, zero, one = _binary(lam.num[0]), _binary(den), 0, 1
-    else:
-        v, d, zero, one = lam * den, den, lam.ring.zero, lam.ring.one
-    scales = {gap: d ** gap for gap in {0, *gaps}} if den != 1 else {}
-    return v, scales, zero, one
+    v = _binary(lam.num[0]) if lam.ring.degree == 1 else lam.numerator
+    d = _binary(den)
+    return v, {gap: d ** gap for gap in {0, *gaps}} if den != 1 else {}
 
 
-def _power_table(lam: RingElement, exponents: Sequence[int]) -> tuple:
-    """(v, scales, zero, one, powers): :func:`_split` of lam over the steps
-    between the ascending ``exponents`` (the first taken from 0), and
-    powers = {step: v^step} (:func:`_gap_powers`).  Both routes of
-    :func:`weighted_moments` read this one table."""
+# the table of powers that both routes of weighted_moments read: v and scales
+# from _split, powers = {step: v^step} (None where it equals one; coordinate
+# tuples on the ring path) and the weight's ring, None on the int path
+_PowerTable = namedtuple("_PowerTable", "v scales powers ring")
+
+
+def _power_table(lam: RingElement, exponents: Sequence[int]) -> _PowerTable:
+    """:func:`_split` of lam over the steps between the ascending
+    ``exponents`` (the first taken from 0), and v^step for each distinct
+    step (:func:`_gap_powers`), by :meth:`NumberRing.multiply` on the
+    coordinates of a ring weight."""
     steps = _steps(exponents)
-    v, *rest = _split(lam, steps)
-    return (v, *rest, _gap_powers(v, steps))
+    v, scales = _split(lam, steps)
+    if lam.ring.degree == 1:
+        return _PowerTable(v, scales, _gap_powers(v, steps), None)
+    ring = lam.ring
+    return _PowerTable(v, scales, _gap_powers(v.num, steps, ring.multiply), ring)
 
 
-def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list:
+def _ascending_moments(exponents: Sequence[int], top: int, table: _PowerTable) -> list:
     """D^E M(0..top) in one ascending pass on lam = v/D over the
     :func:`_power_table`: v^e is stepped by v^(e - previous e), and every sum
     takes its e^nu v^e term from the same power.  Before each term the sums
     are multiplied by D^(e - previous e), a Horner scheme in D, so the top
-    exponent E leaves sum_e e^nu D^(E-e) v^e = D^E M(nu) behind.
+    exponent E leaves sum_e e^nu D^(E-e) v^e = D^E M(nu) behind.  A ring
+    weight takes :func:`_ascending_columns`.
 
     The chained v^E is a product of every cached power, so it is compared
     with ``v ** E``, the power operator of v's own type (int, :class:`_Shift`
     or :class:`RingElement`), which shares no code with :func:`_power` and
     :func:`_gap_powers`: the falling-factorial route reads the same powers,
     and only this check can see a wrong one."""
-    v, scales, zero, one, powers = table
-    sums = [zero] * (top + 1)
+    if table.ring is not None:
+        return _ascending_columns(exponents, top, table)
+    v, scales, powers, _ = table
+    sums = [0] * (top + 1)
     power = None  # v^e, None while it equals one
     for e, gap in zip(exponents, _steps(exponents)):
         if gap:
@@ -349,7 +366,7 @@ def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list
             if scales:
                 scale = scales[gap]
                 sums = [x * scale for x in sums]
-        term = one if power is None else power
+        term = 1 if power is None else power
         weight = 1
         for nu in range(top + 1):
             sums[nu] = sums[nu] + weight * term  # 0**0 == 1 covers e = 0
@@ -359,7 +376,46 @@ def _ascending_moments(exponents: Sequence[int], top: int, table: tuple) -> list
     return sums
 
 
-def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple) -> list:
+_COLUMN_CHUNK = 16  # entries whose powers of v are kept at a time by _ascending_columns
+
+
+def _ascending_columns(exponents: Sequence[int], top: int, table: _PowerTable) -> list:
+    """:func:`_ascending_moments` for a ring weight, on coordinate tuples:
+    v^e is chained with one product per entry (:meth:`NumberRing.multiply`)
+    and the sums are kept as integer coordinates.  For D = 1 each of v^e's n
+    coordinates goes into a column over a chunk of entries, and coordinate j
+    of M(nu) gains the dot product of column j with the column of e^nu, one
+    C-level sum each.  For D != 1 every entry first multiplies the sums by
+    D^(e - previous e), Horner's rule in D, so that no power of v meets a
+    power of D larger than one step's.  Chunks of _COLUMN_CHUNK entries keep
+    the memory at a few of the sums' size however large the powers grow."""
+    v, scales, powers, ring = table
+    n, one = ring.degree, (1,) + (0,) * (ring.degree - 1)
+    sums = [0] * ((top + 1) * n)  # coordinate j of D^e M(nu) at nu * n + j
+    power = None  # v^e, None while it equals one
+    chain = []  # v^e over the entries not yet in the sums (D = 1)
+    for index, (e, gap) in enumerate(zip(exponents, _steps(exponents)), 1):
+        if gap:
+            power = _times(power, powers[gap], ring.multiply)
+        coords = one if power is None else power
+        if scales:  # D^e M(nu) from D^(previous e) M(nu)
+            terms = [w * c for w in accumulate(repeat(e, top), mul, initial=1) for c in coords]
+            sums = list(map(add, map(mul, sums, repeat(scales[gap])), terms))
+            continue
+        chain.append(coords)
+        if len(chain) == _COLUMN_CHUNK or index == len(exponents):
+            chunk, columns = exponents[index - len(chain) : index], list(zip(*chain))
+            dots, weight = list(map(sum, columns)), chunk  # e^0 = 1, then e^1
+            for _ in range(top):
+                dots += [sum(map(mul, column, weight)) for column in columns]
+                weight = list(map(mul, weight, chunk))
+            sums, chain = list(map(add, sums, dots)), []
+    if exponents[-1] and (one if power is None else power) != (v ** exponents[-1]).num:
+        raise ArithmeticError("cached powers of the weight are wrong: internal fault")
+    return [ring.from_numerator(sums[i : i + n]) for i in range(0, len(sums), n)]
+
+
+def _falling_factorial_moments(exponents: Sequence[int], top: int, table: _PowerTable) -> list:
     """D^E M(0..top) from F(h) = sum_e (e)_h lam^e, recombined as
     M(nu) = sum_h S(nu, h) F(h) since e^nu = sum_h S(nu, h) (e)_h.
 
@@ -368,9 +424,12 @@ def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple)
     acc_h <- acc_h * v^(previous e - e) + (e)_h D^(E - e), with the integer
     scale D^(E - e) stepped up once per exponent for all of them.  The
     falling factorial (e)_h vanishes for e < h, so those exponents add
-    nothing.  The passes end at D^E F(h), recombined into D^E M(nu).
+    nothing.  The passes end at D^E F(h), recombined into D^E M(nu).  A ring
+    weight takes :func:`_falling_matrix_steps`.
     """
-    _, scales, zero, _, powers = table
+    if table.ring is not None:
+        return _falling_matrix_steps(exponents, top, table)
+    _, scales, powers, _ = table
     falling = [0] * (top + 1)  # ints until the first power: no product with one
     scale = scales[0] if scales else 1  # D^(E - e); (e)_h * scale is a shift for even D
     last = exponents[-1]
@@ -386,10 +445,47 @@ def _falling_factorial_moments(exponents: Sequence[int], top: int, table: tuple)
     step = powers[last]
     if step is not None:
         falling = [acc * step for acc in falling]
+    return [sum(stirling2(nu, h) * falling[h] for h in range(nu + 1)) for nu in range(top + 1)]
+
+
+def _falling_matrix_steps(exponents: Sequence[int], top: int, table: _PowerTable) -> list:
+    """:func:`_falling_factorial_moments` for a ring weight, on coordinate
+    vectors: each entry adds (e)_h D^(E - e) to coordinate 0 of acc_h, and
+    each step down to the next entry (the lowest steps down to 0) is the
+    integer multiplication matrix of v^delta (:meth:`NumberRing.matrix`,
+    built once per distinct delta and never for a power that equals one)
+    times acc_h."""
+    _, scales, powers, ring = table
+    matrices = {gap: ring.matrix(power) for gap, power in powers.items() if power is not None}
+    falling = [[0] * ring.degree for _ in range(top + 1)]
+    scale = scales[0] if scales else 1  # D^(E - e), a shift for even D as on the int path
+    for e, gap in zip(reversed(exponents), reversed(_steps(exponents))):
+        factorial = 1  # (e)_h = (e)_(h-1) (e - h + 1)
+        for h, acc in enumerate(falling):
+            acc[0] += factorial * scale
+            factorial *= e - h
+        if gap in matrices:
+            step = matrices[gap]
+            falling = [[sum(map(mul, row, acc)) for row in step] for acc in falling]
+        if gap and scales:
+            scale *= scales[gap]
     return [
-        sum((stirling2(nu, h) * falling[h] for h in range(nu + 1)), zero)
+        ring.from_numerator(
+            [sum(stirling2(nu, h) * acc[j] for h, acc in enumerate(falling[: nu + 1]))
+             for j in range(ring.degree)]
+        )
         for nu in range(top + 1)
     ]
+
+
+def _falling_factorial_sums(values: Sequence[int], top: int) -> list[int]:
+    """[sum (x)_0, ..., sum (x)_top] over the integers ``values``: each
+    falling factorial is the last times x - h + 1, one elementwise product."""
+    sums, falling = [len(values), sum(values)], values  # (x)_0 = 1, (x)_1 = x
+    for h in range(2, top + 1):
+        falling = list(map(mul, falling, map(sub, values, repeat(h - 1))))
+        sums.append(sum(falling))
+    return sums[: top + 1]
 
 
 def _class_moments(classes: Mapping[int, Sequence[int]], top: int, lam: RingElement) -> list:
@@ -397,15 +493,16 @@ def _class_moments(classes: Mapping[int, Sequence[int]], top: int, lam: RingElem
     mapping r to the integers of weight lam^r (a list, slice or range), along
     two routes compared exactly: integer power sums (:func:`_integer_power_sums`)
     with lam^r chained by :func:`_power`, and falling-factorial sums
-    sum_x (x)_h recombined by Stirling numbers, with lam^r from lam's own
-    power operator.  The ring work is a few products per class."""
+    (:func:`_falling_factorial_sums`) recombined by Stirling numbers, with
+    lam^r from lam's own power operator.  The ring work is a few products
+    per class."""
     direct, falling = [lam.ring.zero] * (top + 1), [lam.ring.zero] * (top + 1)
     weight, last = None, 0  # lam^last, None while it equals one
     for r in sorted(classes):
         weight, last = _times(weight, _power(lam, r - last)), r
         sums = _integer_power_sums(classes[r], top)
         direct = [x + (y if weight is None else weight * y) for x, y in zip(direct, sums)]
-        ff = [sum(map(perm, classes[r], repeat(h))) for h in range(top + 1)]
+        ff = _falling_factorial_sums(classes[r], top)
         power = lam ** r
         for nu in range(top + 1):
             falling[nu] += power * sum(stirling2(nu, h) * ff[h] for h in range(nu + 1))
@@ -432,7 +529,10 @@ def weighted_moments(exponents: Sequence[int], top: int, lam) -> tuple[list, int
     :func:`_falling_factorial_moments` over one :func:`_power_table`, on
     lam = v/D (D = lam.den) with integer scales, so that no step reduces a
     fraction; their D^E M(nu) are compared and handed on unreduced over
-    q = D^E (ints for a rational weight).
+    q = D^E.  They are ints for a rational weight; for a weight of ring
+    degree n >= 2 both routes run on tuples of n integer coordinates
+    (:func:`_ascending_columns`, :func:`_falling_matrix_steps`), and each
+    makes ring elements only of its top + 1 results.
     """
     if top < 0:
         raise ValueError("top must be nonnegative")
@@ -632,6 +732,14 @@ def weighted_sum(gens: Generators, mu: int, lam) -> WeightedSum:
     return WeightedSum(values[mu], branch)
 
 
+@lru_cache(maxsize=256)
+def _label(text: str) -> str:
+    """The one kept copy of a result label or method tag: summaries held
+    side by side share it rather than each holding its own string.  The
+    last 256 distinct texts are kept."""
+    return text
+
+
 @dataclass(frozen=True, slots=True)
 class GapSummary:
     """Bundled results for one generator set, with per-entry method tags."""
@@ -667,11 +775,12 @@ def summarize(
         raise ValueError("weighted sums need a weight")
     path = paths.choose(gens, method)
     power_sums = path.power_sums(power_mus)
-    methods = {f"power_sum[{mu}]": path.tag for mu in power_sums}
+    methods = {_label(f"power_sum[{mu}]"): path.tag for mu in power_sums}
     weighted: Mapping[int, RingElement] = {}
     if weight is not None and weighted_mus:
         weighted, tag = path.weighted_sums(weighted_mus, weight)
-        methods.update((f"weighted_sum[{mu}]", tag) for mu in weighted)
+        tag = _label(tag)
+        methods.update((_label(f"weighted_sum[{mu}]"), tag) for mu in weighted)
     methods["frobenius"] = methods["genus"] = path.tag
     return GapSummary(
         generators=gens.values,

@@ -245,11 +245,12 @@ def test_internal_route_disagreement_exits_3(capsys, monkeypatch):
         return out
 
     monkeypatch.setattr(sylvester, "_falling_factorial_moments", corrupted)
-    code, out, err = run_cli(capsys, "weighted-sum", "--gens", "14,17,21", "--mu", "1", "--lambda", "7")
-    assert code == 3
-    assert not out
-    assert err.startswith("internal fault: weighted moment routes disagree")
-    assert "Traceback" not in err
+    for lam in ("7", "root(3,2)"):  # the int path and the ring path's coordinate routes
+        code, out, err = run_cli(capsys, "weighted-sum", "--gens", "14,17,21", "--mu", "1", "--lambda", lam)
+        assert code == 3, lam
+        assert not out
+        assert err.startswith("internal fault: weighted moment routes disagree")
+        assert "Traceback" not in err
 
 
 def test_a_wrong_packed_lane_exits_3(capsys, monkeypatch):

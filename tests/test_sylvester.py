@@ -37,7 +37,7 @@ from gapsums import (
 )
 from gapsums import apery_polynomial, numberfield, oracle, stirling2, summarize, sylvester
 from gapsums.apery import AperyTable, apery_arith
-from gapsums.numberfield import RingElement, order
+from gapsums.numberfield import NumberRing, RingElement, order
 from gapsums.paths import TablePath
 from gapsums.sylvester import (
     moment_from_polynomial,
@@ -185,34 +185,44 @@ class _RecordedPower:
 
 
 def test_moment_kernel_makes_no_product_with_one(monkeypatch):
-    # ring path: every product of two ring elements; int path: v is wrapped
-    # where both routes split lam, so every product with a power of v
+    # ring path: every product of coordinate tuples (the gap powers and the
+    # ascending chain) and every power that gets a step matrix (the Horner
+    # steps); int path: v is wrapped where both routes split lam, so every
+    # product with a power of v
     log = []
-    honest_mul, honest_split = RingElement.__mul__, sylvester._split
+    honest_multiply, honest_matrix, honest_split = (
+        NumberRing.multiply, NumberRing.matrix, sylvester._split)
 
-    def counted(x, y):
-        if isinstance(y, RingElement):
-            log.append(("ring", x, y))
-        return honest_mul(x, y)
+    def multiplied(ring, x, y):
+        log.append(("product", x, y))
+        return honest_multiply(ring, x, y)
+
+    def stepped(ring, x):
+        log.append(("step", x))
+        return honest_matrix(ring, x)
 
     def recorded(lam, gaps):
         v, *rest = honest_split(lam, gaps)
         return (v if isinstance(v, RingElement) else _RecordedPower(v, log), *rest)
 
-    monkeypatch.setattr(RingElement, "__mul__", counted)
+    monkeypatch.setattr(NumberRing, "multiply", multiplied)
+    monkeypatch.setattr(NumberRing, "matrix", stepped)
     monkeypatch.setattr(sylvester, "_split", recorded)
     weights = {
-        "ring": (LambdaSpec.root(3, 2).element(), LambdaSpec.parse(TWO_PLUS_ZETA5).element()),
+        # zeta(5)/2 has no finite order, but its numerator zeta(5) does: v^5 = 1
+        "ring": (LambdaSpec.root(3, 2).element(), LambdaSpec.parse(TWO_PLUS_ZETA5).element(),
+                 LambdaSpec.parse("elem(minpoly=[1,1,1,1,1];coeffs=[0,1/2])").element()),
         "int": (as_element(2), as_element(Fraction(-1, 2)), as_element(-6)),
     }
-    for path, kinds in (("ring", {"ring"}), ("int", {"power", "accumulator"})):
+    for path, kinds in (("ring", {"product", "step"}), ("int", {"power", "accumulator"})):
         for lam in weights[path]:
             for gens in (GENS_13, GENS_14, Generators([7, 10, 13, 19])):
                 exponents = sorted(apery_general(gens).m)
                 log.clear()
                 nums, q = weighted_moments(exponents, 3, lam)
                 assert {kind for kind, *_ in log} == kinds, (lam, gens)
-                assert all(x != 1 for _, *factors in log for x in factors), (lam, gens)
+                unit = (1,) + (0,) * (lam.ring.degree - 1) if path == "ring" else 1
+                assert all(x != unit for _, *factors in log for x in factors), (lam, gens)
                 # after the log is read: these products are the test's own
                 assert nums == [q * x for x in _per_operation_moments(exponents, 3, lam)]
 
@@ -402,10 +412,11 @@ def test_a_wrong_cached_power_is_caught(monkeypatch, spec):
     assert weighted_sums(table, (1, 2), lam).branch == "general"
     honest = sylvester._gap_powers
 
-    def corrupted(v, gaps):
-        powers = honest(v, gaps)
+    def corrupted(v, gaps, *product):
+        powers = honest(v, gaps, *product)
         delta = max(d for d, power in powers.items() if power is not None)
-        powers[delta] = powers[delta] * 3
+        power = powers[delta]  # a ring weight's powers are coordinate tuples
+        powers[delta] = tuple(3 * c for c in power) if isinstance(power, tuple) else power * 3
         return powers
 
     monkeypatch.setattr(sylvester, "_gap_powers", corrupted)
@@ -472,6 +483,75 @@ def test_moment_kernel_matches_per_operation_routes(spec):
             # a route returns D^E M(nu), which the kernel hands on as it is
             scaled = route(exponents, 4, sylvester._power_table(lam, exponents))
             assert scaled == nums, (route.__name__, exponents)
+
+
+@st.composite
+def _ring_kernel_cases(draw):
+    """(lam, exponents, top) for the ring path: a random monic modulus of
+    degree 2-6, integral or with denominators (so its ring stores elements
+    in the basis of T theta, T != 1), a weight whose numerator over the
+    integral modulus has the common denominator D in {1, 2, 3, 6}, and
+    strictly ascending exponents from a few gaps, so that gaps repeat."""
+    degree = draw(st.integers(2, 6))
+    dens = st.sampled_from([1, 1, 2, 3, 4]) if draw(st.booleans()) else st.just(1)
+    minpoly = [Fraction(draw(st.integers(-4, 4)), draw(dens)) for _ in range(degree)] + [1]
+    ring = NumberRing(minpoly)
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    num = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree))
+    assume(any(num) and gcd(den, *num) == 1)
+    lam = ring.from_numerator(num) * Fraction(1, den)
+    gaps = draw(st.lists(st.sampled_from(draw(st.lists(st.integers(1, 9), min_size=1, max_size=3))),
+                         min_size=1, max_size=12))
+    start = draw(st.sampled_from([0, 0, 1, 4]))
+    exponents = [start + sum(gaps[:i]) for i in range(len(gaps))]
+    return lam, exponents, draw(st.integers(0, 6))
+
+
+def _kernel_case(spec, exponents, top):
+    return LambdaSpec.parse(spec).element(), exponents, top
+
+
+@given(_ring_kernel_cases(), st.sampled_from([1, 3, 64]))
+@example(_kernel_case("root(3,2)", sorted(apery_general(GENS_13).m), 4), 64)
+@example(_kernel_case(TWO_PLUS_ZETA5, [0, 2, 4, 5, 7, 9, 11], 6), 3)
+@example(_kernel_case("elem(minpoly=[1/4,0,1];coeffs=[4,3])", [0, 3, 6, 9, 10], 3), 1)  # D = 2, T = 2
+@example(_kernel_case("elem(minpoly=[1,0,1];coeffs=[4/3,1])", [1, 2, 4, 6, 8], 2), 3)  # D = 3
+def test_each_ring_route_matches_per_operation_routes(case, chunk):
+    # each route on its own, not only the two against each other, so that a
+    # fault both routes share cannot hide
+    lam, exponents, top = case
+    assert lam.ring.degree >= 2
+    expected = [lam.den ** exponents[-1] * x for x in _per_operation_moments(exponents, top, lam)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sylvester, "_COLUMN_CHUNK", chunk)  # powers kept a chunk at a time
+        for route in (sylvester._ascending_columns, sylvester._falling_matrix_steps):
+            got = route(exponents, top, sylvester._power_table(lam, exponents))
+            assert got == expected, route.__name__
+
+
+@pytest.mark.parametrize("spec", ["root(3,2)", TWO_PLUS_ZETA5, "elem(minpoly=[1,0,1];coeffs=[4/3,1])"])
+def test_a_wrong_step_matrix_is_caught(monkeypatch, spec):
+    # only the falling-factorial route reads step matrices: the ascending
+    # route chains its powers by ring products, so one wrong matrix entry
+    # makes the two routes disagree (were the matrices shared, the chained
+    # power check would fire instead, with another message)
+    table = apery_general(Generators([53, 67, 88]))
+    lam = LambdaSpec.parse(spec).element()
+    honest_values = weighted_sums(table, (1, 2), lam)
+    honest, built = NumberRing.matrix, []
+
+    def corrupted(ring, x):
+        rows = [list(row) for row in honest(ring, x)]
+        if not built:  # the first step matrix only, in one entry
+            rows[-1][0] += 1
+        built.append(x)
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(NumberRing, "matrix", corrupted)
+    with pytest.raises(ArithmeticError, match="weighted moment routes disagree"):
+        weighted_sums(table, (1, 2), lam)
+    monkeypatch.undo()
+    assert weighted_sums(table, (1, 2), lam) == honest_values
 
 
 def test_no_moment_is_reduced_before_the_recombination(monkeypatch):
@@ -691,8 +771,13 @@ def _wrong_class_weight(monkeypatch):
 
 
 def _wrong_class_sum(monkeypatch):
-    # route B sums falling factorials by math.perm: (x)_2 + x in place of (x)_2
-    monkeypatch.setattr(sylvester, "perm", lambda x, h: perm(x, h) + (h == 2) * x)
+    # route B sums falling factorials: (x)_2 + x in place of (x)_2
+    honest = sylvester._falling_factorial_sums
+
+    def corrupted(values, top):
+        return [s + (h == 2) * sum(values) for h, s in enumerate(honest(values, top))]
+
+    monkeypatch.setattr(sylvester, "_falling_factorial_sums", corrupted)
 
 
 CLASS_SUM_QUERIES = {
