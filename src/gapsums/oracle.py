@@ -1,19 +1,22 @@
 """Brute-force ground truth for every formula in the package.
 
-A sieve decides every integer below its horizon directly from the
-generators, and the gap set (the nonrepresentable positive integers) is the
-clear bits of the result; sums over the gaps are computed term by term over
-those bits.  The power sums take one packed lookup per four integers for
-every mu at once: the bits are read as hex digits, each digit's gaps pick a
+A sieve decides every integer up to F + a_1 directly from the generators,
+and the gap set (the nonrepresentable positive integers) is the clear bits
+of the result; sums over the gaps are computed term by term over those
+bits.  The power sums take one packed lookup per four integers for every
+mu at once: the bits are read as hex digits, each digit's gaps pick a
 packed sum of the powers of their offsets, and the sums are moved down a
 window at a time.  A weighted sum runs on integral elements in one pass,
 one term per gap, with a single reduction at the end (on Python ints for a
 rational weight, with its powers of two as shifts, and on integral ring
 elements for any other).
-The sieve is word-parallel: the membership bits of ``[0, H]`` are one Python
-int, closed under each generator by shift-and-OR, so each integer is one bit
-and every step runs in C over whole digits of the int (30 integers per
-CPython digit).  The gaps are kept as those bits and read a window of
+The sieve is word-parallel and runs in one ascending pass: each window of
+consecutive integers is one Python int, the OR of one slice of the member
+bytes below it per generator, closed under the generators narrower than
+the window by shift-and-OR, so each integer is one bit and every step runs
+in C over whole digits of the int (30 integers per CPython digit).  The
+windows widen as the pass goes and are joined once as bytes; no integer is
+decided twice.  The gaps are kept as those bits and read a window of
 ``_WINDOW`` integers at a time, so a pass holds the bits plus one window
 and, for the power sums, the packed rows of one window.  Those rows depend
 on the window's shape alone, so they are built once per shape and the last
@@ -36,10 +39,14 @@ from .numberfield import RingElement, as_element
 
 __all__ = ["GapSet", "gap_set", "power_sum", "power_sums", "weighted_sum"]
 
-# The first horizon, in multiples of a_1; it doubles until it holds a run of
-# a_1 consecutive members.  Every set with a_1 >= 2 has all of 1..a_1-1 as
-# gaps, so no smaller horizon can ever hold the run.
-_FIRST_HORIZON = 2
+# The sieve's windows start at 4 a_1 integers (whole bytes, at least one)
+# and double each time their base reaches _WIDEN widths, up to _WIDEST:
+# narrow windows cost calls, wide ones shifts.  On the 432 seed-7 and
+# seed-11 verify-cli sets this took 21-22 ms, and windows from a_1 with
+# _WIDEN = 16 up to 2^20 36-38 ms; a cap of 2^14 was 16-20 % slower on
+# (64, 1000003) and (3000, 3001).
+_WIDEN = 2
+_WIDEST = 1 << 16
 
 # '0'/'1' digits -> 1/0 selector bytes for itertools.compress: picks the gaps
 _GAP_FLAGS = bytes.maketrans(b"01", b"\x01\x00")
@@ -54,7 +61,7 @@ _NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(15, -1, -1)))
 # each: 331 KB at top = 8, so a set with fewer bits than the rows takes a
 # smaller window past top = 5), built once per window shape (_ROWS_KEPT),
 # and move each window's sums to its base with one product per lane.  Over
-# the 96 power-sum calls of a seed-7 verify-cli corpus (horizons 2.5 * 10^4
+# the 96 power-sum calls of a seed-7 verify-cli corpus (bounds 2.5 * 10^4
 # to 2 * 10^5, top 3 to 5), best of five per call and of three interleaved
 # rounds, with the rows built on every call, W = 256 took 178 ms, 512
 # 135 ms, 1024 102 ms, 2048 120 ms and 4096 202 ms; on (3000, 3001),
@@ -81,8 +88,9 @@ _KEPT_TOP = 8
 
 @dataclass(frozen=True)
 class GapSet:
-    """The membership bits of the semigroup on ``[0, bound]``, the sieve
-    horizon: the gaps are the clear bits, and nothing is stored per gap.
+    """The membership bits of the semigroup on ``[0, bound]``, bound = F + a_1
+    where the sieve stopped: the gaps are the clear bits, and nothing is
+    stored per gap.
 
     Frobenius number and genus are read off the bits; :meth:`windows` reads
     the gaps out a window at a time.  ``gaps``, the whole tuple, and
@@ -116,7 +124,7 @@ class GapSet:
         if n < 0:
             return False
         if n > self.bound:
-            return True  # beyond the horizon everything is representable
+            return True  # past F everything is representable
         return bool(self.members >> n & 1)
 
     def windows(self, descending: bool = False) -> Iterator[list[int]]:
@@ -153,66 +161,59 @@ def _gap_flags(bits: int, width: int, descending: bool = False) -> Iterator[tupl
         yield lo, row.encode().translate(_GAP_FLAGS)
 
 
-def _members(gens: Generators, horizon: int) -> int:
-    """Membership bits of the semigroup on ``[0, horizon]``, bit n for n.
-
-    Each generator g is closed in by doubling shifts: after the shifts by g,
-    2g, ..., 2^j g every count of copies of g below 2^(j+1) has been added, and
-    the shifts stop once 2^j g passes the horizon.  Closing under one
-    generator keeps the closure under the earlier ones.
-    """
-    mask = (2 << horizon) - 1
-    members = 1
-    for g in gens.values:
-        shift = g
-        while shift <= horizon:
-            members = (members | members << shift) & mask
-            shift <<= 1
-    return members
-
-
-def _first_run_end(members: int, length: int) -> int | None:
-    """Least n >= length with n-length+1 .. n all members, or None.
-
-    Position 0 is left out, so the run lies in the positive integers.  The
-    run width doubles per AND-shift step: bit n of ``ends`` is set when the
-    ``span`` positions up to n are all members.
-    """
-    ends = members & ~1
-    span = 1
-    while span < length:
-        step = min(span, length - span)
-        ends &= ends << step
-        span += step
-    if not ends:
-        return None
-    return (ends & -ends).bit_length() - 1
+def _bits(raw: bytes | bytearray, start: int, width: int) -> int:
+    """Bits ``start`` on of the little-endian ``raw``, ``width`` of them and
+    up to 7 more; those below 0 or past the end of ``raw`` read clear."""
+    if start >= 0:
+        return int.from_bytes(raw[start >> 3:(start + width + 7) >> 3], "little") >> (start & 7)
+    return int.from_bytes(raw[:max(start + width + 7, 0) >> 3], "little") << -start
 
 
 def _sieve(gens: Generators) -> tuple[int, int]:
-    """Membership bits of the semigroup up to the last sieved integer, and
-    that integer.
+    """Membership bits of the semigroup on ``[0, bound]``, and ``bound``.
 
-    The sieve stops at the first run of a_1 consecutive representable
-    positive integers; from there on, adding copies of a_1 reaches everything,
-    so the stop is F + a_1 (F the Frobenius number, 0 when there are no gaps).
-    The horizon starts at 2·a_1 and doubles until it holds that run, so memory
-    is about one bit per integer up to 2(F + a_1) whatever a_k, and a
-    generator past the horizon costs nothing.  A hard cap at a_1·a_k + a_1
-    guards against bugs; it is provably never the binding stop.
+    A positive n is a member exactly when some n - g is.  One ascending
+    pass decides windows ``[lo, lo + W)``, W a multiple of 8, appending
+    each to the member bytes below it: each generator g < lo + W adds its
+    slice of them at lo - g, and each g < W is closed in inside the window
+    by the shifts g, 2g, 4g, ..., which add every count of copies of g
+    (and keep the closure under the earlier generators).
+
+    The pass stops at the first window end a_1 past the last gap (0 before
+    the first): adding copies of a_1 to that run of members reaches
+    everything, so bound = F + a_1 (1 for a_1 = 1).  Memory is the bits up
+    to bound, twice while they are joined, and one window, whatever a_k.
     """
-    a1 = gens.modulus
-    cap = a1 * gens.largest + a1
-    horizon = _FIRST_HORIZON * a1
-    while True:
-        members = _members(gens, horizon)
-        bound = _first_run_end(members, a1)
-        if bound is not None:
-            break
-        if horizon >= cap:  # pragma: no cover - unreachable by the stopping argument
-            raise AssertionError("sieve exceeded its safety bound")
-        horizon = min(2 * horizon, cap)
-    return members & ((2 << bound) - 1), bound
+    a1, values = gens.modulus, gens.values
+    width = max(8, a1 >> 1 << 3)
+    raw = bytearray()
+    lo = last = 0  # the window's base, the last gap
+    while lo <= last + a1:
+        if lo >= _WIDEN * width and 2 * width <= _WIDEST:
+            width *= 2
+        window = int(lo == 0)
+        for g in values:
+            if g >= lo + width:
+                break
+            window |= _bits(raw, lo - g, width)
+        mask = (1 << width) - 1
+        for g in values:
+            if g >= width:
+                break
+            while g < width:
+                window |= window << g
+                g <<= 1
+            window &= mask
+        window &= mask
+        raw += window.to_bytes(width >> 3, "little")
+        if window != mask:
+            last = lo + (window ^ mask).bit_length() - 1
+        lo += width
+    bound = last + a1
+    del raw[(bound >> 3) + 1:]
+    raw[-1] &= (2 << (bound & 7)) - 1
+    raw = bytes(raw)  # int.from_bytes would copy the bytearray and keep both
+    return int.from_bytes(raw, "little"), bound
 
 
 def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
@@ -220,15 +221,21 @@ def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
 
     A member n whose n - a_1 is not a member is the least of its class, so
     the minima are the set bits of ``members & ~(members << a_1)``; there
-    are exactly a_1 of them, found one by one within each window rather
-    than by a scan of every position.
+    are exactly a_1 of them.  They are read a window of whole bytes at a
+    time from one copy of the member bytes, each window ANDed with the
+    complement of its slice a_1 below, and found one by one.
     """
     minima = [0] * a1
-    for lo, row in _rows(members & ~(members << a1), bound + 1):
-        t = row.find("1")
-        while t >= 0:
+    raw = members.to_bytes((bound >> 3) + 1, "little")
+    step = -(-_WINDOW // 8)  # bytes per window
+    width = 8 * step
+    for s in range(0, len(raw), step):
+        lo = 8 * s
+        least = int.from_bytes(raw[s:s + step], "little") & ~_bits(raw, lo - a1, width)
+        while least:
+            t = least.bit_length() - 1
             minima[(lo + t) % a1] = lo + t
-            t = row.find("1", t + 1)
+            least ^= 1 << t
     return tuple(minima)
 
 

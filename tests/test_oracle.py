@@ -217,13 +217,70 @@ def test_sieve_matches_per_integer_reference():
         assert (list(gs.gaps), list(gs.minima), gs.bound) == _reference_sieve(gens), gens.values
 
 
+def _doubling_sieve(gens: Generators) -> tuple[int, int]:
+    """The membership bits on [0, bound] and bound, by a horizon that starts
+    at 2·a_1 and doubles until it holds a run of a_1 members past 0; each
+    horizon closes every generator in by doubling shifts over all of it."""
+    a1 = gens.modulus
+    horizon = 2 * a1
+    while True:
+        mask = (2 << horizon) - 1
+        members = 1
+        for g in gens.values:
+            shift = g
+            while shift <= horizon:
+                members = (members | members << shift) & mask
+                shift <<= 1
+        ends = members & ~1  # bit n: the span positions up to n are members
+        span = 1
+        while span < a1:
+            step = min(span, a1 - span)
+            ends &= ends << step
+            span += step
+        if ends:
+            bound = (ends & -ends).bit_length() - 1
+            return members & ((2 << bound) - 1), bound
+        horizon *= 2
+
+
+def _coprime_set(a1: int, rest: list[int]) -> Generators:
+    assume(math.gcd(a1, *rest) == 1)
+    return Generators([a1, *rest])
+
+
+@st.composite
+def _sieve_shapes(draw) -> Generators:
+    """Three kinds of shape: a_1 <= 8 with a_k up to 10^4, so the windows
+    widen far past a_1; generators that are multiples of a_1; and far
+    generators, up to 10^9, past the stop or among the last windows."""
+    kind = draw(st.sampled_from(["small a_1", "multiples", "far"]))
+    if kind == "small a_1":
+        a1 = draw(st.integers(1, 8))
+        return _coprime_set(a1, draw(st.lists(st.integers(a1 + 1, 10 ** 4), min_size=1, max_size=4)))
+    a1 = draw(st.integers(2, 60))
+    rest = draw(st.lists(st.integers(a1 + 1, 6 * a1), min_size=1, max_size=4))
+    if kind == "multiples":
+        return _coprime_set(a1, rest + draw(st.lists(st.integers(2, 8), min_size=1, max_size=3).map(
+            lambda ks: [k * a1 for k in ks])))
+    return _coprime_set(a1, rest + draw(st.lists(st.integers(7 * a1, 10 ** 9), min_size=1, max_size=2)))
+
+
+@given(_sieve_shapes())
+@example(Generators([1, 2]))
+@example(Generators([2, 3]))
+@example(Generators([16, 100003]))
+@example(Generators([2, 1000001]))
+def test_stream_sieve_matches_the_doubling_sieve(gens):
+    assert oracle._sieve(gens) == _doubling_sieve(gens)
+
+
 @pytest.mark.parametrize("values", [(1000, 1001), (3011, 3012, 3014)])
 def test_deep_sieves_match_the_residue_table(values):
-    # F is about a_1^2 and a_1^2 / 3, so the horizon doubles nine times from
-    # 2·a_1.  The per-integer reference takes seconds here, so the check is
-    # against the residue table instead: a strictly increasing list of genus
-    # many integers, each below the least member of its residue class, is
-    # the gap set.
+    # F is about a_1^2 and a_1^2 / 3, so the sieve runs through 20 and 65
+    # windows that widen as they go.  The per-integer reference takes
+    # seconds here, so the check is against the residue table instead: a
+    # strictly increasing list of genus many integers, each below the least
+    # member of its residue class, is the gap set.
     gens = Generators(values)
     table = apery_general(gens)
     gs = oracle.gap_set(gens)
@@ -241,8 +298,8 @@ def test_deep_sieves_match_the_residue_table(values):
     [((7, 8), 10**12 + 1), ((1801, 1999, 2203, 2411, 2609, 2801), 10**9 + 7)],
 )
 def test_far_generators_stay_cheap(near, far):
-    # the far generator never fits under the horizon, so it adds no work and
-    # no memory, where a_1 * a_k bits would be 875 GB and 225 GB
+    # the sieve stops before any window reaches the far generator, so it adds
+    # no work and no memory, where a_1 * a_k bits would be 875 GB and 225 GB
     gens = Generators(near + (far,))
     tracemalloc.start()
     try:
@@ -278,9 +335,10 @@ def test_sums_hold_the_bits_and_one_window():
 
 
 def test_minima_are_read_a_window_at_a_time():
-    # the minima are the set bits of members & ~(members << a_1), found a
-    # window at a time in a few bits per integer: a string of all bound + 1
-    # digits and its reverse took 2 B per integer
+    # the minima are the set bits of members & ~(members << a_1), read a
+    # window at a time from one copy of the member bytes, 1/8 B per integer:
+    # a string of all bound + 1 digits and its reverse took 2 B per integer,
+    # and the shifted and complemented ints of all the bits about 1/2 B
     gens = Generators([449, 450])
     gs = oracle.gap_set(gens)
     tracemalloc.start()
@@ -290,7 +348,7 @@ def test_minima_are_read_a_window_at_a_time():
     finally:
         tracemalloc.stop()
     assert minima == apery_general(gens).m
-    assert peak < gs.bound + 1
+    assert peak < (gs.bound + 1) / 3
 
 
 @st.composite
