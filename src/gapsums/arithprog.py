@@ -4,19 +4,21 @@ The residue table has a known row structure, defined once by
 :meth:`ArithProgression.rows`: with a-1 = q(k-1)+r, row s holds the entries
 s*a + j*d for a run of k-1 consecutive j (r in the last row).  The Frobenius
 number, the genus and the power sums are closed forms in q, k and the
-exponent, with no entry listed.  The weighted sums read the closed-form table
-(:func:`gapsums.apery.apery_arith`), one term per table entry (so O(a) time
-and memory, whatever the size of the entries), through the residue-table
-engine, :func:`gapsums.sylvester.weighted_sums`, in all three regimes of the
-weight w: "general", "unity-a" when w^a = 1, and "unity-d" when w^d = 1, a
-tag only: there, as for any weight of finite order, the moments are class
-sums.
+exponent, with no entry listed; the power sums run on ints over one common
+denominator with one checked division, and each of their O(mu^3) terms
+still adds one bracket term per full row, O(q mu^3) in all.  The weighted
+sums read the closed-form table (:func:`gapsums.apery.apery_arith`), one
+term per table entry (so O(a) time and memory, whatever the size of the
+entries), through the residue-table engine,
+:func:`gapsums.sylvester.weighted_sums`, in all three regimes of the weight
+w: "general", "unity-a" when w^a = 1, and "unity-d" when w^d = 1, a tag
+only: there, as for any weight of finite order, the moments are class sums.
 
 Since gcd(a, d) = 1, w^a = 1 = w^d would force w = 1, which is excluded.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .apery import ArithProgression, apery_arith
@@ -46,10 +48,10 @@ def frobenius_ap(ap: ArithProgression) -> int:
 
 def genus_ap(ap: ArithProgression) -> int:
     """Number of gaps: ((a-1)(q+d) + r(q+1)) / 2."""
-    value = Fraction((ap.a - 1) * (ap.q + ap.d) + ap.r * (ap.q + 1), 2)
-    if value.denominator != 1:
+    value, odd = divmod((ap.a - 1) * (ap.q + ap.d) + ap.r * (ap.q + 1), 2)
+    if odd:
         raise ArithmeticError("non-integral genus: invalid (a, d, k) decomposition")
-    return int(value)
+    return value
 
 
 def power_sum_ap(ap: ArithProgression, mu: int) -> int:
@@ -64,39 +66,42 @@ def power_sum_ap(ap: ArithProgression, mu: int) -> int:
                      - sum_{i=1}^{q} ((i+1)^{mu+1-k-l} - i^{mu+1-k-l})
                                      (i(k-1)+1)^{l+1-j} ]
                + (B_{mu+1}/(mu+1)) (a^{mu+1} - 1).
+
+    With B the lcm of the denominators of B_0..B_{mu+1}, every term times
+    L = B^2 lcm(1..mu+2) (mu+1) a is an int (a covers a^{mu-l} at l = mu+1):
+    the terms are summed as ints and divided by L once, and that division
+    must leave no remainder.  Each of the O(mu^3) terms still sums its
+    bracket over i = 1..q, so the time is O(q mu^3) int operations.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     a, d, k, q = ap.a, ap.d, ap.k, ap.q
-    total = Fraction(0)
+    bern = [bernoulli(n).as_integer_ratio() for n in range(mu + 2)]
+    bden = lcm(*(den for _, den in bern))
+    weight = [num * (bden // den) for num, den in bern]  # B_n B, an int
+    lden = lcm(*range(1, mu + 3))
+    total = 0
     for kappa in range(mu + 1):
-        b_kappa = bernoulli(kappa)
-        if not b_kappa:
+        if not weight[kappa]:
             continue
         for l in range(mu + 2 - kappa):
             e = mu + 1 - kappa - l
+            scale = (binomial(mu + 1, kappa) * binomial(mu + 1 - kappa, l) * weight[kappa]
+                     * (lden // (l + 1)) * a ** (mu + 1 - l) * d ** l)
             for j in range(l + 1):
-                b_j = bernoulli(j)
-                if not b_j:
+                if not weight[j]:
                     continue
-                coeff = (
-                    Fraction(binomial(mu + 1, kappa) * binomial(mu + 1 - kappa, l) * binomial(l + 1, j))
-                    * b_kappa
-                    * b_j
-                    * Fraction(a) ** (mu - l)
-                    * Fraction(d) ** l
-                    / (l + 1)
-                )
                 bracket = (q + 1) ** e * a ** (l + 1 - j) - 1
                 bracket -= sum(
                     ((i + 1) ** e - i ** e) * (i * (k - 1) + 1) ** (l + 1 - j)
                     for i in range(1, q + 1)
                 )
-                total += coeff * bracket
-    total = total / (mu + 1) + bernoulli(mu + 1) / (mu + 1) * (a ** (mu + 1) - 1)
-    if total.denominator != 1:
+                total += binomial(l + 1, j) * weight[j] * scale * bracket
+    total += weight[mu + 1] * bden * lden * a * (a ** (mu + 1) - 1)
+    value, rest = divmod(total, bden * bden * lden * (mu + 1) * a)
+    if rest:
         raise ArithmeticError("non-integral power sum: internal fault")
-    return int(total)
+    return value
 
 
 def weighted_moment_ap(ap: ArithProgression, nu: int, lam) -> RingElement:

@@ -18,11 +18,12 @@ in C over whole digits of the int (30 integers per CPython digit).  The
 windows widen as the pass goes and are joined once as bytes; no integer is
 decided twice.  The gaps are kept as those bits and read a window of
 ``_WINDOW`` integers at a time, so a pass holds the bits plus one window
-and, for the power sums, the packed rows of one window.  Those rows depend
-on the window's shape alone, so they are built once per shape and the last
-few are kept for later calls, under a fixed bound.  The module shares
-no code with the residue-table engine: it exists to certify the closed
-forms, not to compete with them.
+and, for the power sums, one copy of the bits as bytes (only its top bytes,
+which the padding to whole windows reaches, padded apart) and the packed
+rows of one window.  Those rows depend on the window's shape alone, so they
+are built once per shape and the last few are kept for later calls, under a
+fixed bound.  The module shares no code with the residue-table engine: it
+exists to certify the closed forms, not to compete with them.
 """
 from __future__ import annotations
 
@@ -307,9 +308,13 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     four integers.  Gap n = lo + 4u + b in the window at lo adds the packed
     powers of 4u + b (:func:`_packed_powers`), and :func:`_nibble_rows` sums
     them over the gaps of each nibble, so a window's sums about lo are one
-    lookup and one add per digit.  The rows depend on (W, top) alone: they
-    are built on the first call with that shape and read from
-    :func:`_window_rows` by later ones (up to top = _KEPT_TOP).  From the
+    lookup and one add per digit.  The digits come from one copy of the
+    bits as big-endian bytes; the integers past the bound up to whole
+    windows read as members, and they fall in the top bytes alone, which are
+    padded apart, so no padded int of all the bits is made.  The rows
+    depend on (W, top) alone: they are built on the first call with that
+    shape and read from :func:`_window_rows` by later ones (up to
+    top = _KEPT_TOP).  From the
     top window down, the running sums move down by W with one product per
     lane, as (y + W)^j = sum_k C(j, k) W^(j - k) y^k: lane k times
     spread[k], which packs C(j, k) W^(j - k) into each lane j >= k.  A
@@ -342,15 +347,21 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     masks = [(1 << lane) - 1 for lane in lanes]
     spread = [sum(comb(j, k) * span ** (j - k) << offsets[j] for j in range(k, top + 1))
               for k in range(top + 1)]
-    # the bits past the bound, up to whole windows, read as members
-    pad = (1 << width - gs.bound - 1) - 1 << gs.bound + 1
-    raw = (gs.members | pad).to_bytes(size, "big")
+    # The bits past the bound, up to whole windows, read as members.  They
+    # fall in the top ``lead`` bytes, so only those are padded, in ``head``,
+    # and every window reads the one copy ``raw`` of the bits below them.
+    low = gs.bound + 1 >> 3  # whole bytes below the padding
+    lead = size - low
+    pad = (1 << 8 * lead) - (1 << (gs.bound + 1 & 7))  # bits bound + 1 .. width - 1
+    head = (gs.members >> 8 * low | pad).to_bytes(lead, "big")
+    raw = gs.members.to_bytes(size, "big")
     acc = window = 0
     for s in range(0, size, step):
         moved = map(add, map(and_, map(rshift, repeat(acc), offsets), masks),
                     map(and_, map(rshift, repeat(window), near), narrow))
         acc = sum(map(mul, moved, spread))
-        digits = raw[s:s + step].hex().encode().translate(_NIBBLES)
+        chunk = raw[s:s + step] if s >= lead else head[s:s + step] + raw[lead:s + step]
+        digits = chunk.hex().encode().translate(_NIBBLES)
         window = sum(map(getitem, rows, digits))
     sums = [(acc >> offset & mask) + (window >> n & m)
             for offset, mask, n, m in zip(offsets, masks, near, narrow)]

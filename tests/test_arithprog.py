@@ -27,7 +27,7 @@ from gapsums import (
     weighted_sum_ap,
     weighted_sums_ap,
 )
-from gapsums import apery_general, oracle, summarize, weighted_sums
+from gapsums import apery_general, oracle, summarize, sylvester, weighted_sums
 from gapsums.paths import ClosedFormPath
 
 AP_13 = ArithProgression(13, 3, 5)
@@ -75,6 +75,30 @@ def test_closed_forms_match_table_and_oracle_randomized():
             value = power_sum_ap(ap, mu)
             assert value == power_sum(table, mu)
             assert value == oracle.power_sum(gs, mu)
+
+
+@st.composite
+def _progressions(draw) -> ArithProgression:
+    """A progression with a <= 60, d <= 9 and k at either extreme of q or
+    anywhere between, so r = 0 and r > 0 both come up."""
+    a = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 9).filter(lambda d: gcd(a, d) == 1))
+    k = draw(st.one_of(st.just(2), st.just(a), st.integers(2, a)))
+    return ArithProgression(a, d, k)
+
+
+@given(_progressions(), st.sets(st.integers(0, 12), min_size=1, max_size=3))
+@example(ArithProgression(60, 7, 2), {0, 12})  # k = 2: q = a - 1, r = 0
+@example(ArithProgression(59, 9, 59), {1, 12})  # k = a: q = 1, r = 0
+@example(ArithProgression(31, 4, 7), {5, 12})  # q = 5, r = 0
+@example(ArithProgression(58, 9, 10), {2, 11, 12})  # q = 6, r = 3
+@example(ArithProgression(2, 1, 2), {12})  # the one gap 1
+def test_power_sum_ap_matches_table_and_oracle(ap, mus):
+    # every term of the triple sum is an int over one denominator, with one
+    # checked division at the end: the table and the sieve share none of it
+    values = {mu: power_sum_ap(ap, mu) for mu in mus}
+    assert values == sylvester.power_sums(apery_arith(ap), mus)
+    assert values == oracle.power_sums(oracle.gap_set(ap.generators()), mus)
 
 
 # --- closed-form moments ----------------------------------------------------

@@ -351,6 +351,23 @@ def test_minima_are_read_a_window_at_a_time():
     assert peak < (gs.bound + 1) / 3
 
 
+def test_power_sums_read_one_copy_of_the_bits():
+    # (2000, 2001) has 4 * 10^6 bits, 488 KiB.  The windows read one copy of
+    # them as bytes, with only the top bytes that the padding to whole
+    # windows reaches padded apart.  The rows at top 2, built cold here,
+    # take about 180 KiB; a second copy of the bits would pass the bound.
+    gs = oracle.gap_set(Generators([2000, 2001]))
+    oracle._window_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        sums = oracle.power_sums(gs, (2,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sums == {2: sum(n * n for n in gs.gaps)}
+    assert peak < (gs.bound + 1) // 8 + 256 * 1024
+
+
 @st.composite
 def _small_generator_sets(draw) -> Generators:
     a1 = draw(st.integers(1, 30))
