@@ -15,15 +15,16 @@ consecutive integers is one Python int, the OR of one slice of the member
 bytes below it per generator, closed under the generators narrower than
 the window by shift-and-OR, so each integer is one bit and every step runs
 in C over whole digits of the int (30 integers per CPython digit).  The
-windows widen as the pass goes and are joined once as bytes; no integer is
-decided twice.  The gaps are kept as those bits and read a window of
-``_WINDOW`` integers at a time, so a pass holds the bits plus one window
-and, for the power sums, one copy of the bits as bytes (only its top bytes,
-which the padding to whole windows reaches, padded apart) and the packed
-rows of one window.  Those rows depend on the window's shape alone, so they
-are built once per shape and the last few are kept for later calls, under a
-fixed bound.  The module shares no code with the residue-table engine: it
-exists to certify the closed forms, not to compete with them.
+windows widen as the pass goes and are appended to one byte buffer; no
+integer is decided twice, and the Frobenius number and the genus are
+counted as each window is decided.  That buffer is the only copy of the
+bits: every read-out slices it a window of ``_WINDOW`` integers at a time,
+so a pass holds the bits plus one window and, for the power sums, the
+packed rows of one window.  Those rows depend on the window's shape alone,
+so they are built once per shape and the last few are kept for later
+calls, under a fixed bound.  The module shares no code with the
+residue-table engine: it exists to certify the closed forms, not to
+compete with them.
 """
 from __future__ import annotations
 
@@ -93,24 +94,18 @@ class GapSet:
     where the sieve stopped: the gaps are the clear bits, and nothing is
     stored per gap.
 
-    Frobenius number and genus are read off the bits; :meth:`windows` reads
-    the gaps out a window at a time.  ``gaps``, the whole tuple, and
-    ``minima``, the least member of each residue class mod a_1 (the residue
-    table), are read out of the same bits on first use."""
+    ``members`` is the sieve's read-only buffer, bit n mod 8 of byte n // 8
+    set for a member n, and the sieve counted ``frobenius`` (-1 with no
+    gap) and ``genus``.  :meth:`windows` reads the gaps out a window at a
+    time.  ``gaps``, the whole tuple, and ``minima``, the least member of
+    each residue class mod a_1 (the residue table), are read out of the
+    same bytes on first use."""
 
     bound: int
-    members: int = field(repr=False)  # membership bits on [0, bound]
+    members: memoryview = field(repr=False)  # membership bits on [0, bound]
     modulus: int
-
-    @property
-    def frobenius(self) -> int:
-        """The largest gap, the highest clear bit on [0, bound]; -1 if none."""
-        return (((2 << self.bound) - 1) ^ self.members).bit_length() - 1
-
-    @property
-    def genus(self) -> int:
-        """The number of gaps, the clear bits on [0, bound]."""
-        return self.bound + 1 - self.members.bit_count()
+    frobenius: int
+    genus: int
 
     @cached_property
     def gaps(self) -> tuple[int, ...]:
@@ -126,7 +121,7 @@ class GapSet:
             return False
         if n > self.bound:
             return True  # past F everything is representable
-        return bool(self.members >> n & 1)
+        return bool(self.members[n >> 3] >> (n & 7) & 1)
 
     def windows(self, descending: bool = False) -> Iterator[list[int]]:
         """The gaps, one list per window of ``_WINDOW`` integers.
@@ -141,28 +136,20 @@ class GapSet:
             yield gaps
 
 
-def _rows(bits: int, width: int, descending: bool = False) -> Iterator[tuple[int, str]]:
-    """(lo, digits) for each window of ``_WINDOW`` integers in ``[0, width)``,
-    ascending unless ``descending``: bit lo + t of ``bits`` as '0'/'1' at index
-    t.  The bits are copied once to bytes and each window is read from its
-    slice of them, so no string of all ``width`` digits is made."""
-    raw = bits.to_bytes((width + 7) // 8, "little")
+def _gap_flags(raw: memoryview, width: int, descending: bool = False) -> Iterator[tuple[int, bytes]]:
+    """(lo, flags) for each window of ``_WINDOW`` integers in ``[0, width)``,
+    ascending unless ``descending``: byte t of ``flags`` is 1 where bit
+    lo + t of ``raw`` is clear (a gap) and 0 where it is set, the selectors
+    that :func:`itertools.compress` takes.  Each window is read from its
+    slice of ``raw``, so no string of all ``width`` digits is made."""
     starts = range(0, width, _WINDOW)
     for lo in reversed(starts) if descending else starts:
         n = min(_WINDOW, width - lo)
-        window = int.from_bytes(raw[lo >> 3:(lo + n + 7) >> 3], "little") >> (lo & 7)
-        yield lo, format(window & ((1 << n) - 1), f"0{n}b")[::-1]
-
-
-def _gap_flags(bits: int, width: int, descending: bool = False) -> Iterator[tuple[int, bytes]]:
-    """(lo, flags) for each window of :func:`_rows`: byte t of ``flags`` is 1
-    where bit lo + t of ``bits`` is clear (a gap) and 0 where it is set, the
-    selectors that :func:`itertools.compress` takes."""
-    for lo, row in _rows(bits, width, descending):
+        row = format(_bits(raw, lo, n) & ((1 << n) - 1), f"0{n}b")[::-1]
         yield lo, row.encode().translate(_GAP_FLAGS)
 
 
-def _bits(raw: bytes | bytearray, start: int, width: int) -> int:
+def _bits(raw: bytes | bytearray | memoryview, start: int, width: int) -> int:
     """Bits ``start`` on of the little-endian ``raw``, ``width`` of them and
     up to 7 more; those below 0 or past the end of ``raw`` read clear."""
     if start >= 0:
@@ -170,25 +157,29 @@ def _bits(raw: bytes | bytearray, start: int, width: int) -> int:
     return int.from_bytes(raw[:max(start + width + 7, 0) >> 3], "little") << -start
 
 
-def _sieve(gens: Generators) -> tuple[int, int]:
-    """Membership bits of the semigroup on ``[0, bound]``, and ``bound``.
+def _sieve(gens: Generators) -> tuple[memoryview, int, int, int]:
+    """Membership bits of the semigroup on ``[0, bound]`` as read-only
+    little-endian bytes, ``bound``, the Frobenius number and the genus.
 
     A positive n is a member exactly when some n - g is.  One ascending
     pass decides windows ``[lo, lo + W)``, W a multiple of 8, appending
     each to the member bytes below it: each generator g < lo + W adds its
     slice of them at lo - g, and each g < W is closed in inside the window
     by the shifts g, 2g, 4g, ..., which add every count of copies of g
-    (and keep the closure under the earlier generators).
+    (and keep the closure under the earlier generators).  The last clear
+    bit so far is the Frobenius number, and each window adds W minus its
+    popcount to the genus.
 
     The pass stops at the first window end a_1 past the last gap (0 before
     the first): adding copies of a_1 to that run of members reaches
-    everything, so bound = F + a_1 (1 for a_1 = 1).  Memory is the bits up
-    to bound, twice while they are joined, and one window, whatever a_k.
+    everything, so bound = F + a_1 (1 for a_1 = 1).  The buffer, trimmed
+    to ``[0, bound]``, is returned as a view, not copied: memory is the bits
+    up to bound and one window, whatever a_k.
     """
     a1, values = gens.modulus, gens.values
     width = max(8, a1 >> 1 << 3)
     raw = bytearray()
-    lo = last = 0  # the window's base, the last gap
+    lo = last = genus = 0  # the window's base, the last gap, the gaps so far
     while lo <= last + a1:
         if lo >= _WIDEN * width and 2 * width <= _WIDEST:
             width *= 2
@@ -209,30 +200,29 @@ def _sieve(gens: Generators) -> tuple[int, int]:
         raw += window.to_bytes(width >> 3, "little")
         if window != mask:
             last = lo + (window ^ mask).bit_length() - 1
+            genus += width - window.bit_count()
         lo += width
     bound = last + a1
     del raw[(bound >> 3) + 1:]
     raw[-1] &= (2 << (bound & 7)) - 1
-    raw = bytes(raw)  # int.from_bytes would copy the bytearray and keep both
-    return int.from_bytes(raw, "little"), bound
+    return memoryview(raw).toreadonly(), bound, last if genus else -1, genus
 
 
-def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
+def _minima(members: memoryview, bound: int, a1: int) -> tuple[int, ...]:
     """The least member of each residue class mod a_1.
 
     A member n whose n - a_1 is not a member is the least of its class, so
     the minima are the set bits of ``members & ~(members << a_1)``; there
     are exactly a_1 of them.  They are read a window of whole bytes at a
-    time from one copy of the member bytes, each window ANDed with the
+    time from slices of the member bytes, each window ANDed with the
     complement of its slice a_1 below, and found one by one.
     """
     minima = [0] * a1
-    raw = members.to_bytes((bound >> 3) + 1, "little")
     step = -(-_WINDOW // 8)  # bytes per window
     width = 8 * step
-    for s in range(0, len(raw), step):
+    for s in range(0, (bound >> 3) + 1, step):
         lo = 8 * s
-        least = int.from_bytes(raw[s:s + step], "little") & ~_bits(raw, lo - a1, width)
+        least = int.from_bytes(members[s:s + step], "little") & ~_bits(members, lo - a1, width)
         while least:
             t = least.bit_length() - 1
             minima[(lo + t) % a1] = lo + t
@@ -241,8 +231,8 @@ def _minima(members: int, bound: int, a1: int) -> tuple[int, ...]:
 
 
 def gap_set(gens: Generators) -> GapSet:
-    members, bound = _sieve(gens)
-    return GapSet(bound, members, gens.modulus)
+    members, bound, frobenius, genus = _sieve(gens)
+    return GapSet(bound, members, gens.modulus, frobenius, genus)
 
 
 def _packed_powers(width: int, top: int) -> tuple[list[int], list[int], list[int]]:
@@ -308,10 +298,11 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     four integers.  Gap n = lo + 4u + b in the window at lo adds the packed
     powers of 4u + b (:func:`_packed_powers`), and :func:`_nibble_rows` sums
     them over the gaps of each nibble, so a window's sums about lo are one
-    lookup and one add per digit.  The digits come from one copy of the
-    bits as big-endian bytes; the integers past the bound up to whole
-    windows read as members, and they fall in the top bytes alone, which are
-    padded apart, so no padded int of all the bits is made.  The rows
+    lookup and one add per digit.  Each window's digits are its slice of
+    the sieve's bytes, read in reverse so that they come highest first; the
+    integers past the bound up to whole windows read as members, and they
+    fall in the top window alone, which is padded in a small copy of its
+    own, so no copy of all the bits is made.  The rows
     depend on (W, top) alone: they are built on the first call with that
     shape and read from :func:`_window_rows` by later ones (up to
     top = _KEPT_TOP).  From the
@@ -322,15 +313,17 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     lanes of W offsets.  Lane j
     of the running sums holds sum (n - lo)^j < X^(j + 1) over at most X
     integers, X the padded width, so bits(X) (j + 1) + 1 bits never carry;
-    at lo = 0 lane j is s_j.  Lane 0, the count of gaps, must equal the
-    genus read from the bits."""
+    at lo = 0 lane j is s_j.  Lane 0, the count of gaps read from the hex
+    digits, must equal the genus that the sieve counted from the popcount
+    of each of its windows."""
     mus = sorted(set(mus))
     if mus and mus[0] < 0:
         raise ValueError("mu must be nonnegative")
     if not mus:
         return {}
     top = mus[-1]
-    size = (gs.bound + 8) // 8  # bytes of bits on [0, bound]
+    raw = gs.members
+    size = len(raw)  # bytes of bits on [0, bound]
     step = min(-(-_WINDOW // 8), size)  # bytes per window
     # The rows pack 32 step entries of (top + 1)((top + 2) b + 2) / 2 bits,
     # b = bits(W - 1).  Where that passes both _WINDOW^2 bits and the bits
@@ -348,20 +341,18 @@ def power_sums(gs: GapSet, mus: Iterable[int]) -> dict[int, int]:
     spread = [sum(comb(j, k) * span ** (j - k) << offsets[j] for j in range(k, top + 1))
               for k in range(top + 1)]
     # The bits past the bound, up to whole windows, read as members.  They
-    # fall in the top ``lead`` bytes, so only those are padded, in ``head``,
-    # and every window reads the one copy ``raw`` of the bits below them.
-    low = gs.bound + 1 >> 3  # whole bytes below the padding
-    lead = size - low
-    pad = (1 << 8 * lead) - (1 << (gs.bound + 1 & 7))  # bits bound + 1 .. width - 1
-    head = (gs.members >> 8 * low | pad).to_bytes(lead, "big")
-    raw = gs.members.to_bytes(size, "big")
+    # fall in the top window alone, so only it is padded, in ``head``, and
+    # every other window reads its slice of ``raw`` as it is.
+    head = bytearray(raw[size - step:])
+    head[-1] |= -2 << (gs.bound & 7) & 0xFF  # bits past the bound in its last byte
+    head += b"\xff" * (size - len(raw))
     acc = window = 0
-    for s in range(0, size, step):
+    for hi in range(size, 0, -step):
         moved = map(add, map(and_, map(rshift, repeat(acc), offsets), masks),
                     map(and_, map(rshift, repeat(window), near), narrow))
         acc = sum(map(mul, moved, spread))
-        chunk = raw[s:s + step] if s >= lead else head[s:s + step] + raw[lead:s + step]
-        digits = chunk.hex().encode().translate(_NIBBLES)
+        chunk = raw[hi - step:hi].tobytes() if hi < size else head
+        digits = chunk[::-1].hex().encode().translate(_NIBBLES)
         window = sum(map(getitem, rows, digits))
     sums = [(acc >> offset & mask) + (window >> n & m)
             for offset, mask, n, m in zip(offsets, masks, near, narrow)]
@@ -403,13 +394,12 @@ def weighted_sum(gs: GapSet, mu: int, lam) -> RingElement:
     top = gs.frobenius
     if top < 0:
         return ring.zero
+    den = lam.den
     if ring.degree == 1:
-        den = lam.den
         s, acc = lam.num[0], 0
         b = (s & -s).bit_length() - 1
         s >>= b
     else:
-        den = lam.den
         s, acc, b = lam * den, ring.zero, 0
     c = (den & -den).bit_length() - 1
     t = den >> c

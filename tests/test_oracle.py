@@ -159,6 +159,41 @@ def test_sieve_memory_follows_the_frobenius_number():
     assert peak < 8 * 2**20
 
 
+def test_the_sieve_keeps_one_copy_of_the_bits():
+    # (3000, 3001) has 9 * 10^6 bits, 1.1 MB: the sieve's buffer is the
+    # gap set's bits, kept as a view, where joining them into one int made
+    # a second copy (a peak of 2.08 times the bits)
+    tracemalloc.start()
+    try:
+        gs = oracle.gap_set(Generators([3000, 3001]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (gs.bound >> 3) + 1  # bytes of bits on [0, bound]
+    assert size == 1125000 and peak <= 1.25 * size
+    assert len(gs.members) == size
+
+
+def test_frobenius_genus_and_membership_read_no_copy_of_the_bits():
+    # the Frobenius number and the genus are counted by the sieve and
+    # membership reads one byte, where the complement of the bits and a
+    # shift of them per call allocated 2.4 MB here
+    gens = Generators([3000, 3001])
+    gs = oracle.gap_set(gens)
+    minima = gs.minima
+    probes = range(-2, gs.bound + 3, gs.bound // 1000)
+    assert len(probes) >= 1000
+    want = [n >= 0 and n >= minima[n % 3000] for n in probes]
+    tracemalloc.start()
+    try:
+        got = (gs.frobenius, gs.genus, list(map(gs.is_representable, probes)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == (frobenius(apery_general(gens)), genus(apery_general(gens)), want)
+    assert peak < 64 * 1024
+
+
 def _reference_sieve(gens: Generators) -> tuple[list[int], list[int], int]:
     """The per-integer sieve: one interpreted ``any`` over the generators per
     integer, stopping after a_1 consecutive representable integers."""
@@ -271,7 +306,12 @@ def _sieve_shapes(draw) -> Generators:
 @example(Generators([16, 100003]))
 @example(Generators([2, 1000001]))
 def test_stream_sieve_matches_the_doubling_sieve(gens):
-    assert oracle._sieve(gens) == _doubling_sieve(gens)
+    members, bound, frobenius, genus = oracle._sieve(gens)
+    bits, want = _doubling_sieve(gens)
+    assert (int.from_bytes(members, "little"), bound) == (bits, want)
+    assert members.readonly and len(members) == (bound >> 3) + 1
+    clear = ((2 << want) - 1) ^ bits
+    assert (frobenius, genus) == (clear.bit_length() - 1, clear.bit_count())
 
 
 @pytest.mark.parametrize("values", [(1000, 1001), (3011, 3012, 3014)])
@@ -385,7 +425,7 @@ def test_windowed_read_out_matches_the_bits(gens, window, mus):
     # the power sums, which read whole bytes (8 integers a window for sets
     # this small), and the packed lanes of mu up to 12 are at their narrowest
     gs = oracle.gap_set(gens)
-    clear = [n for n in range(gs.bound + 1) if not gs.members >> n & 1]
+    clear = [n for n in range(gs.bound + 1) if not gs.members[n >> 3] >> (n & 7) & 1]
     lam = as_element(Fraction(-1, 2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_WINDOW", window)
