@@ -190,7 +190,8 @@ def test_frobenius_genus_and_membership_read_no_copy_of_the_bits():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got == (frobenius(apery_general(gens)), genus(apery_general(gens)), want)
+    table = apery_general(gens)
+    assert got == (frobenius(table), genus(table), want)
     assert peak < 64 * 1024
 
 
